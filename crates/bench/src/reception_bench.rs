@@ -396,12 +396,7 @@ pub fn run(args: &[String]) {
             "\"deployment\": \"{deployment}\", \"n\": {n}, \"backend\": \"{backend}\", \"slots_per_sec\": "
         );
         let at = hay.find(&needle)? + needle.len();
-        hay[at..]
-            .split(|c: char| c == ',' || c == '}')
-            .next()?
-            .trim()
-            .parse()
-            .ok()
+        hay[at..].split([',', '}']).next()?.trim().parse().ok()
     };
 
     let sinr = SinrParams::builder().range(16.0).build().unwrap();
@@ -418,9 +413,7 @@ pub fn run(args: &[String]) {
         BackendSpec::exact(),
         BackendSpec::grid_far_field(cell),
         BackendSpec::cached(),
-        BackendSpec::cached().with_fast32(),
         BackendSpec::hybrid(0.0),
-        BackendSpec::hybrid(0.0).with_fast32(),
         BackendSpec::exact().with_threads(threads),
         BackendSpec::grid_far_field(cell).with_threads(threads),
     ];
@@ -685,9 +678,8 @@ pub fn run(args: &[String]) {
         samples.len() + mobility_samples.len() + large_samples.len()
     );
 
-    // The claim this PR makes: at n = 1024 the cached kernel must beat
-    // serial exact by a wide margin under realistic churn, and the f32
-    // fast path must stack on top of the fused SIMD deltas.
+    // The headline claim: at n = 1024 the cached kernel must beat serial
+    // exact by a wide margin under realistic churn.
     if !smoke {
         for deployment in ["lattice", "uniform"] {
             let rate = |backend: &str| {
@@ -699,16 +691,13 @@ pub fn run(args: &[String]) {
             };
             let exact = rate("exact");
             let cached = rate("cached");
-            let fast = rate("cached:f32");
             let best_accel = rate("grid")
                 .max(rate("exact+par"))
                 .max(rate("grid+par"))
-                .max(cached)
-                .max(fast);
+                .max(cached);
             println!(
-                "n=1024 {deployment}: exact {exact:.0}/s, cached {cached:.0}/s ({:.2}x), cached:f32 {fast:.0}/s ({:.2}x), best accelerated {best_accel:.0}/s ({:.2}x)",
+                "n=1024 {deployment}: exact {exact:.0}/s, cached {cached:.0}/s ({:.2}x), best accelerated {best_accel:.0}/s ({:.2}x)",
                 cached / exact.max(1e-9),
-                fast / exact.max(1e-9),
                 best_accel / exact.max(1e-9)
             );
         }

@@ -58,13 +58,13 @@ mod error;
 mod params;
 
 pub mod reception;
-pub mod simd;
+mod simd;
 
 pub use engine::{Action, Engine, EngineStats, NodeId, Protocol, SlotCtx, SlotOutcome};
 pub use error::PhysError;
 pub use params::{SinrParams, SinrParamsBuilder};
 pub use reception::{
     dense_table_bytes, effective_threads, effective_threads_for, max_table_bytes, BackendSpec,
-    CachedBackend, GainTable, HybridBackend, HybridState, HybridTable, InterferenceBackend,
-    InterferenceModel, SharedTables, SlotState, PAR_CROSSOVER_LISTENERS, PAR_MIN_CHUNK,
+    CachedBackend, GainTable, HybridBackend, HybridTable, InterferenceBackend, InterferenceModel,
+    SharedTables, PAR_CROSSOVER_LISTENERS, PAR_MIN_CHUNK,
 };

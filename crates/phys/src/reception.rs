@@ -38,16 +38,16 @@
 //!   `n×n`, held in an `Arc` so many runs over one deployment share a
 //!   single copy), then drives each slot from the *delta* of the
 //!   transmitter set: the total interference at every listener is
-//!   maintained incrementally — in a small per-run [`SlotState`] — as
-//!   senders enter and leave, with a periodic exact refresh bounding
-//!   float drift and a guarded near-threshold fallback that replays the
-//!   exact summation — receptions are **bit-identical** to
-//!   [`ExactBackend`] (verified by proptest, including churn). Per-slot
-//!   cost is O(|Δ senders| × n) instead of O(n × senders), at O(n²)
-//!   memory *per deployment* (not per run: sweeps over a fixed
-//!   deployment hand every cell a clone of one `Arc<GainTable>`). The
-//!   fastest choice for long simulations whose transmitter set evolves
-//!   gradually (every MAC layer in this workspace).
+//!   maintained incrementally — in a small per-run state — as senders
+//!   enter and leave, with a periodic exact refresh bounding float drift
+//!   and a guarded near-threshold fallback that replays the exact
+//!   summation — receptions are **bit-identical** to [`ExactBackend`]
+//!   (verified by proptest, including churn). Per-slot cost is
+//!   O(|Δ senders| × n) instead of O(n × senders), at O(n²) memory *per
+//!   deployment* (not per run: sweeps over a fixed deployment hand every
+//!   cell a clone of one `Arc<GainTable>`). The fastest choice for long
+//!   simulations whose transmitter set evolves gradually (every MAC layer
+//!   in this workspace).
 //!
 //! * [`HybridBackend`] fuses the two approximable halves for city-scale
 //!   deployments (n = 10⁴–10⁵, where the dense table would need 1.6 GB
@@ -64,6 +64,17 @@
 //!   name). The near-field half of the arithmetic is bit-identical to
 //!   the dense kernel's. [`BackendSpec::tuned`] auto-selects this model
 //!   when a requested dense table would exceed [`max_table_bytes`].
+//!
+//! The two table kernels are one algorithm: [`IncrementalBackend`] owns
+//! the sender diff, the refresh-or-delta cadence, the threaded listener
+//! sweeps, the guard-band decision loop with exact replay and the
+//! mobility repair, and is generic over a *row source* — the dense
+//! [`GainTable`] or the sparse [`HybridTable`] — that supplies only its
+//! row sweeps, its far-field term and how it follows node moves.
+//! `CachedBackend` and `HybridBackend` are that skeleton over each
+//! source. The dense source has no far field (its term is zero), so the
+//! hybrid's per-cell aggregate — the Lemma 10.3 ring bound — is the only
+//! difference in what the two kernels compute.
 //!
 //! * [`ParallelBackend`] wraps the exact or grid model and splits the
 //!   per-listener loop across OS threads (`std::thread::scope`).
@@ -113,6 +124,11 @@ use std::sync::{Arc, OnceLock};
 use sinr_geom::{HashGrid, Point};
 
 use crate::{simd, PhysError, SinrParams};
+
+mod incremental;
+
+pub use incremental::IncrementalBackend;
+use incremental::{ListenerState, RowSource, Senders, NO_SENDER};
 
 /// How interference sums are computed by [`decide_receptions`].
 ///
@@ -173,34 +189,17 @@ pub struct BackendSpec {
     pub model: InterferenceModel,
     /// OS threads the per-listener loop is split across (1 = serial).
     pub threads: usize,
-    /// Opt-in f32 structure-of-arrays fast path for the table-backed
-    /// kernels (`cached:f32`, `hybrid[:CUTOFF]:f32`): interference
-    /// totals are accumulated in f64 over half-width f32 gain rows —
-    /// the hot sweeps stream half the bytes — with a widened,
-    /// f32-aware drift bound feeding the same guarded exact-f64-replay
-    /// machinery, so decisions stay bit-identical to the f64 kernels
-    /// (and, for `cached:f32`, to [`ExactBackend`]). Ignored by the
-    /// stateless models.
-    pub fast32: bool,
 }
 
 impl Default for BackendSpec {
     fn default() -> Self {
-        BackendSpec {
-            model: InterferenceModel::Exact,
-            threads: 1,
-            fast32: false,
-        }
+        BackendSpec::from(InterferenceModel::Exact)
     }
 }
 
 impl From<InterferenceModel> for BackendSpec {
     fn from(model: InterferenceModel) -> Self {
-        BackendSpec {
-            model,
-            threads: 1,
-            fast32: false,
-        }
+        BackendSpec { model, threads: 1 }
     }
 }
 
@@ -220,21 +219,13 @@ impl BackendSpec {
             cell_size.is_finite() && cell_size > 0.0,
             "cell_size must be positive"
         );
-        BackendSpec {
-            model: InterferenceModel::GridFarField { cell_size },
-            threads: 1,
-            fast32: false,
-        }
+        BackendSpec::from(InterferenceModel::GridFarField { cell_size })
     }
 
     /// The cached-gain delta kernel (bit-identical to exact, fastest for
     /// long runs; see module docs).
     pub fn cached() -> Self {
-        BackendSpec {
-            model: InterferenceModel::Cached,
-            threads: 1,
-            fast32: false,
-        }
+        BackendSpec::from(InterferenceModel::Cached)
     }
 
     /// The sparse hybrid near/far kernel with the given near-field cutoff
@@ -249,11 +240,7 @@ impl BackendSpec {
             cutoff.is_finite() && cutoff >= 0.0,
             "hybrid cutoff must be finite and non-negative"
         );
-        BackendSpec {
-            model: InterferenceModel::Hybrid { cutoff },
-            threads: 1,
-            fast32: false,
-        }
+        BackendSpec::from(InterferenceModel::Hybrid { cutoff })
     }
 
     /// The same model split across `threads` OS threads.
@@ -264,28 +251,6 @@ impl BackendSpec {
     pub fn with_threads(self, threads: usize) -> Self {
         assert!(threads > 0, "threads must be nonzero");
         BackendSpec { threads, ..self }
-    }
-
-    /// Opts into the f32 structure-of-arrays fast path (see
-    /// [`BackendSpec::fast32`]). Decisions are unchanged — proptested
-    /// bit-identical — only the sweep bandwidth is.
-    ///
-    /// # Panics
-    ///
-    /// Panics for the stateless models (exact/grid): only the
-    /// table-backed kernels have gain rows to narrow.
-    pub fn with_fast32(self) -> Self {
-        assert!(
-            matches!(
-                self.model,
-                InterferenceModel::Cached | InterferenceModel::Hybrid { .. }
-            ),
-            "f32 fast path applies to the cached/hybrid kernels only"
-        );
-        BackendSpec {
-            fast32: true,
-            ..self
-        }
     }
 
     /// Resolves the thread count against a concrete deployment size via
@@ -315,7 +280,6 @@ impl BackendSpec {
         BackendSpec {
             model,
             threads: effective_threads(self.threads, listeners),
-            fast32: self.fast32,
         }
     }
 
@@ -330,12 +294,10 @@ impl BackendSpec {
             // (their hot loops are listener-chunked internally), so they
             // never go through `ParallelBackend`.
             InterferenceModel::Cached => {
-                return Box::new(CachedBackend::with_threads(self.threads).fast32(self.fast32))
+                return Box::new(CachedBackend::with_threads(self.threads))
             }
             InterferenceModel::Hybrid { cutoff } => {
-                return Box::new(
-                    HybridBackend::with_threads(cutoff, self.threads).fast32(self.fast32),
-                )
+                return Box::new(HybridBackend::with_threads(cutoff, self.threads))
             }
         };
         if self.threads == 1 {
@@ -345,40 +307,34 @@ impl BackendSpec {
         }
     }
 
-    /// Builds the worker for this spec around an already-built shared
-    /// gain table.
+    /// Builds the worker for this spec around already-built shared
+    /// tables, consuming whichever member of a [`SharedTables`] carrier
+    /// this spec's model can use: the dense table for the cached kernel,
+    /// the sparse table for the hybrid kernel, nothing for the stateless
+    /// models (they have nothing to precompute).
     ///
-    /// Only the cached model consumes the table (the stateless models
-    /// have nothing to precompute), and only when it matches the
-    /// deployment the backend is later prepared against — a mismatched
-    /// table is simply rebuilt by `prepare`, so this is always correct
-    /// and at worst as expensive as [`BackendSpec::build`]. This is the
-    /// construction path the scenario sweep planner uses to amortize one
-    /// O(n²) preparation across every cell of a sweep group.
-    pub fn build_with_table(self, table: Option<&Arc<GainTable>>) -> Box<dyn InterferenceBackend> {
-        match (self.model, table) {
-            (InterferenceModel::Cached, Some(table)) => Box::new(
-                CachedBackend::with_shared_table(Arc::clone(table), self.threads)
-                    .fast32(self.fast32),
-            ),
-            _ => self.build(),
-        }
-    }
-
-    /// Like [`BackendSpec::build_with_table`], but consuming whichever
-    /// member of a [`SharedTables`] carrier this spec's model can use:
-    /// the dense table for the cached kernel, the sparse table for the
-    /// hybrid kernel, nothing for the stateless models. A missing or
-    /// later-mismatching table degrades to a private build, never to an
-    /// error.
+    /// A table is only adopted when it matches the deployment the
+    /// backend is later prepared against — a missing or mismatching
+    /// table degrades to a private build by `prepare`, never to an
+    /// error, so this is always correct and at worst as expensive as
+    /// [`BackendSpec::build`]. This is the construction path the
+    /// scenario sweep planner uses to amortize one preparation across
+    /// every cell of a sweep group.
     pub fn build_with_tables(self, tables: Option<&SharedTables>) -> Box<dyn InterferenceBackend> {
         match self.model {
-            InterferenceModel::Cached => self.build_with_table(tables.and_then(|t| t.dense())),
-            InterferenceModel::Hybrid { cutoff } => match tables.and_then(|t| t.hybrid()) {
-                Some(table) => Box::new(
-                    HybridBackend::with_shared_table(cutoff, Arc::clone(table), self.threads)
-                        .fast32(self.fast32),
-                ),
+            InterferenceModel::Cached => match tables.and_then(SharedTables::dense) {
+                Some(table) => Box::new(CachedBackend::with_shared_table(
+                    Arc::clone(table),
+                    self.threads,
+                )),
+                None => self.build(),
+            },
+            InterferenceModel::Hybrid { cutoff } => match tables.and_then(SharedTables::hybrid) {
+                Some(table) => Box::new(HybridBackend::with_shared_table(
+                    cutoff,
+                    Arc::clone(table),
+                    self.threads,
+                )),
                 None => self.build(),
             },
             _ => self.build(),
@@ -386,12 +342,10 @@ impl BackendSpec {
     }
 
     /// Parses a spec from a compact string, for CLI/bench selection:
-    /// `exact`, `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `f32`,
-    /// `par:THREADS`, or combinations like `grid:CELL:par:THREADS`,
-    /// `hybrid:16:par:8`, `cached:f32` and `hybrid:12:f32:par:8`. The
-    /// hybrid cutoff is optional — bare `hybrid` auto-selects the weak
-    /// range R at preparation time — and `f32` (valid after `cached`
-    /// or `hybrid` only) opts into the structure-of-arrays fast path.
+    /// `exact`, `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `par:THREADS`,
+    /// or combinations like `grid:CELL:par:THREADS` and
+    /// `hybrid:16:par:8`. The hybrid cutoff is optional — bare `hybrid`
+    /// auto-selects the weak range R at preparation time.
     ///
     /// # Errors
     ///
@@ -432,19 +386,6 @@ impl BackendSpec {
                     }
                     spec.model = InterferenceModel::GridFarField { cell_size };
                 }
-                Some("f32") => {
-                    if !matches!(
-                        spec.model,
-                        InterferenceModel::Cached | InterferenceModel::Hybrid { .. }
-                    ) {
-                        return Err(
-                            "f32 applies to the table-backed kernels only, e.g. cached:f32 \
-                             or hybrid:16:f32"
-                                .to_string(),
-                        );
-                    }
-                    spec.fast32 = true;
-                }
                 Some("par") => {
                     let t = parts
                         .next()
@@ -459,7 +400,7 @@ impl BackendSpec {
                 }
                 Some(other) => {
                     return Err(format!(
-                    "unknown backend component {other:?}; expected exact, grid:CELL, cached, hybrid[:CUTOFF], f32 or par:THREADS"
+                    "unknown backend component {other:?}; expected exact, grid:CELL, cached, hybrid[:CUTOFF] or par:THREADS"
                 ))
                 }
             }
@@ -475,9 +416,6 @@ impl std::fmt::Display for BackendSpec {
             InterferenceModel::Cached => write!(f, "cached")?,
             InterferenceModel::Hybrid { cutoff: 0.0 } => write!(f, "hybrid")?,
             InterferenceModel::Hybrid { cutoff } => write!(f, "hybrid:{cutoff}")?,
-        }
-        if self.fast32 {
-            write!(f, ":f32")?;
         }
         if self.threads > 1 {
             write!(f, ":par:{}", self.threads)?;
@@ -507,7 +445,7 @@ pub trait InterferenceBackend: Send {
     /// the exact and grid models have nothing to precompute. The cached
     /// kernel builds its [`GainTable`] here (unless it was constructed
     /// around a matching shared table, in which case only the per-run
-    /// [`SlotState`] is reset), so the O(n²) gain matrix is paid at
+    /// incremental state is reset), so the O(n²) gain matrix is paid at
     /// construction instead of inside the first simulated slot; the
     /// hybrid kernel builds its sparse [`HybridTable`] likewise.
     ///
@@ -999,50 +937,6 @@ impl InterferenceBackend for ParallelBackend {
     }
 }
 
-/// Sentinel in the per-listener best-sender arrays: no current sender.
-const NO_SENDER: usize = usize::MAX;
-
-/// Incremental updates per listener between mandatory full refreshes of
-/// the cached kernel's interference totals. Each update contributes at
-/// most one rounding error of relative size `f64::EPSILON`, so the
-/// accumulated drift stays orders of magnitude below the near-threshold
-/// guard band that triggers exact recomputation.
-const REFRESH_OPS: u64 = 1024;
-
-/// Diffs two sorted, deduplicated index sets into `enters` (in `curr`
-/// only) and `leaves` (in `prev` only), clearing both outputs first.
-/// Shared by the cached and hybrid kernels' per-slot delta derivation.
-fn diff_sorted(prev: &[usize], curr: &[usize], enters: &mut Vec<usize>, leaves: &mut Vec<usize>) {
-    enters.clear();
-    leaves.clear();
-    let (mut i, mut j) = (0usize, 0usize);
-    while i < prev.len() || j < curr.len() {
-        match (prev.get(i), curr.get(j)) {
-            (Some(&p), Some(&s)) if p == s => {
-                i += 1;
-                j += 1;
-            }
-            (Some(&p), Some(&s)) if p < s => {
-                leaves.push(p);
-                i += 1;
-            }
-            (Some(_), Some(&s)) => {
-                enters.push(s);
-                j += 1;
-            }
-            (Some(&p), None) => {
-                leaves.push(p);
-                i += 1;
-            }
-            (None, Some(&s)) => {
-                enters.push(s);
-                j += 1;
-            }
-            (None, None) => unreachable!("loop condition"),
-        }
-    }
-}
-
 /// All pairwise link gains of a deployment, precomputed once.
 ///
 /// Flat row-major storage: `gain(s, u) = P / d(s, u)^α` lives at
@@ -1059,8 +953,8 @@ fn diff_sorted(prev: &[usize], curr: &[usize], enters: &mut Vec<usize>, leaves: 
 ///
 /// Memory is O(n²) — 16 MiB of `f64` at n = 1024 — the price of turning
 /// per-slot `powf` calls into loads. The table is **immutable from the
-/// kernel's point of view**: all per-run mutability lives in
-/// [`SlotState`], so one `Arc<GainTable>` built once per deployment can
+/// kernel's point of view**: all per-run mutability lives in the
+/// kernel's own state, so one `Arc<GainTable>` built once per deployment can
 /// back any number of concurrent [`CachedBackend`]s (sweep cells, worker
 /// threads). The only mutation, [`GainTable::move_node`], is applied by
 /// the cached kernel through `Arc::make_mut` — copy-on-write, so a
@@ -1078,13 +972,6 @@ pub struct GainTable {
     /// them conservative in O(1) per touched row, so pruning can only
     /// get less effective under mobility, never unsound.
     d2_bmin: Vec<f64>,
-    /// Lazy half-width mirror of `gains` for the `:f32` fast path:
-    /// materialized once on first use (nearest-even narrowing of every
-    /// entry), patched in place by [`GainTable::move_node`] when
-    /// already materialized. Never consulted by the f64 sweeps, never
-    /// part of [`GainTable::matches`] — it is a derived view, not
-    /// state.
-    gains32: OnceLock<Vec<f32>>,
 }
 
 impl GainTable {
@@ -1185,7 +1072,6 @@ impl GainTable {
             gains,
             d2,
             d2_bmin,
-            gains32: OnceLock::new(),
         })
     }
 
@@ -1196,18 +1082,13 @@ impl GainTable {
     }
 
     /// Resident size of the table in bytes: the gain and distance
-    /// matrices (`2 × n² × 8`) plus the retained position copy, plus
-    /// the f32 mirror (`n² × 4`) once an `:f32` run has materialized
-    /// it. This is the quantity byte-budgeted caches account per entry
-    /// — a shared `Arc` costs this once no matter how many runs adopt
-    /// it.
+    /// matrices (`2 × n² × 8`), the prune index and the retained
+    /// position copy. This is the quantity byte-budgeted caches account
+    /// per entry — a shared `Arc` costs this once no matter how many
+    /// runs adopt it, and it never grows after the build.
     pub fn bytes(&self) -> usize {
         (self.gains.len() + self.d2.len() + self.d2_bmin.len()) * std::mem::size_of::<f64>()
             + self.positions.len() * std::mem::size_of::<Point>()
-            + self
-                .gains32
-                .get()
-                .map_or(0, |m| m.len() * std::mem::size_of::<f32>())
     }
 
     /// Whether this cache was built for exactly these parameters and
@@ -1250,25 +1131,6 @@ impl GainTable {
         self.d2_bmin[s * self.n.div_ceil(PRUNE_BLOCK) + b]
     }
 
-    /// The f32 gain mirror, materialized on first call (O(n²) narrow,
-    /// paid once per table; thread-safe — concurrent sweep chunks
-    /// block on the one initializer).
-    fn gains32(&self) -> &[f32] {
-        self.gains32.get_or_init(|| {
-            let mut mirror = vec![0.0f32; self.gains.len()];
-            simd::narrow_row(&mut mirror, &self.gains);
-            mirror
-        })
-    }
-
-    /// Sender `s`'s f32 mirror gains at the listener range
-    /// `[base, base + len)`. Callers materialize via
-    /// [`GainTable::gains32`] before a parallel sweep.
-    #[inline]
-    fn gain32_row(&self, s: usize, base: usize, len: usize) -> &[f32] {
-        &self.gains32()[s * self.n + base..s * self.n + base + len]
-    }
-
     /// Repairs the table after `node` moved to `to`: its gain/distance
     /// row (node as sender) and column (node as listener) are recomputed
     /// against the current positions, O(n) with the same per-pair
@@ -1284,16 +1146,11 @@ impl GainTable {
             gains,
             d2,
             d2_bmin,
-            gains32,
         } = self;
         let n = *n;
         let nb = n.div_ceil(PRUNE_BLOCK);
         let bnode = node / PRUNE_BLOCK;
         positions[node] = to;
-        // A materialized f32 mirror is patched in place — O(n) like the
-        // row/column repair itself — so mobility never forces an O(n²)
-        // re-narrow; an unmaterialized mirror stays unmaterialized.
-        let mut mirror = gains32.get_mut();
         for other in 0..n {
             if other == node {
                 continue;
@@ -1304,10 +1161,6 @@ impl GainTable {
             gains[node * n + other] = g;
             d2[other * n + node] = dd;
             gains[other * n + node] = g;
-            if let Some(m) = mirror.as_deref_mut() {
-                m[node * n + other] = g as f32;
-                m[other * n + node] = g as f32;
-            }
             // The other row's block bound only needs to stay a lower
             // bound: lowering it towards the new entry is O(1); the
             // (rare) case where the moved entry *was* the minimum and
@@ -1329,60 +1182,6 @@ impl GainTable {
     }
 }
 
-/// A contiguous range of the cached kernel's per-listener state, the
-/// unit of work one thread processes. `base` is the global index of the
-/// first listener in the slices.
-struct ListenerState<'a> {
-    base: usize,
-    total: &'a mut [f64],
-    err: &'a mut [f64],
-    best_d2: &'a mut [f64],
-    best_s: &'a mut [usize],
-}
-
-/// Splits the four per-listener state arrays into `eff` contiguous
-/// [`ListenerState`] chunks (a single whole-range chunk when `eff <= 1`),
-/// ready for [`chunked_scope`]. Shared by the cached and hybrid kernels'
-/// sweeps.
-fn listener_chunks<'a>(
-    total: &'a mut [f64],
-    err: &'a mut [f64],
-    best_d2: &'a mut [f64],
-    best_s: &'a mut [usize],
-    n: usize,
-    eff: usize,
-) -> Vec<ListenerState<'a>> {
-    if eff <= 1 || n == 0 {
-        return vec![ListenerState {
-            base: 0,
-            total,
-            err,
-            best_d2,
-            best_s,
-        }];
-    }
-    let chunk = n.div_ceil(eff);
-    total
-        .chunks_mut(chunk)
-        .zip(err.chunks_mut(chunk))
-        .zip(best_d2.chunks_mut(chunk))
-        .zip(best_s.chunks_mut(chunk))
-        .enumerate()
-        .map(|(k, (((total, err), best_d2), best_s))| ListenerState {
-            base: k * chunk,
-            total,
-            err,
-            best_d2,
-            best_s,
-        })
-        .collect()
-}
-
-/// Rebuilds a listener range from scratch: totals summed sender-major in
-/// ascending sender order (per listener, the identical operation sequence
-/// [`ExactBackend`] performs, hence identical bits) and nearest senders
-/// re-selected with the exact backend's first-minimum tie-break. Resets
-/// the drift bound to cover only the inherent ordered-sum rounding.
 /// Folds sender `s`'s distance row into the nearest-sender selection
 /// for listeners `[base, base + len)`, skipping the sender's *own*
 /// listener slot. A node's zero self-distance would otherwise capture
@@ -1415,6 +1214,11 @@ fn lex_min_skip_self(
     }
 }
 
+/// Rebuilds a listener range from scratch: totals summed sender-major in
+/// ascending sender order (per listener, the identical operation sequence
+/// [`ExactBackend`] performs, hence identical bits) and nearest senders
+/// re-selected with the exact backend's first-minimum tie-break. Resets
+/// the drift bound to cover only the inherent ordered-sum rounding.
 fn refresh_range(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
     let len = ls.total.len();
     ls.total.fill(0.0);
@@ -1441,107 +1245,10 @@ fn refresh_range(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
     }
 }
 
-/// [`refresh_range`] over the f32 gain mirror: totals are still f64
-/// accumulators (summing in f32 would drift under cancellation and
-/// force constant replays) but stream half-width rows — the sweep is
-/// memory-bound, so the bandwidth halving is the win. The drift bound
-/// gains one `f32::EPSILON · |total|` term covering the one-time
-/// narrowing error of every summed gain (per term ≤ ½·2⁻²³·|g|, so the
-/// full-strength term covers the sum twice over); nearest-sender
-/// selection stays on the exact f64 distances.
-fn refresh_range_f32(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
-    let len = ls.total.len();
-    ls.total.fill(0.0);
-    ls.best_d2.fill(f64::INFINITY);
-    ls.best_s.fill(NO_SENDER);
-    for &s in senders {
-        simd::add_assign_f32(ls.total, cache.gain32_row(s, ls.base, len));
-        lex_min_skip_self(
-            ls.best_d2,
-            ls.best_s,
-            cache.d2_row(s, ls.base, len),
-            s,
-            ls.base,
-        );
-    }
-    let kf = senders.len() as f64;
-    for (e, t) in ls.err.iter_mut().zip(ls.total.iter()) {
-        *e = (kf + 1.0) * f64::EPSILON * t.abs() + f64::from(f32::EPSILON) * t.abs();
-    }
-}
-
-/// Applies a transmitter-set delta to a listener range: departed senders'
-/// gains are subtracted and arrivals added (growing the per-listener
-/// drift bound by one rounding unit per update), the nearest-sender
-/// choice is patched incrementally, and listeners whose nearest sender
-/// departed are rescanned over the full new set.
-fn delta_range(
-    ls: ListenerState<'_>,
-    cache: &GainTable,
-    senders: &[usize],
-    enters: &[usize],
-    leaves: &[usize],
-) {
-    let len = ls.total.len();
-    for &s in leaves {
-        let grow = cache.gain_row(s, ls.base, len);
-        for ((t, e), &g) in ls.total.iter_mut().zip(ls.err.iter_mut()).zip(grow) {
-            *t -= g;
-            *e += f64::EPSILON * t.abs();
-        }
-    }
-    // Listeners orphaned by a departure rescan *after* arrivals are
-    // applied, over the complete new sender set — an arriving sender may
-    // or may not be the new nearest.
-    let mut orphaned: Vec<usize> = Vec::new();
-    if !leaves.is_empty() {
-        for (u, (bd, bs)) in ls.best_d2.iter_mut().zip(ls.best_s.iter_mut()).enumerate() {
-            if *bs != NO_SENDER && leaves.binary_search(bs).is_ok() {
-                *bd = f64::INFINITY;
-                *bs = NO_SENDER;
-                orphaned.push(ls.base + u);
-            }
-        }
-    }
-    for &s in enters {
-        let grow = cache.gain_row(s, ls.base, len);
-        for ((t, e), &g) in ls.total.iter_mut().zip(ls.err.iter_mut()).zip(grow) {
-            *t += g;
-            *e += f64::EPSILON * t.abs();
-        }
-        let drow = cache.d2_row(s, ls.base, len);
-        for ((bd, bs), &d) in ls.best_d2.iter_mut().zip(ls.best_s.iter_mut()).zip(drow) {
-            // Lexicographic (distance, sender index): the exact backend's
-            // ascending scan keeps the lowest-index sender among ties.
-            if d < *bd || (d == *bd && s < *bs) {
-                *bd = d;
-                *bs = s;
-            }
-        }
-    }
-    for &gu in &orphaned {
-        // Same symmetric-row rescan as [`patch_nearest_after_delta`]
-        // (identical comparisons, so identical selections).
-        let drow = cache.d2_row(gu, 0, cache.n);
-        let mut bd = f64::INFINITY;
-        let mut bs = NO_SENDER;
-        for &s in senders {
-            let d = drow[s];
-            if d < bd {
-                bd = d;
-                bs = s;
-            }
-        }
-        ls.best_d2[gu - ls.base] = bd;
-        ls.best_s[gu - ls.base] = bs;
-    }
-}
-
-/// The nearest-sender half of a delta application, shared by the fused
-/// sweeps. The selection state is *exact* (never error-bounded), so
-/// every delta variant must produce the identical final choice
-/// [`delta_range`] does: the lexicographic (distance, sender index)
-/// minimum over the new sender set for every listener.
+/// The nearest-sender half of a dense delta application. The selection
+/// state is *exact* (never error-bounded): every listener must end on
+/// the lexicographic (distance, sender index) minimum over the new
+/// sender set — the choice a from-scratch ascending scan would make.
 ///
 /// Three phases, each pruned:
 ///
@@ -1658,23 +1365,22 @@ fn patch_nearest_after_delta(
 /// scratch line k times instead of refetching totals per sender.
 const DELTA_BLOCK: usize = 1024;
 
-/// Fused, cache-blocked variant of [`delta_range`]: all of a slot's
-/// arrivals and departures are folded per listener block in one pass —
-/// two pure-add accumulations (`pos` over enter rows, `neg` over leave
-/// rows, both SIMD-friendly) finalized by a single
-/// `total += pos − neg` — instead of k separate read-modify-write row
-/// sweeps.
+/// Applies a transmitter-set delta to a dense listener range, fused and
+/// cache-blocked: all of a slot's arrivals and departures are folded
+/// per listener block in one pass — two pure-add accumulations (`pos`
+/// over enter rows, `neg` over leave rows, both SIMD-friendly)
+/// finalized by a single `total += pos − neg` — instead of k separate
+/// read-modify-write row sweeps.
 ///
-/// Totals take a *different* rounding path than the one-at-a-time
-/// sweep, which is fine: decisions only ever depend on totals through
-/// the guarded near-threshold machinery, and the drift bound grown
-/// here stays conservative for the fused path. Per block, accumulating
+/// Totals take a *different* rounding path than a one-sender-at-a-time
+/// sweep would, which is fine: decisions only ever depend on totals
+/// through the guarded near-threshold machinery, and the drift bound
+/// grown here stays conservative for the fused path. Per block, accumulating
 /// `pos` (ke adds) errs ≤ ke·ε·pos, `neg` ≤ kl·ε·neg, the
 /// subtraction ≤ ε·(pos+neg) and the final add ≤ ε·|new total| —
 /// all absorbed (with the (1+O(ε)) cross terms doubled away) by
 /// `ε·((kf+2)·(pos+neg) + 2·|new total|)` with kf the full delta
-/// count. The nearest-sender half runs [`patch_nearest_after_delta`],
-/// the exact sequence [`delta_range`] performs.
+/// count. The nearest-sender half runs [`patch_nearest_after_delta`].
 fn delta_range_batched(
     ls: ListenerState<'_>,
     cache: &GainTable,
@@ -1714,130 +1420,74 @@ fn delta_range_batched(
     patch_nearest_after_delta(&mut ls, cache, senders, enters, leaves);
 }
 
-/// [`delta_range_batched`] over the f32 gain mirror (f64 accumulators,
-/// half-width rows — see [`refresh_range_f32`] for why totals stay
-/// f64). The drift bound gains one `f32::EPSILON · (pos + neg)` term
-/// covering the narrowing error of every folded gain, on top of the
-/// fused-path bound.
-fn delta_range_batched_f32(
-    ls: ListenerState<'_>,
-    cache: &GainTable,
-    senders: &[usize],
-    enters: &[usize],
-    leaves: &[usize],
-) {
-    let mut ls = ls;
-    let len = ls.total.len();
-    let kf = (enters.len() + leaves.len()) as f64;
-    let mut pos_block = [0.0f64; DELTA_BLOCK];
-    let mut neg_block = [0.0f64; DELTA_BLOCK];
-    let mut start = 0usize;
-    while start < len {
-        let blk = (len - start).min(DELTA_BLOCK);
-        let pos = &mut pos_block[..blk];
-        let neg = &mut neg_block[..blk];
-        pos.fill(0.0);
-        neg.fill(0.0);
-        for &s in leaves {
-            simd::add_assign_f32(neg, cache.gain32_row(s, ls.base + start, blk));
-        }
-        for &s in enters {
-            simd::add_assign_f32(pos, cache.gain32_row(s, ls.base + start, blk));
-        }
-        for ((t, e), (&p, &ng)) in ls.total[start..start + blk]
-            .iter_mut()
-            .zip(ls.err[start..start + blk].iter_mut())
-            .zip(pos.iter().zip(neg.iter()))
-        {
-            let t_new = *t + (p - ng);
-            *t = t_new;
-            *e += f64::EPSILON * ((kf + 2.0) * (p + ng) + 2.0 * t_new.abs())
-                + f64::from(f32::EPSILON) * (p + ng);
-        }
-        start += blk;
-    }
-    patch_nearest_after_delta(&mut ls, cache, senders, enters, leaves);
-}
+impl RowSource for GainTable {
+    type Key = ();
+    type Far = ();
+    const NAME: &'static str = "cached";
+    const PAR_NAME: &'static str = "cached+par";
+    /// With fused batched deltas a refresh is worth ~n/k delta slots, so
+    /// at large n the fixed `REFRESH_OPS` budget alone would spend more
+    /// time refreshing than applying deltas. The guarded replay keeps
+    /// decisions exact regardless of how long drift accumulates.
+    const REFRESH_PER_NODE: u64 = 4;
 
-/// The per-run mutable half of the cached kernel: incremental
-/// interference totals, drift bookkeeping, nearest-sender choices and
-/// the previous transmitter set.
-///
-/// Everything expensive and deployment-derived lives in the immutable
-/// [`GainTable`]; a `SlotState` is a handful of `O(n)` vectors that are
-/// cheap to allocate and reset, which is what makes sharing one table
-/// across many runs worthwhile — each run brings only its own
-/// `SlotState`.
-#[derive(Debug, Default)]
-pub struct SlotState {
-    /// Per-listener total received power over the current sender set.
-    total: Vec<f64>,
-    /// Per-listener conservative bound on |total − exact ordered sum|.
-    err: Vec<f64>,
-    /// Per-listener squared distance to the nearest current sender.
-    best_d2: Vec<f64>,
-    /// Per-listener nearest current sender ([`NO_SENDER`] when none).
-    best_s: Vec<usize>,
-    /// Whether each node transmitted in the previous `decide_slot`.
-    sending: Vec<bool>,
-    prev: Vec<usize>,
-    enters: Vec<usize>,
-    leaves: Vec<usize>,
-    ops_since_refresh: u64,
-}
-
-impl SlotState {
-    /// Resets the state for a fresh run over an `n`-node deployment.
-    fn reset(&mut self, n: usize) {
-        self.total.clear();
-        self.total.resize(n, 0.0);
-        self.err.clear();
-        self.err.resize(n, 0.0);
-        self.best_d2.clear();
-        self.best_d2.resize(n, f64::INFINITY);
-        self.best_s.clear();
-        self.best_s.resize(n, NO_SENDER);
-        self.sending.clear();
-        self.sending.resize(n, false);
-        self.prev.clear();
-        self.enters.clear();
-        self.leaves.clear();
-        self.ops_since_refresh = 0;
+    fn build(
+        params: &SinrParams,
+        positions: &[Point],
+        _key: (),
+        threads: usize,
+        capped: bool,
+    ) -> Result<Self, PhysError> {
+        let cap = if capped { max_table_bytes() } else { u64::MAX };
+        GainTable::try_build_with_cap(params, positions, threads, cap)
     }
 
-    /// Whether the state is sized for an `n`-node deployment (false on a
-    /// freshly constructed backend whose `prepare` has not run yet).
-    fn ready_for(&self, n: usize) -> bool {
-        self.total.len() == n
+    fn fits(&self, params: &SinrParams, positions: &[Point], _key: ()) -> bool {
+        self.matches(params, positions)
+    }
+
+    fn built_for(&self, params: &SinrParams, n: usize) -> bool {
+        self.params == *params && self.n == n
+    }
+
+    fn refresh(&self, ls: ListenerState<'_>, senders: Senders<'_>) {
+        refresh_range(ls, self, senders.list);
+    }
+
+    fn delta(
+        &self,
+        ls: ListenerState<'_>,
+        senders: Senders<'_>,
+        enters: &[usize],
+        leaves: &[usize],
+    ) {
+        delta_range_batched(ls, self, senders.list, enters, leaves);
+    }
+
+    #[inline]
+    fn signal(&self, u: usize, s: usize) -> f64 {
+        self.gain(s, u)
+    }
+
+    fn replay_near(&self, senders: Senders<'_>, u: usize) -> (f64, usize) {
+        let mut total = 0.0;
+        for &s in senders.list {
+            total += self.gain(s, u);
+        }
+        (total, senders.list.len())
+    }
+
+    fn move_nodes(&mut self, _far: &mut (), moved: &[(usize, Point)]) {
+        for &(i, p) in moved {
+            self.move_node(i, p);
+        }
     }
 }
 
-/// Cached-gain reception kernel driven by transmitter deltas (see module
-/// docs).
-///
-/// [`prepare`](InterferenceBackend::prepare) builds the [`GainTable`]
-/// (or adopts a matching shared one — see
-/// [`CachedBackend::with_shared_table`]) and resets the per-run
-/// [`SlotState`]; each
-/// [`decide_slot`](InterferenceBackend::decide_slot) then diffs the
-/// sender set against the previous slot and updates every listener's
-/// total interference and nearest sender incrementally — O(|Δ| × n)
-/// instead of the exact backend's O(n × senders). Receptions are
-/// **bit-identical** to [`ExactBackend`]: near-threshold decisions (the
-/// only ones float drift could flip) are detected by a conservative
-/// guard band derived from a tracked per-listener drift bound and
-/// resolved by replaying the exact backend's summation from the table,
-/// and a full refresh every [`REFRESH_OPS`] delta updates keeps the
-/// drift bound (and hence the guard band) tiny.
-#[derive(Debug)]
-pub struct CachedBackend {
-    threads: usize,
-    /// Stream the f32 gain mirror in the hot sweeps (see
-    /// [`BackendSpec::fast32`]); decisions are unchanged.
-    fast32: bool,
-    table: Option<Arc<GainTable>>,
-    state: SlotState,
-}
+/// Cached-gain reception kernel: the incremental skeleton over the dense
+/// [`GainTable`] (see the module docs). Receptions are **bit-identical**
+/// to [`ExactBackend`].
+pub type CachedBackend = IncrementalBackend<GainTable>;
 
 impl Default for CachedBackend {
     fn default() -> Self {
@@ -1861,458 +1511,22 @@ impl CachedBackend {
     ///
     /// Panics if `threads` is zero.
     pub fn with_threads(threads: usize) -> Self {
-        assert!(threads > 0, "threads must be nonzero");
-        CachedBackend {
-            threads,
-            fast32: false,
-            table: None,
-            state: SlotState::default(),
-        }
-    }
-
-    /// Toggles the f32 fast path (see [`BackendSpec::fast32`]):
-    /// refresh and fused delta sweeps stream the table's half-width
-    /// gain mirror into f64 accumulators under a widened drift bound.
-    /// Decisions are bit-identical either way; only sweep bandwidth
-    /// changes. A no-op while `SINR_NO_SIMD` disables the vector
-    /// kernels.
-    pub fn fast32(mut self, fast32: bool) -> Self {
-        self.fast32 = fast32;
-        self
+        IncrementalBackend::with_key((), threads)
     }
 
     /// A cached kernel around an already-built shared gain table: when
     /// the deployment later handed to
     /// [`prepare`](InterferenceBackend::prepare) matches the table,
-    /// preparation only resets the per-run [`SlotState`] — O(n) instead
-    /// of the O(n²) table build. A non-matching deployment rebuilds a
-    /// private table exactly as [`CachedBackend::with_threads`] would,
-    /// so adopting a table is never incorrect, only sometimes useless.
+    /// preparation only resets the per-run state — O(n) instead of the
+    /// O(n²) table build. A non-matching deployment rebuilds a private
+    /// table exactly as [`CachedBackend::with_threads`] would, so
+    /// adopting a table is never incorrect, only sometimes useless.
     ///
     /// # Panics
     ///
     /// Panics if `threads` is zero.
     pub fn with_shared_table(table: Arc<GainTable>, threads: usize) -> Self {
-        assert!(threads > 0, "threads must be nonzero");
-        CachedBackend {
-            threads,
-            fast32: false,
-            table: Some(table),
-            state: SlotState::default(),
-        }
-    }
-
-    /// The configured thread count (before the crossover is applied).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The prepared gain table, if any.
-    pub fn gain_table(&self) -> Option<&GainTable> {
-        self.table.as_deref()
-    }
-
-    /// A shareable handle to the prepared gain table, if any — hand
-    /// clones of this to other backends over the same deployment to
-    /// amortize the O(n²) build.
-    pub fn shared_table(&self) -> Option<Arc<GainTable>> {
-        self.table.clone()
-    }
-
-    /// (Re)builds the table (unless the held one already matches) and
-    /// resets all incremental state. Fails — without touching the held
-    /// table — when the dense build would exceed [`max_table_bytes`].
-    fn prepare_impl(&mut self, params: &SinrParams, positions: &[Point]) -> Result<(), PhysError> {
-        if !self
-            .table
-            .as_ref()
-            .is_some_and(|c| c.matches(params, positions))
-        {
-            self.table = Some(Arc::new(GainTable::try_build(
-                params,
-                positions,
-                self.threads,
-            )?));
-        }
-        if self.fast32 && simd::enabled() {
-            // Materialize the f32 mirror up front so the cost lands in
-            // preparation (where benches report it as prepare_ms), not
-            // inside the first slot's parallel sweep.
-            if let Some(table) = self.table.as_deref() {
-                table.gains32();
-            }
-        }
-        self.state.reset(positions.len());
-        Ok(())
-    }
-
-    /// Applies a position change to the prepared kernel state: the moved
-    /// nodes' gain rows/columns are recomputed and every affected
-    /// incremental quantity (per-listener totals, drift bounds, nearest
-    /// senders) is repaired — O(movers × n) against the O(n²) rebuild a
-    /// re-`prepare` would cost.
-    ///
-    /// The repair reuses the churn machinery: a moved node that is
-    /// currently transmitting is treated as *leaving* at its old gains
-    /// and *re-entering* at its new gains (growing the tracked drift
-    /// bound by one rounding unit per update, exactly like sender
-    /// churn), and each moved node's own listening state is rebuilt from
-    /// scratch (every distance to it changed). Bit-identity with
-    /// [`ExactBackend`] is preserved by the same argument as for churn:
-    /// totals stay within the tracked drift bound of the exact ordered
-    /// sum, and near-threshold decisions replay the exact summation.
-    ///
-    /// If the gain table is shared with other backends, the first patch
-    /// forks a private copy (`Arc::make_mut`): the O(n²) copy is paid
-    /// once per moving run, every later move mutates the now-unique
-    /// table in place, and no sharer ever observes the movement.
-    fn update_positions_impl(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        moved: &[(usize, Point)],
-    ) {
-        if moved.is_empty() {
-            return;
-        }
-        let n = positions.len();
-        // A release assert, not a debug one: an unsorted `moved` list
-        // would silently corrupt the incremental totals by a full gain
-        // value — far outside the tracked drift bound, so the guarded
-        // exact-replay fallback would never catch it. The O(movers)
-        // check is noise next to the O(movers × n) repair.
-        assert!(
-            moved.windows(2).all(|w| w[0].0 < w[1].0),
-            "moved nodes must be ascending and unique"
-        );
-        let Some(table) = self.table.as_ref() else {
-            // Never prepared: nothing to repair, the first decide_slot
-            // prepares lazily against whatever positions it sees.
-            return;
-        };
-        if table.params != *params || table.n() != n || !self.state.ready_for(n) {
-            // Parameter or size change (or an adopted shared table whose
-            // slot state was never prepared): fall back to the lazy
-            // rebuild.
-            return;
-        }
-        if moved.len() * 4 >= n {
-            // Surgery on a quarter of the matrix costs as much as the
-            // (thread-chunked) rebuild; take the simple path. This also
-            // resets the delta state, so the next decide_slot runs a
-            // full refresh — still bit-identical, just not incremental.
-            // The rebuild replaces an existing same-size table, so it is
-            // deliberately uncapped: a table that already exists is
-            // proof the size fits in memory.
-            self.table = Some(Arc::new(GainTable::build(params, positions, self.threads)));
-            self.state.reset(n);
-            return;
-        }
-
-        // Moved nodes that are transmitting right now: their old gains
-        // must leave every listener's total before the patch, their new
-        // gains re-enter after it.
-        let moved_senders: Vec<usize> = moved
-            .iter()
-            .map(|&(i, _)| i)
-            .filter(|&i| self.state.sending[i])
-            .collect();
-        if !moved_senders.is_empty() {
-            let remaining: Vec<usize> = self
-                .state
-                .prev
-                .iter()
-                .copied()
-                .filter(|i| moved_senders.binary_search(i).is_err())
-                .collect();
-            // Departure at the old gains; orphaned listeners (their
-            // nearest sender moved) rescan over the unmoved senders,
-            // whose cached distances are still valid.
-            let CachedBackend {
-                threads,
-                table,
-                state,
-                ..
-            } = self;
-            let Some(cache) = table.as_deref() else {
-                return;
-            };
-            Self::sweep_with(cache, *threads, state, |ls, table| {
-                delta_range(ls, table, &remaining, &[], &moved_senders)
-            });
-        }
-
-        // Copy-on-write: a shared table is forked here, a private one is
-        // patched in place.
-        let Some(arc) = self.table.as_mut() else {
-            return;
-        };
-        let table = Arc::make_mut(arc);
-        for &(i, p) in moved {
-            table.move_node(i, p);
-        }
-
-        if !moved_senders.is_empty() {
-            // Re-entry at the new gains; the enter path also lets each
-            // moved sender re-compete for nearest-sender with the exact
-            // backend's (distance, index) tie-break.
-            let CachedBackend {
-                threads,
-                table,
-                state,
-                ..
-            } = self;
-            let Some(cache) = table.as_deref() else {
-                return;
-            };
-            let senders = std::mem::take(&mut state.prev);
-            Self::sweep_with(cache, *threads, state, |ls, table| {
-                delta_range(ls, table, &senders, &moved_senders, &[])
-            });
-            state.prev = senders;
-        }
-
-        // Every distance *to* a moved node changed, so its own listening
-        // state cannot be patched incrementally: rebuild it exactly the
-        // way refresh_range would (ordered sum over the sender set,
-        // first-minimum nearest-sender scan, drift bound reset).
-        let Some(table) = self.table.as_deref() else {
-            return;
-        };
-        let state = &mut self.state;
-        let kf = state.prev.len() as f64;
-        for &(m, _) in moved {
-            let mut total = 0.0;
-            let mut bd = f64::INFINITY;
-            let mut bs = NO_SENDER;
-            for &s in &state.prev {
-                total += table.gain(s, m);
-                let d = table.dist_sq(s, m);
-                if d < bd {
-                    bd = d;
-                    bs = s;
-                }
-            }
-            state.total[m] = total;
-            state.err[m] = (kf + 1.0) * f64::EPSILON * total.abs();
-            state.best_d2[m] = bd;
-            state.best_s[m] = bs;
-        }
-
-        // Each leave/enter pair contributes rounding drift like any churn
-        // update; count it toward the periodic full refresh that keeps
-        // the guard band tight.
-        state.ops_since_refresh += (2 * moved_senders.len() + moved.len()) as u64;
-    }
-
-    /// Runs `op` over the per-listener state, chunked across threads when
-    /// the deployment is past the crossover. Takes the prepared table
-    /// explicitly: callers fetch it fallibly once (structured
-    /// [`PhysError::BackendNotPrepared`] on the decide path, a benign
-    /// early return on the repair path), so no "prepared above"
-    /// assertion is left to poison the process.
-    fn sweep_with(
-        cache: &GainTable,
-        threads: usize,
-        state: &mut SlotState,
-        op: impl Fn(ListenerState<'_>, &GainTable) + Sync,
-    ) {
-        let SlotState {
-            total,
-            err,
-            best_d2,
-            best_s,
-            ..
-        } = state;
-        let n = total.len();
-        let eff = effective_threads(threads, n);
-        let tasks = listener_chunks(total, err, best_d2, best_s, n, eff);
-        chunked_scope(tasks, |ls| op(ls, cache));
-    }
-}
-
-impl InterferenceBackend for CachedBackend {
-    fn name(&self) -> &'static str {
-        match (self.fast32, self.threads > 1) {
-            (true, true) => "cached:f32+par",
-            (true, false) => "cached:f32",
-            (false, true) => "cached+par",
-            (false, false) => "cached",
-        }
-    }
-
-    fn prepare(&mut self, params: &SinrParams, positions: &[Point]) -> Result<(), PhysError> {
-        self.prepare_impl(params, positions)
-    }
-
-    fn update_positions(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        moved: &[(usize, Point)],
-    ) {
-        self.update_positions_impl(params, positions, moved);
-    }
-
-    fn decide_slot(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        senders: &[usize],
-        out: &mut [Option<usize>],
-    ) {
-        // The infallible-signature edge: inside `decide_slot` there is
-        // no error channel, so the one fallible step (an over-cap lazy
-        // re-preparation) panics with the structured message. Callers
-        // who want the error use `try_decide_slot`, as services do.
-        if let Err(e) = self.try_decide_slot(params, positions, senders, out) {
-            panic!("cached backend: {e}");
-        }
-    }
-
-    fn try_decide_slot(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        senders: &[usize],
-        out: &mut [Option<usize>],
-    ) -> Result<(), PhysError> {
-        check_invariants(positions, senders, out);
-        out.fill(None);
-        if !self
-            .table
-            .as_ref()
-            .is_some_and(|c| c.matches(params, positions))
-            || !self.state.ready_for(positions.len())
-        {
-            // Lazy (re)preparation: correct for one-shot wrappers and
-            // deployment swaps, at the cost of an O(n²) rebuild — or
-            // just the O(n) slot-state reset when a matching shared
-            // table was adopted at construction. An over-cap deployment
-            // surfaces here as the structured error.
-            self.prepare_impl(params, positions)?;
-        }
-        let use_f32 = self.fast32 && simd::enabled();
-        let CachedBackend {
-            threads,
-            table,
-            state,
-            ..
-        } = self;
-        let Some(cache) = table.as_deref() else {
-            return Err(PhysError::BackendNotPrepared { backend: "cached" });
-        };
-        if use_f32 {
-            // Usually a no-op: prepare_impl materializes the mirror.
-            // Covers backends constructed around a shared table that was
-            // built before the f32 path was requested.
-            cache.gains32();
-        }
-
-        // Diff the sorted sender sets into arrivals and departures.
-        diff_sorted(&state.prev, senders, &mut state.enters, &mut state.leaves);
-
-        let delta = state.enters.len() + state.leaves.len();
-        state.ops_since_refresh += delta as u64;
-        // Same rationale as the hybrid backend's interval: with fused
-        // batched deltas a refresh is worth ~n/k delta slots, so at
-        // large n the fixed REFRESH_OPS budget would spend more time
-        // refreshing than applying deltas. The guarded replay keeps
-        // decisions exact regardless of how long drift accumulates.
-        let interval = REFRESH_OPS.max(4 * positions.len() as u64);
-        if delta >= senders.len().max(1) || state.ops_since_refresh >= interval {
-            // A delta as large as the set itself makes the rebuild the
-            // cheaper path; the periodic refresh bounds float drift.
-            state.ops_since_refresh = 0;
-            if use_f32 {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    refresh_range_f32(ls, cache, senders)
-                });
-            } else {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    refresh_range(ls, cache, senders)
-                });
-            }
-        } else if delta > 0 {
-            let (enters, leaves) = (
-                std::mem::take(&mut state.enters),
-                std::mem::take(&mut state.leaves),
-            );
-            if !simd::enabled() {
-                // Escape hatch: the legacy one-sender-at-a-time sweep,
-                // kept callable so CI can diff decisions against it.
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    delta_range(ls, cache, senders, &enters, &leaves)
-                });
-            } else if use_f32 {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    delta_range_batched_f32(ls, cache, senders, &enters, &leaves)
-                });
-            } else {
-                Self::sweep_with(cache, *threads, state, |ls, cache| {
-                    delta_range_batched(ls, cache, senders, &enters, &leaves)
-                });
-            }
-            state.enters = enters;
-            state.leaves = leaves;
-        }
-        for &s in &state.leaves {
-            state.sending[s] = false;
-        }
-        for &s in &state.enters {
-            state.sending[s] = true;
-        }
-        state.prev.clear();
-        state.prev.extend_from_slice(senders);
-        if senders.is_empty() {
-            return Ok(());
-        }
-
-        let SlotState {
-            total,
-            err,
-            best_s,
-            sending,
-            ..
-        } = state;
-        let kf = senders.len() as f64;
-        let beta = params.beta();
-        let noise = params.noise();
-        for (u, slot) in out.iter_mut().enumerate() {
-            if sending[u] {
-                continue;
-            }
-            let best = best_s[u];
-            if best == NO_SENDER {
-                continue;
-            }
-            let signal = cache.gain(best, u);
-            let t = total[u];
-            let rhs = beta * ((t - signal) + noise);
-            let margin = signal - rhs;
-            // |total − ordered exact sum| is bounded by the tracked
-            // incremental drift plus the ordered sum's own rounding; the
-            // guard doubles both and adds ulp slack for the comparison
-            // arithmetic itself. Outside the band the decision provably
-            // matches the exact backend's; inside, replay it.
-            let slack = 2.0 * err[u] + (kf + 2.0) * f64::EPSILON * t.abs();
-            let guard = 2.0 * beta * slack + 1e-13 * (signal.abs() + rhs.abs());
-            let decodes = if margin.abs() <= guard {
-                let mut exact_total = 0.0;
-                for &s in senders {
-                    exact_total += cache.gain(s, u);
-                }
-                total[u] = exact_total;
-                err[u] = (kf + 1.0) * f64::EPSILON * exact_total.abs();
-                params.decodes(signal, exact_total - signal)
-            } else {
-                margin > 0.0
-            };
-            if decodes {
-                *slot = Some(best);
-            }
-        }
-        Ok(())
+        CachedBackend::with_threads(threads).adopting(table)
     }
 }
 
@@ -2432,11 +1646,6 @@ struct CellSlot {
 #[derive(Debug, Clone, Copy)]
 struct NearLink {
     node: u32,
-    /// The gain narrowed to f32 at build time, filling what used to be
-    /// struct padding (a link stays 16 bytes). One shared table serves
-    /// both `hybrid` and `hybrid:f32` — the f32 sweeps read this lane,
-    /// the f64 sweeps never touch it.
-    gain32: f32,
     gain: f64,
 }
 
@@ -2539,11 +1748,7 @@ fn build_row(
                 }
                 let d2 = positions[m as usize].dist_sq(pu);
                 let gain = params.received_power(d2.sqrt());
-                row.push(NearLink {
-                    node: m,
-                    gain32: gain as f32,
-                    gain,
-                });
+                row.push(NearLink { node: m, gain });
             }
         }
     }
@@ -2763,6 +1968,58 @@ impl HybridTable {
         }
     }
 
+    /// Listener `u`'s near row restricted to the current transmitters,
+    /// scanned in ascending node order: the ordered gain sum, its number
+    /// of terms, and the nearest transmitter with its squared distance
+    /// (first minimum, the exact backend's tie-break).
+    fn scan_near(&self, u: usize, sending: &[bool]) -> (f64, u32, f64, usize) {
+        let pu = self.positions[u];
+        let mut total = 0.0;
+        let mut terms = 0u32;
+        let mut bd = f64::INFINITY;
+        let mut bs = NO_SENDER;
+        for link in &self.rows[u] {
+            let v = link.node as usize;
+            if !sending[v] {
+                continue;
+            }
+            total += link.gain;
+            terms += 1;
+            let d = self.positions[v].dist_sq(pu);
+            if d < bd {
+                bd = d;
+                bs = v;
+            }
+        }
+        (total, terms, bd, bs)
+    }
+
+    /// The links of node `s`'s row whose far end lies in `[lo, hi)`.
+    fn row_within(&self, s: usize, lo: usize, hi: usize) -> &[NearLink] {
+        let row = &self.rows[s];
+        let start = row.partition_point(|l| (l.node as usize) < lo);
+        let end = row.partition_point(|l| (l.node as usize) < hi);
+        &row[start..end]
+    }
+
+    /// Destination cell `dest`'s far-field aggregate recomputed from the
+    /// per-cell transmitter counts in slot order, with its number of
+    /// terms.
+    fn far_from_counts(&self, dest: u32, counts: &[u32]) -> (f64, u32) {
+        let mut sum = 0.0;
+        let mut terms = 0u32;
+        for (src, &cnt) in counts.iter().enumerate() {
+            if cnt == 0 {
+                continue;
+            }
+            if let Some(pg) = self.far_pair(dest, src as u32) {
+                sum += f64::from(cnt) * pg;
+                terms += 1;
+            }
+        }
+        (sum, terms)
+    }
+
     /// Grows the pair-gain table when `key` falls outside the occupied
     /// bounding box (mobility reaching fresh ground).
     fn grow_pair_gain(&mut self, key: (i64, i64)) {
@@ -2842,7 +2099,6 @@ impl HybridTable {
                     i,
                     NearLink {
                         node: mu,
-                        gain32: link.gain32,
                         gain: link.gain,
                     },
                 );
@@ -2868,90 +2124,35 @@ fn hybrid_reach(cutoff: f64, cell_size: f64) -> i64 {
 /// identical bits for the near-field portion — and nearest **near**
 /// senders re-selected with the exact backend's first-minimum
 /// tie-break.
-///
-/// With `fast32` the near sums stream each link's build-time f32 gain
-/// (f64 accumulator — see [`refresh_range_f32`]), and the drift bound
-/// gains the same `f32::EPSILON · |total|` narrowing term. Nearest
-/// selection stays on the exact f64 distances either way.
-fn hybrid_refresh_range(
-    ls: ListenerState<'_>,
-    table: &HybridTable,
-    sending: &[bool],
-    fast32: bool,
-) {
+fn hybrid_refresh_range(ls: ListenerState<'_>, table: &HybridTable, sending: &[bool]) {
     for i in 0..ls.total.len() {
-        let u = ls.base + i;
-        let pu = table.positions[u];
-        let mut total = 0.0;
-        let mut terms = 0u32;
-        let mut bd = f64::INFINITY;
-        let mut bs = NO_SENDER;
-        for link in &table.rows[u] {
-            let v = link.node as usize;
-            if !sending[v] {
-                continue;
-            }
-            total += if fast32 {
-                f64::from(link.gain32)
-            } else {
-                link.gain
-            };
-            terms += 1;
-            let d = table.positions[v].dist_sq(pu);
-            if d < bd {
-                bd = d;
-                bs = v;
-            }
-        }
+        let (total, terms, bd, bs) = table.scan_near(ls.base + i, sending);
         ls.total[i] = total;
-        ls.err[i] = (f64::from(terms) + 1.0) * f64::EPSILON * total.abs()
-            + if fast32 {
-                f64::from(f32::EPSILON) * total.abs()
-            } else {
-                0.0
-            };
+        ls.err[i] = (f64::from(terms) + 1.0) * f64::EPSILON * total.abs();
         ls.best_d2[i] = bd;
         ls.best_s[i] = bs;
     }
 }
 
 /// Applies a transmitter-set delta to a listener range of the hybrid
-/// kernel (the sparse analogue of [`delta_range`]): departed near
-/// senders' gains leave each row-adjacent listener's total, arrivals
-/// enter, the nearest-near-sender choice is patched with the
-/// (distance, index) tie-break, and listeners orphaned by a departure
-/// rescan their own row against the **current** sending flags — which
-/// the caller must have updated before this sweep runs.
-///
-/// With `fast32` the gain added/removed per update is the link's
-/// build-time f32 narrowing; each update's drift bump gains a
-/// `f32::EPSILON · |gain|` term covering that one narrowing error.
+/// kernel: departed near senders' gains leave each row-adjacent
+/// listener's total, arrivals enter, the nearest-near-sender choice is
+/// patched with the (distance, index) tie-break, and listeners orphaned
+/// by a departure rescan their own row against the **current** sending
+/// flags — which the caller must have updated before this sweep runs.
 fn hybrid_delta_range(
     ls: ListenerState<'_>,
     table: &HybridTable,
     sending: &[bool],
     enters: &[usize],
     leaves: &[usize],
-    fast32: bool,
 ) {
-    let lo = ls.base as u32;
-    let hi = (ls.base + ls.total.len()) as u32;
+    let (lo, hi) = (ls.base, ls.base + ls.total.len());
     for &s in leaves {
-        let row = &table.rows[s];
-        let start = row.partition_point(|l| l.node < lo);
-        for link in &row[start..] {
-            if link.node >= hi {
-                break;
-            }
+        for link in table.row_within(s, lo, hi) {
             let i = link.node as usize - ls.base;
-            if fast32 {
-                let g = f64::from(link.gain32);
-                ls.total[i] -= g;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs() + f64::from(f32::EPSILON) * g.abs();
-            } else {
-                ls.total[i] -= link.gain;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs();
-            }
+            ls.total[i] -= link.gain;
+            ls.err[i] += f64::EPSILON * ls.total[i].abs();
         }
     }
     let mut orphaned: Vec<usize> = Vec::new();
@@ -2966,21 +2167,10 @@ fn hybrid_delta_range(
     }
     for &s in enters {
         let ps = table.positions[s];
-        let row = &table.rows[s];
-        let start = row.partition_point(|l| l.node < lo);
-        for link in &row[start..] {
-            if link.node >= hi {
-                break;
-            }
+        for link in table.row_within(s, lo, hi) {
             let i = link.node as usize - ls.base;
-            if fast32 {
-                let g = f64::from(link.gain32);
-                ls.total[i] += g;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs() + f64::from(f32::EPSILON) * g.abs();
-            } else {
-                ls.total[i] += link.gain;
-                ls.err[i] += f64::EPSILON * ls.total[i].abs();
-            }
+            ls.total[i] += link.gain;
+            ls.err[i] += f64::EPSILON * ls.total[i].abs();
             let d = table.positions[link.node as usize].dist_sq(ps);
             if d < ls.best_d2[i] || (d == ls.best_d2[i] && s < ls.best_s[i]) {
                 ls.best_d2[i] = d;
@@ -2989,20 +2179,7 @@ fn hybrid_delta_range(
         }
     }
     for &u in &orphaned {
-        let pu = table.positions[u];
-        let mut bd = f64::INFINITY;
-        let mut bs = NO_SENDER;
-        for link in &table.rows[u] {
-            let v = link.node as usize;
-            if !sending[v] {
-                continue;
-            }
-            let d = table.positions[v].dist_sq(pu);
-            if d < bd {
-                bd = d;
-                bs = v;
-            }
-        }
+        let (_, _, bd, bs) = table.scan_near(u, sending);
         ls.best_d2[u - ls.base] = bd;
         ls.best_s[u - ls.base] = bs;
     }
@@ -3026,83 +2203,199 @@ fn compact_cell_deltas(cd: &mut Vec<(u32, i32)>) {
     cd.retain(|&(_, d)| d != 0);
 }
 
-/// The per-run mutable half of the hybrid kernel (the sparse analogue
-/// of [`SlotState`]): incremental near-field totals and
-/// nearest-near-sender choices per listener, plus per-cell transmitter
-/// counts and aggregated far-field interference, all maintained from
-/// transmitter enter/leave deltas.
-#[derive(Debug, Default)]
-pub struct HybridState {
-    /// Per-listener near-field interference total (the far field lives
-    /// in `far`, keyed by the listener's cell).
-    near: Vec<f64>,
-    /// Per-listener conservative bound on |near − exact ordered sum|.
-    err: Vec<f64>,
-    /// Per-listener squared distance to the nearest near sender.
-    best_d2: Vec<f64>,
-    /// Per-listener nearest near sender ([`NO_SENDER`] when none).
-    best_s: Vec<usize>,
-    /// Whether each node transmitted in the previous `decide_slot`.
-    sending: Vec<bool>,
-    prev: Vec<usize>,
-    enters: Vec<usize>,
-    leaves: Vec<usize>,
-    /// Per-cell current transmitter count.
-    cell_count: Vec<u32>,
-    /// Per-cell aggregated far-field interference at any listener in
-    /// the cell (destination-keyed).
-    far: Vec<f64>,
-    /// Per-cell conservative drift bound on `far`.
-    far_err: Vec<f64>,
-    /// Scratch: net `(cell, count delta)` pairs for the current update.
-    cell_delta: Vec<(u32, i32)>,
-    ops_since_refresh: u64,
+/// Runs `op(dest, sum, err)` over every destination cell's far-field
+/// aggregate, thread-chunked over destinations past the crossover. Each
+/// destination is computed independently, so results are thread-count
+/// invariant.
+fn for_each_cell(
+    sum: &mut [f64],
+    err: &mut [f64],
+    threads: usize,
+    op: impl Fn(u32, &mut f64, &mut f64) + Sync,
+) {
+    let cells = sum.len();
+    let chunk = cells.div_ceil(effective_threads(threads, cells)).max(1);
+    let tasks: Vec<(usize, &mut [f64], &mut [f64])> = sum
+        .chunks_mut(chunk)
+        .zip(err.chunks_mut(chunk))
+        .enumerate()
+        .map(|(k, (f, e))| (k * chunk, f, e))
+        .collect();
+    chunked_scope(tasks, |(base, fs, es)| {
+        for (i, (fv, ev)) in fs.iter_mut().zip(es.iter_mut()).enumerate() {
+            op((base + i) as u32, fv, ev);
+        }
+    });
 }
 
-impl HybridState {
-    /// Resets the state for a fresh run over `n` nodes in `cells` cell
-    /// slots.
-    fn reset(&mut self, n: usize, cells: usize) {
-        self.near.clear();
-        self.near.resize(n, 0.0);
-        self.err.clear();
-        self.err.resize(n, 0.0);
-        self.best_d2.clear();
-        self.best_d2.resize(n, f64::INFINITY);
-        self.best_s.clear();
-        self.best_s.resize(n, NO_SENDER);
-        self.sending.clear();
-        self.sending.resize(n, false);
-        self.prev.clear();
-        self.enters.clear();
-        self.leaves.clear();
-        self.cell_count.clear();
-        self.cell_count.resize(cells, 0);
-        self.far.clear();
-        self.far.resize(cells, 0.0);
-        self.far_err.clear();
-        self.far_err.resize(cells, 0.0);
-        self.cell_delta.clear();
-        self.ops_since_refresh = 0;
+/// The per-run far-field half of the hybrid kernel: per-cell transmitter
+/// counts and the aggregated far-field interference they cause at each
+/// destination cell, maintained from the same enter/leave deltas as the
+/// near rows.
+#[derive(Debug, Default)]
+pub struct FarField {
+    /// Per-cell current transmitter count.
+    count: Vec<u32>,
+    /// Per-cell aggregated far-field interference at any listener in the
+    /// cell (destination-keyed).
+    sum: Vec<f64>,
+    /// Per-cell conservative drift bound on `sum`.
+    err: Vec<f64>,
+    /// Scratch: net `(cell, count delta)` pairs for the current update.
+    delta: Vec<(u32, i32)>,
+}
+
+impl RowSource for HybridTable {
+    type Key = f64;
+    type Far = FarField;
+    const NAME: &'static str = "hybrid";
+    const PAR_NAME: &'static str = "hybrid+par";
+    /// At city scale the churn delta alone exceeds `REFRESH_OPS` every
+    /// slot, and the tracked drift bounds (not the interval) carry
+    /// correctness — a longer interval only widens the guard band
+    /// slightly.
+    const REFRESH_PER_NODE: u64 = 1;
+
+    fn build(
+        params: &SinrParams,
+        positions: &[Point],
+        cutoff: f64,
+        threads: usize,
+        _capped: bool,
+    ) -> Result<Self, PhysError> {
+        Ok(HybridTable::build(params, positions, cutoff, threads))
     }
 
-    /// Whether the state is sized for this deployment and cell layout.
-    fn ready_for(&self, n: usize, cells: usize) -> bool {
-        self.near.len() == n && self.far.len() == cells
+    fn fits(&self, params: &SinrParams, positions: &[Point], cutoff: f64) -> bool {
+        self.matches(params, positions, cutoff)
     }
 
-    /// Applies the compacted `cell_delta` to the per-cell transmitter
-    /// counts.
-    fn apply_count_deltas(&mut self) {
-        for &(c, d) in &self.cell_delta {
-            let cnt = &mut self.cell_count[c as usize];
+    fn built_for(&self, params: &SinrParams, n: usize) -> bool {
+        self.params == *params && self.n() == n
+    }
+
+    fn refresh(&self, ls: ListenerState<'_>, senders: Senders<'_>) {
+        hybrid_refresh_range(ls, self, senders.sending);
+    }
+
+    fn delta(
+        &self,
+        ls: ListenerState<'_>,
+        senders: Senders<'_>,
+        enters: &[usize],
+        leaves: &[usize],
+    ) {
+        hybrid_delta_range(ls, self, senders.sending, enters, leaves);
+    }
+
+    fn signal(&self, u: usize, s: usize) -> f64 {
+        self.near_gain(u, s)
+    }
+
+    fn replay_near(&self, senders: Senders<'_>, u: usize) -> (f64, usize) {
+        let (sum, terms, _, _) = self.scan_near(u, senders.sending);
+        (sum, terms as usize)
+    }
+
+    /// Movers are re-bucketed sequentially (pairs of movers converge to
+    /// their new-position gains once both have re-bucketed); moves into
+    /// unoccupied keys append cell slots, whose far field is then
+    /// computed from scratch — every other cell's aggregate is
+    /// unaffected by new empty destinations.
+    fn move_nodes(&mut self, far: &mut FarField, moved: &[(usize, Point)]) {
+        let mut appended: Vec<u32> = Vec::new();
+        for &(m, to) in moved {
+            let (slot, was_new) = self.rebucket(m, to);
+            if was_new {
+                appended.push(slot);
+                far.count.push(0);
+                far.sum.push(0.0);
+                far.err.push(0.0);
+            }
+        }
+        for &slot in &appended {
+            let (sum, terms) = self.far_from_counts(slot, &far.count);
+            far.sum[slot as usize] = sum;
+            far.err[slot as usize] = (f64::from(terms) + 1.0) * f64::EPSILON * sum.abs();
+        }
+    }
+
+    fn reset_far(&self, far: &mut FarField) {
+        let cells = self.cells.len();
+        far.count.clear();
+        far.count.resize(cells, 0);
+        far.sum.clear();
+        far.sum.resize(cells, 0.0);
+        far.err.clear();
+        far.err.resize(cells, 0.0);
+        far.delta.clear();
+    }
+
+    fn far_ready(&self, far: &FarField) -> bool {
+        far.sum.len() == self.cells.len()
+    }
+
+    fn far_update(
+        &self,
+        far: &mut FarField,
+        enters: &[usize],
+        leaves: &[usize],
+        refresh: bool,
+        threads: usize,
+    ) {
+        let FarField {
+            count,
+            sum,
+            err,
+            delta,
+        } = far;
+        delta.clear();
+        delta.extend(leaves.iter().map(|&s| (self.cell_of[s], -1)));
+        delta.extend(enters.iter().map(|&s| (self.cell_of[s], 1)));
+        compact_cell_deltas(delta);
+        for &(c, d) in delta.iter() {
+            let cnt = &mut count[c as usize];
             *cnt = (i64::from(*cnt) + i64::from(d)) as u32;
         }
+        if refresh {
+            let counts: &[u32] = count;
+            for_each_cell(sum, err, threads, |dest, fv, ev| {
+                let (s, terms) = self.far_from_counts(dest, counts);
+                *fv = s;
+                *ev = (f64::from(terms) + 1.0) * f64::EPSILON * s.abs();
+            });
+        } else if !delta.is_empty() {
+            let deltas: &[(u32, i32)] = delta;
+            for_each_cell(sum, err, threads, |dest, fv, ev| {
+                for &(src, d) in deltas {
+                    if let Some(pg) = self.far_pair(dest, src) {
+                        *fv += f64::from(d) * pg;
+                        *ev += f64::EPSILON * fv.abs();
+                    }
+                }
+            });
+        }
+    }
+
+    #[inline]
+    fn far_at(&self, far: &FarField, u: usize) -> (f64, f64) {
+        let cu = self.cell_of[u] as usize;
+        (far.sum[cu], far.err[cu])
+    }
+
+    fn replay_far(&self, far: &FarField, u: usize) -> f64 {
+        self.far_from_counts(self.cell_of[u], &far.count).0
+    }
+
+    /// Worst case, every cell contributes a far term.
+    fn guard_terms(&self) -> usize {
+        self.cells.len()
     }
 }
 
 /// Sparse near-field / aggregated far-field reception kernel for
-/// deployments too large for the dense [`GainTable`] (see module docs).
+/// deployments too large for the dense [`GainTable`]: the incremental
+/// skeleton over the sparse [`HybridTable`] (see the module docs).
 ///
 /// Near pairs (within the spatial-hash cutoff radius) get the cached
 /// kernel's treatment — exact gains in CSR-style sparse rows, driven
@@ -3121,17 +2414,7 @@ impl HybridState {
 ///
 /// Per-slot cost is O(|Δ senders| × near listeners + Δcells × cells);
 /// memory is O(n · near_degree + cells).
-#[derive(Debug)]
-pub struct HybridBackend {
-    threads: usize,
-    /// The cutoff as specified (0.0 = auto-resolve to the weak range).
-    cutoff: f64,
-    /// Stream build-time f32 near gains (guarded by the widened drift
-    /// bound; see [`hybrid_refresh_range`]).
-    fast32: bool,
-    table: Option<Arc<HybridTable>>,
-    state: HybridState,
-}
+pub type HybridBackend = IncrementalBackend<HybridTable>;
 
 impl HybridBackend {
     /// A fresh serial hybrid kernel; `cutoff` of 0.0 auto-selects the
@@ -3152,27 +2435,12 @@ impl HybridBackend {
     ///
     /// Panics if `threads` is zero or `cutoff` is invalid.
     pub fn with_threads(cutoff: f64, threads: usize) -> Self {
-        assert!(threads > 0, "threads must be nonzero");
+        let backend = IncrementalBackend::with_key(cutoff, threads);
         assert!(
             cutoff.is_finite() && cutoff >= 0.0,
             "hybrid cutoff must be finite and non-negative, got {cutoff}"
         );
-        HybridBackend {
-            threads,
-            cutoff,
-            fast32: false,
-            table: None,
-            state: HybridState::default(),
-        }
-    }
-
-    /// Enables (or disables) the f32 near-gain fast path. Decisions
-    /// stay byte-identical to the f64 path — the widened drift bound
-    /// sends every uncertain margin through the exact ordered replay.
-    #[must_use]
-    pub fn fast32(mut self, fast32: bool) -> Self {
-        self.fast32 = fast32;
-        self
+        backend
     }
 
     /// A hybrid kernel around an already-built shared sparse table:
@@ -3185,541 +2453,7 @@ impl HybridBackend {
     ///
     /// Panics if `threads` is zero or `cutoff` is invalid.
     pub fn with_shared_table(cutoff: f64, table: Arc<HybridTable>, threads: usize) -> Self {
-        let mut backend = HybridBackend::with_threads(cutoff, threads);
-        backend.table = Some(table);
-        backend
-    }
-
-    /// The configured thread count (before the crossover is applied).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// The prepared sparse table, if any.
-    pub fn hybrid_table(&self) -> Option<&HybridTable> {
-        self.table.as_deref()
-    }
-
-    /// A shareable handle to the prepared sparse table, if any.
-    pub fn shared_table(&self) -> Option<Arc<HybridTable>> {
-        self.table.clone()
-    }
-
-    /// (Re)builds the sparse table (unless the held one matches) and
-    /// resets all incremental state.
-    fn prepare_impl(&mut self, params: &SinrParams, positions: &[Point]) {
-        if !self
-            .table
-            .as_ref()
-            .is_some_and(|t| t.matches(params, positions, self.cutoff))
-        {
-            self.table = Some(Arc::new(HybridTable::build(
-                params,
-                positions,
-                self.cutoff,
-                self.threads,
-            )));
-        }
-        let cells = self.table.as_deref().map_or(0, |t| t.cells.len());
-        self.state.reset(positions.len(), cells);
-    }
-
-    /// Runs `op` over the per-listener near-field state, chunked across
-    /// threads past the crossover; `op` additionally sees the sparse
-    /// table and the **current** sending flags. Like
-    /// [`CachedBackend::sweep_with`], the table is an explicit argument
-    /// fetched fallibly by the caller — no prepared-table assertion.
-    fn sweep_with(
-        table: &HybridTable,
-        threads: usize,
-        state: &mut HybridState,
-        op: impl Fn(ListenerState<'_>, &HybridTable, &[bool]) + Sync,
-    ) {
-        let HybridState {
-            near,
-            err,
-            best_d2,
-            best_s,
-            sending,
-            ..
-        } = state;
-        let n = near.len();
-        let eff = effective_threads(threads, n);
-        let tasks = listener_chunks(near, err, best_d2, best_s, n, eff);
-        let sending: &[bool] = sending;
-        chunked_scope(tasks, |ls| op(ls, table, sending));
-    }
-
-    /// Folds the compacted `state.cell_delta` into every destination
-    /// cell's far-field aggregate (thread-chunked over destinations;
-    /// each destination applies the deltas in slot order, so results
-    /// are thread-count invariant).
-    fn apply_far_deltas(table: &HybridTable, threads: usize, state: &mut HybridState) {
-        let HybridState {
-            far,
-            far_err,
-            cell_delta,
-            ..
-        } = state;
-        if cell_delta.is_empty() {
-            return;
-        }
-        let cells = far.len();
-        let eff = effective_threads(threads, cells);
-        let chunk = (if eff <= 1 { cells } else { cells.div_ceil(eff) }).max(1);
-        let deltas: &[(u32, i32)] = cell_delta;
-        let tasks: Vec<(usize, &mut [f64], &mut [f64])> = far
-            .chunks_mut(chunk)
-            .zip(far_err.chunks_mut(chunk))
-            .enumerate()
-            .map(|(k, (f, e))| (k * chunk, f, e))
-            .collect();
-        chunked_scope(tasks, |(base, fs, es)| {
-            for (i, (fv, ev)) in fs.iter_mut().zip(es.iter_mut()).enumerate() {
-                let dest = (base + i) as u32;
-                for &(src, d) in deltas {
-                    if let Some(pg) = table.far_pair(dest, src) {
-                        *fv += f64::from(d) * pg;
-                        *ev += f64::EPSILON * fv.abs();
-                    }
-                }
-            }
-        });
-    }
-
-    /// Recomputes every destination cell's far-field aggregate from the
-    /// current transmitter counts in slot order (thread-chunked over
-    /// destinations) and resets the per-cell drift bounds.
-    fn far_refresh(table: &HybridTable, threads: usize, state: &mut HybridState) {
-        let HybridState {
-            far,
-            far_err,
-            cell_count,
-            ..
-        } = state;
-        let cells = far.len();
-        let eff = effective_threads(threads, cells);
-        let chunk = (if eff <= 1 { cells } else { cells.div_ceil(eff) }).max(1);
-        let counts: &[u32] = cell_count;
-        let tasks: Vec<(usize, &mut [f64], &mut [f64])> = far
-            .chunks_mut(chunk)
-            .zip(far_err.chunks_mut(chunk))
-            .enumerate()
-            .map(|(k, (f, e))| (k * chunk, f, e))
-            .collect();
-        chunked_scope(tasks, |(base, fs, es)| {
-            for (i, (fv, ev)) in fs.iter_mut().zip(es.iter_mut()).enumerate() {
-                let dest = (base + i) as u32;
-                let mut sum = 0.0;
-                let mut terms = 0u32;
-                for (src, &cnt) in counts.iter().enumerate() {
-                    if cnt == 0 {
-                        continue;
-                    }
-                    if let Some(pg) = table.far_pair(dest, src as u32) {
-                        sum += f64::from(cnt) * pg;
-                        terms += 1;
-                    }
-                }
-                *fv = sum;
-                *ev = (f64::from(terms) + 1.0) * f64::EPSILON * sum.abs();
-            }
-        });
-    }
-
-    /// Applies a position change to the prepared kernel: movers are
-    /// re-bucketed and only their sparse rows, cell memberships and the
-    /// far-field cell sums are patched — O(movers × (near_degree +
-    /// cells)) against the full rebuild a re-`prepare` would cost.
-    ///
-    /// Mirrors [`CachedBackend::update_positions_impl`]: a transmitting
-    /// mover *leaves* at its old gains (old row, old cell) before the
-    /// table is touched and *re-enters* at its new gains after, each
-    /// mover's own listening state is rebuilt from its new row, and a
-    /// shared table is forked copy-on-write on first patch. Moves that
-    /// land in previously unoccupied cells append fresh slots (the
-    /// far-field arrays grow with them).
-    fn update_positions_impl(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        moved: &[(usize, Point)],
-    ) {
-        if moved.is_empty() {
-            return;
-        }
-        let n = positions.len();
-        // Release assert for the same reason as the cached kernel: an
-        // unsorted list would corrupt totals far outside the tracked
-        // drift bound.
-        assert!(
-            moved.windows(2).all(|w| w[0].0 < w[1].0),
-            "moved nodes must be ascending and unique"
-        );
-        let Some(table) = self.table.as_ref() else {
-            return;
-        };
-        if table.params != *params || table.n() != n || !self.state.ready_for(n, table.cells.len())
-        {
-            return;
-        }
-        if moved.len() * 4 >= n {
-            // Mass moves: the rebuild beats per-mover surgery, and the
-            // state reset makes the next decide_slot run a full refresh.
-            self.table = Some(Arc::new(HybridTable::build(
-                params,
-                positions,
-                self.cutoff,
-                self.threads,
-            )));
-            let cells = self.table.as_deref().map_or(0, |t| t.cells.len());
-            self.state.reset(n, cells);
-            return;
-        }
-
-        // Phase 1: transmitting movers leave at their old gains — old
-        // rows for the near field, old cells for the far field — with
-        // their sending flags dropped so orphan rescans cannot
-        // resurrect them at stale distances.
-        let moved_senders: Vec<usize> = moved
-            .iter()
-            .map(|&(i, _)| i)
-            .filter(|&i| self.state.sending[i])
-            .collect();
-        if !moved_senders.is_empty() {
-            for &s in &moved_senders {
-                self.state.sending[s] = false;
-            }
-            let HybridBackend {
-                threads,
-                table,
-                state,
-                ..
-            } = self;
-            let Some(cache) = table.as_deref() else {
-                return;
-            };
-            // Mobility repair stays on the exact f64 gains even in f32
-            // mode: per-update conservative err bumps compose, and the
-            // next refresh re-establishes the f32 sums.
-            Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                hybrid_delta_range(ls, table, sending, &[], &moved_senders, false)
-            });
-            state.cell_delta.clear();
-            for &s in &moved_senders {
-                state.cell_delta.push((cache.cell_of[s], -1));
-            }
-            compact_cell_deltas(&mut state.cell_delta);
-            state.apply_count_deltas();
-            Self::apply_far_deltas(cache, *threads, state);
-        }
-
-        // Phase 2: re-bucket each mover (copy-on-write fork of a shared
-        // table on the first patch). Movers are processed sequentially;
-        // pairs of movers converge to their new-position gains once
-        // both have re-bucketed.
-        let Some(arc) = self.table.as_mut() else {
-            return;
-        };
-        let table = Arc::make_mut(arc);
-        let mut appended: Vec<u32> = Vec::new();
-        for &(m, to) in moved {
-            let (slot, was_new) = table.rebucket(m, to);
-            if was_new {
-                appended.push(slot);
-                self.state.cell_count.push(0);
-                self.state.far.push(0.0);
-                self.state.far_err.push(0.0);
-            }
-        }
-
-        // Phase 3: freshly appended cells compute their far field from
-        // scratch (every other cell's aggregate is unaffected by new
-        // empty destinations).
-        let Some(table) = self.table.as_deref() else {
-            return;
-        };
-        for &slot in &appended {
-            let mut sum = 0.0;
-            let mut terms = 0u32;
-            for (src, &cnt) in self.state.cell_count.iter().enumerate() {
-                if cnt == 0 {
-                    continue;
-                }
-                if let Some(pg) = table.far_pair(slot, src as u32) {
-                    sum += f64::from(cnt) * pg;
-                    terms += 1;
-                }
-            }
-            self.state.far[slot as usize] = sum;
-            self.state.far_err[slot as usize] = (f64::from(terms) + 1.0) * f64::EPSILON * sum.abs();
-        }
-
-        // Phase 4: transmitting movers re-enter at their new gains and
-        // new cells, re-competing for nearest-near-sender with the
-        // (distance, index) tie-break.
-        if !moved_senders.is_empty() {
-            for &s in &moved_senders {
-                self.state.sending[s] = true;
-            }
-            let HybridBackend {
-                threads,
-                table,
-                state,
-                ..
-            } = self;
-            let Some(cache) = table.as_deref() else {
-                return;
-            };
-            Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                hybrid_delta_range(ls, table, sending, &moved_senders, &[], false)
-            });
-            state.cell_delta.clear();
-            for &s in &moved_senders {
-                state.cell_delta.push((cache.cell_of[s], 1));
-            }
-            compact_cell_deltas(&mut state.cell_delta);
-            state.apply_count_deltas();
-            Self::apply_far_deltas(cache, *threads, state);
-        }
-
-        // Phase 5: every distance *to* a mover changed, so its own
-        // listening state is rebuilt from its new row the way a refresh
-        // would.
-        let Some(table) = self.table.as_deref() else {
-            return;
-        };
-        let state = &mut self.state;
-        for &(m, _) in moved {
-            let pu = table.positions[m];
-            let mut total = 0.0;
-            let mut terms = 0u32;
-            let mut bd = f64::INFINITY;
-            let mut bs = NO_SENDER;
-            for link in &table.rows[m] {
-                let v = link.node as usize;
-                if !state.sending[v] {
-                    continue;
-                }
-                total += link.gain;
-                terms += 1;
-                let d = table.positions[v].dist_sq(pu);
-                if d < bd {
-                    bd = d;
-                    bs = v;
-                }
-            }
-            state.near[m] = total;
-            state.err[m] = (f64::from(terms) + 1.0) * f64::EPSILON * total.abs();
-            state.best_d2[m] = bd;
-            state.best_s[m] = bs;
-        }
-
-        state.ops_since_refresh += (2 * moved_senders.len() + moved.len()) as u64;
-    }
-}
-
-impl InterferenceBackend for HybridBackend {
-    fn name(&self) -> &'static str {
-        match (self.fast32, self.threads > 1) {
-            (true, true) => "hybrid:f32+par",
-            (true, false) => "hybrid:f32",
-            (false, true) => "hybrid+par",
-            (false, false) => "hybrid",
-        }
-    }
-
-    fn prepare(&mut self, params: &SinrParams, positions: &[Point]) -> Result<(), PhysError> {
-        self.prepare_impl(params, positions);
-        Ok(())
-    }
-
-    fn update_positions(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        moved: &[(usize, Point)],
-    ) {
-        self.update_positions_impl(params, positions, moved);
-    }
-
-    fn decide_slot(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        senders: &[usize],
-        out: &mut [Option<usize>],
-    ) {
-        if let Err(e) = self.try_decide_slot(params, positions, senders, out) {
-            panic!("hybrid backend: {e}");
-        }
-    }
-
-    fn try_decide_slot(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        senders: &[usize],
-        out: &mut [Option<usize>],
-    ) -> Result<(), PhysError> {
-        check_invariants(positions, senders, out);
-        out.fill(None);
-        let prepared = match self.table.as_ref() {
-            Some(t) => {
-                t.matches(params, positions, self.cutoff)
-                    && self.state.ready_for(positions.len(), t.cells.len())
-            }
-            None => false,
-        };
-        if !prepared {
-            self.prepare_impl(params, positions);
-        }
-        if self.table.is_none() {
-            return Err(PhysError::BackendNotPrepared { backend: "hybrid" });
-        }
-
-        diff_sorted(
-            &self.state.prev,
-            senders,
-            &mut self.state.enters,
-            &mut self.state.leaves,
-        );
-        let delta = self.state.enters.len() + self.state.leaves.len();
-        self.state.ops_since_refresh += delta as u64;
-
-        // Unlike the cached kernel, sending flags flip *before* the
-        // sweeps: hybrid orphan rescans read rows against the current
-        // flags instead of a sender list.
-        for &s in &self.state.leaves {
-            self.state.sending[s] = false;
-        }
-        for &s in &self.state.enters {
-            self.state.sending[s] = true;
-        }
-
-        let use_f32 = self.fast32 && simd::enabled();
-        {
-            let HybridBackend {
-                threads,
-                table,
-                state,
-                ..
-            } = self;
-            let Some(cache) = table.as_deref() else {
-                return Err(PhysError::BackendNotPrepared { backend: "hybrid" });
-            };
-
-            // Per-cell transmitter-count deltas always apply; how they
-            // reach the far aggregates depends on the branch below.
-            state.cell_delta.clear();
-            for &s in &state.leaves {
-                state.cell_delta.push((cache.cell_of[s], -1));
-            }
-            for &s in &state.enters {
-                state.cell_delta.push((cache.cell_of[s], 1));
-            }
-            compact_cell_deltas(&mut state.cell_delta);
-            state.apply_count_deltas();
-
-            // The refresh interval scales with n: at city scale the churn
-            // delta alone exceeds REFRESH_OPS every slot, and the tracked
-            // drift bounds (not the interval) carry correctness — a longer
-            // interval only widens the guard band slightly.
-            let interval = REFRESH_OPS.max(positions.len() as u64);
-            if delta >= senders.len().max(1) || state.ops_since_refresh >= interval {
-                state.ops_since_refresh = 0;
-                Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                    hybrid_refresh_range(ls, table, sending, use_f32)
-                });
-                Self::far_refresh(cache, *threads, state);
-            } else if delta > 0 {
-                let (enters, leaves) = (
-                    std::mem::take(&mut state.enters),
-                    std::mem::take(&mut state.leaves),
-                );
-                Self::sweep_with(cache, *threads, state, |ls, table, sending| {
-                    hybrid_delta_range(ls, table, sending, &enters, &leaves, use_f32)
-                });
-                state.enters = enters;
-                state.leaves = leaves;
-                Self::apply_far_deltas(cache, *threads, state);
-            }
-            state.prev.clear();
-            state.prev.extend_from_slice(senders);
-        }
-        if senders.is_empty() {
-            return Ok(());
-        }
-
-        let HybridBackend { table, state, .. } = self;
-        let Some(table) = table.as_deref() else {
-            return Err(PhysError::BackendNotPrepared { backend: "hybrid" });
-        };
-        let HybridState {
-            near,
-            err,
-            best_s,
-            sending,
-            cell_count,
-            far,
-            far_err,
-            ..
-        } = state;
-        // Worst-case term count for the comparison-arithmetic slack:
-        // every sender near plus every cell far.
-        let kf = (senders.len() + table.cells.len()) as f64;
-        let beta = params.beta();
-        let noise = params.noise();
-        for (u, slot) in out.iter_mut().enumerate() {
-            if sending[u] {
-                continue;
-            }
-            let best = best_s[u];
-            if best == NO_SENDER {
-                continue;
-            }
-            let cu = table.cell_of[u] as usize;
-            let signal = table.near_gain(u, best);
-            let t = near[u] + far[cu];
-            let rhs = beta * ((t - signal) + noise);
-            let margin = signal - rhs;
-            // Same guard-band discipline as the cached kernel, with the
-            // far field's own drift bound added: outside the band the
-            // decision provably matches a drift-free hybrid evaluation;
-            // inside, replay both halves from scratch. (The *model* is
-            // conservative versus exact by construction — the band only
-            // pins determinism of the hybrid evaluation itself.)
-            let slack = 2.0 * (err[u] + far_err[cu]) + (kf + 2.0) * f64::EPSILON * t.abs();
-            let guard = 2.0 * beta * slack + 1e-13 * (signal.abs() + rhs.abs());
-            let decodes = if margin.abs() <= guard {
-                let mut near_sum = 0.0;
-                let mut terms = 0u32;
-                for link in &table.rows[u] {
-                    if sending[link.node as usize] {
-                        near_sum += link.gain;
-                        terms += 1;
-                    }
-                }
-                let mut far_sum = 0.0;
-                for (src, &cnt) in cell_count.iter().enumerate() {
-                    if cnt == 0 {
-                        continue;
-                    }
-                    if let Some(pg) = table.far_pair(cu as u32, src as u32) {
-                        far_sum += f64::from(cnt) * pg;
-                    }
-                }
-                near[u] = near_sum;
-                err[u] = (f64::from(terms) + 1.0) * f64::EPSILON * near_sum.abs();
-                params.decodes(signal, (near_sum + far_sum) - signal)
-            } else {
-                margin > 0.0
-            };
-            if decodes {
-                *slot = Some(best);
-            }
-        }
-        Ok(())
+        HybridBackend::with_threads(cutoff, threads).adopting(table)
     }
 }
 
@@ -3884,6 +2618,7 @@ pub fn decide_receptions_threaded(
 
 #[cfg(test)]
 mod tests {
+    use super::incremental::REFRESH_OPS;
     use super::*;
 
     fn params() -> SinrParams {
@@ -4078,94 +2813,6 @@ mod tests {
     }
 
     #[test]
-    fn fast32_cached_matches_exact_across_churn() {
-        // The f32 fast path takes a different rounding path per slot but
-        // must land on byte-identical decisions: the widened drift bound
-        // sends every uncertain margin through the exact f64 replay.
-        let p = params();
-        let pos = sinr_geom::deploy::uniform(60, 70.0, 9).unwrap();
-        let mut fast = BackendSpec::cached().with_fast32().build();
-        let mut exact = BackendSpec::exact().build();
-        fast.prepare(&p, &pos).unwrap();
-        let mut got = vec![None; pos.len()];
-        let mut want = vec![None; pos.len()];
-        let schedules: Vec<Vec<usize>> = vec![
-            (0..60).step_by(2).collect(),
-            (0..60).step_by(2).skip(3).collect(),
-            (0..60).step_by(3).collect(),
-            (1..60).step_by(2).collect(),
-            Vec::new(),
-            (0..60).step_by(4).collect(),
-            vec![7],
-            (0..60).collect(),
-        ];
-        for (step, senders) in schedules.iter().enumerate() {
-            fast.decide_slot(&p, &pos, senders, &mut got);
-            exact.decide_slot(&p, &pos, senders, &mut want);
-            assert_eq!(got, want, "slot {step}");
-        }
-    }
-
-    #[test]
-    fn fast32_hybrid_matches_f64_hybrid_bit_for_bit() {
-        // hybrid:f32 approximates the same *model* as hybrid (both are
-        // conservative vs exact); their decisions must agree exactly —
-        // the guarded replay erases the narrowing.
-        let p = params();
-        let pos = sinr_geom::deploy::uniform(60, 48.0, 7).unwrap();
-        let mut fast = BackendSpec::hybrid(8.0).with_fast32().build();
-        let mut plain = BackendSpec::hybrid(8.0).build();
-        let mut got = vec![None; pos.len()];
-        let mut want = vec![None; pos.len()];
-        for step in 0..24usize {
-            let senders: Vec<usize> = (0..60).skip(step % 4).step_by(2 + step % 3).collect();
-            fast.decide_slot(&p, &pos, &senders, &mut got);
-            plain.decide_slot(&p, &pos, &senders, &mut want);
-            assert_eq!(got, want, "slot {step}");
-        }
-    }
-
-    #[test]
-    fn fast32_cached_matches_exact_at_lane_remainders() {
-        // n straddling the 4- and 8-lane chunk widths exercises every
-        // SIMD tail; decisions must stay exact at each.
-        let p = params();
-        for n in [63usize, 64, 65] {
-            let pos = sinr_geom::deploy::uniform(n, 70.0, n as u64).unwrap();
-            let mut fast = BackendSpec::cached().with_fast32().build();
-            fast.prepare(&p, &pos).unwrap();
-            let mut got = vec![None; n];
-            for step in 0..6usize {
-                let senders: Vec<usize> = (step % 2..n).step_by(2 + step % 3).collect();
-                fast.decide_slot(&p, &pos, &senders, &mut got);
-                let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-                assert_eq!(got, want, "n {n} slot {step}");
-            }
-        }
-    }
-
-    #[test]
-    fn gains32_mirror_tracks_move_node() {
-        let p = params();
-        let mut pos = sinr_geom::deploy::uniform(14, 24.0, 3).unwrap();
-        let mut cache = GainTable::build(&p, &pos, 1);
-        // Materialize the mirror, then move nodes: the in-place patch
-        // must keep every mirrored gain equal to the narrowed rebuild.
-        cache.gains32();
-        pos[3] = Point::new(100.0, 5.25);
-        pos[9] = Point::new(100.0, 12.5);
-        cache.move_node(3, pos[3]);
-        cache.move_node(9, pos[9]);
-        let fresh = GainTable::build(&p, &pos, 1);
-        for s in 0..14 {
-            let mirror = cache.gain32_row(s, 0, 14);
-            for (u, &m) in mirror.iter().enumerate() {
-                assert_eq!(m, fresh.gain(s, u) as f32, "gain32 {s}->{u}");
-            }
-        }
-    }
-
-    #[test]
     fn cached_is_exact_on_symmetric_ties() {
         // Lattice symmetry produces exact SINR ties — the near-threshold
         // territory where the guarded fallback must engage.
@@ -4315,11 +2962,6 @@ mod tests {
             "cached:par:4",
             "hybrid:par:4",
             "hybrid:2.5:par:8",
-            "cached:f32",
-            "hybrid:f32",
-            "hybrid:16:f32",
-            "cached:f32:par:4",
-            "hybrid:2.5:f32:par:8",
         ] {
             let spec = BackendSpec::parse(s).unwrap();
             let rendered = spec.to_string();
@@ -4347,24 +2989,20 @@ mod tests {
             BackendSpec::parse("hybrid:par:4").unwrap(),
             BackendSpec::hybrid(0.0).with_threads(4)
         );
-        assert_eq!(
-            BackendSpec::parse("cached:f32").unwrap(),
-            BackendSpec::cached().with_fast32()
-        );
-        // `f32` is not numeric, so it must not be swallowed as a hybrid
-        // cutoff.
-        assert_eq!(
-            BackendSpec::parse("hybrid:f32").unwrap(),
-            BackendSpec::hybrid(0.0).with_fast32()
-        );
         assert!(BackendSpec::parse("grid").is_err());
         assert!(BackendSpec::parse("par:0").is_err());
         assert!(BackendSpec::parse("hybrid:-2").is_err());
         assert!(BackendSpec::parse("warp").is_err());
-        // The stateless models have no gain rows to narrow.
-        assert!(BackendSpec::parse("exact:f32").is_err());
-        assert!(BackendSpec::parse("grid:8:f32").is_err());
-        assert!(BackendSpec::parse("f32").is_err());
+        // The retired `f32` component is refused by name wherever it
+        // appears (a bare `hybrid` must not swallow it as a cutoff).
+        let retired = "f32";
+        let err = BackendSpec::parse(retired).unwrap_err();
+        assert!(err.contains("\"f32\""), "{err}");
+        for base in ["cached", "hybrid", "hybrid:16", "exact", "grid:8"] {
+            let s = format!("{base}:{retired}");
+            let err = BackendSpec::parse(&s).unwrap_err();
+            assert!(err.contains("\"f32\""), "{s}: {err}");
+        }
     }
 
     #[test]
@@ -4391,30 +3029,6 @@ mod tests {
         assert_eq!(
             BackendSpec::hybrid(8.0).with_threads(2).build().name(),
             "hybrid+par"
-        );
-        assert_eq!(
-            BackendSpec::cached().with_fast32().build().name(),
-            "cached:f32"
-        );
-        assert_eq!(
-            BackendSpec::cached()
-                .with_fast32()
-                .with_threads(2)
-                .build()
-                .name(),
-            "cached:f32+par"
-        );
-        assert_eq!(
-            BackendSpec::hybrid(8.0).with_fast32().build().name(),
-            "hybrid:f32"
-        );
-        assert_eq!(
-            BackendSpec::hybrid(8.0)
-                .with_fast32()
-                .with_threads(2)
-                .build()
-                .name(),
-            "hybrid:f32+par"
         );
     }
 
@@ -4483,6 +3097,13 @@ mod tests {
         }
     }
 
+    /// Appends `count` silent listeners parked far from everything else,
+    /// so that moving one node stays below the mass-move threshold
+    /// (`moved * 4 >= n`) and exercises the incremental repair.
+    fn park_listeners(pos: &mut Vec<Point>, count: usize) {
+        pos.extend((0..count).map(|k| Point::new(500.0 + 2.0 * k as f64, 500.0)));
+    }
+
     #[test]
     fn update_positions_handles_moved_best_sender() {
         // Listener 0's nearest sender walks away until a different
@@ -4494,6 +3115,7 @@ mod tests {
             Point::new(6.0, 0.0),  // second sender
             Point::new(40.0, 0.0), // far sender
         ];
+        park_listeners(&mut pos, 4);
         let senders = vec![1, 2, 3];
         let mut cached = CachedBackend::new();
         cached.prepare(&p, &pos).unwrap();
@@ -4503,6 +3125,8 @@ mod tests {
             // clear of the in-line senders it passes.
             pos[1] = Point::new(2.0 + step as f64 * 1.5, 2.0);
             cached.update_positions(&p, &pos, &[(1, pos[1])]);
+            // The rebuild path would have cleared the previous sender set.
+            assert_eq!(cached.state.prev, senders, "step {step} rebuilt");
             assert_cached_matches_exact(&p, &mut cached, &pos, &senders, &format!("step {step}"));
         }
     }
@@ -4524,14 +3148,18 @@ mod tests {
         let near = Point::new(11.0, 0.0);
         let far = Point::new(26.0, 0.0);
         let mut pos = vec![Point::new(0.0, 0.0), Point::new(6.0, 0.0), far];
+        park_listeners(&mut pos, 5);
         let senders = vec![1, 2];
         let mut cached = CachedBackend::new();
         cached.prepare(&p, &pos).unwrap();
+        assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "initial");
         let total_ops = REFRESH_OPS * 3 + 17;
         for step in 0..total_ops {
             let to = if step % 2 == 0 { near } else { far };
             pos[2] = to;
             cached.update_positions(&p, &pos, &[(2, to)]);
+            // The rebuild path would have cleared the previous sender set.
+            assert_eq!(cached.state.prev, senders, "teleport {step} rebuilt");
             assert_cached_matches_exact(
                 &p,
                 &mut cached,
@@ -4541,7 +3169,7 @@ mod tests {
             );
             // Drift-bound bookkeeping: the maintained total must sit
             // within the tracked error of the exact ordered sum.
-            let cache = cached.gain_table().unwrap();
+            let cache = cached.table().unwrap();
             for u in 0..pos.len() {
                 let exact: f64 = senders.iter().map(|&s| cache.gain(s, u)).sum();
                 assert!(
@@ -4579,7 +3207,7 @@ mod tests {
             })
             .collect();
         cached.update_positions(&p, &pos, &moved);
-        assert!(cached.gain_table().unwrap().matches(&p, &pos));
+        assert!(cached.table().unwrap().matches(&p, &pos));
         assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "after mass move");
     }
 
@@ -4662,7 +3290,7 @@ mod tests {
             !Arc::ptr_eq(&backend.shared_table().unwrap(), &table),
             "a non-matching table must be replaced"
         );
-        assert!(backend.gain_table().unwrap().matches(&p, &pos));
+        assert!(backend.table().unwrap().matches(&p, &pos));
     }
 
     #[test]
@@ -4697,35 +3325,6 @@ mod tests {
         assert_cached_matches_exact(&p, &mut bystander, &home, &senders, "bystander after");
         // And the original table still holds the unmoved geometry.
         assert!(table.matches(&p, &home));
-    }
-
-    #[test]
-    fn build_with_table_routes_only_the_cached_model() {
-        let p = params();
-        let pos = sinr_geom::deploy::uniform(10, 16.0, 4).unwrap();
-        let table = Arc::new(GainTable::build(&p, &pos, 1));
-        assert_eq!(
-            BackendSpec::cached().build_with_table(Some(&table)).name(),
-            "cached"
-        );
-        assert_eq!(
-            BackendSpec::exact().build_with_table(Some(&table)).name(),
-            "exact"
-        );
-        assert_eq!(
-            BackendSpec::cached().build_with_table(None).name(),
-            "cached"
-        );
-        // The adopted table really is shared, not copied.
-        let mut backend = BackendSpec::cached()
-            .with_threads(2)
-            .build_with_table(Some(&table));
-        backend.prepare(&p, &pos).unwrap();
-        let senders: Vec<usize> = (0..10).step_by(2).collect();
-        let mut got = vec![None; pos.len()];
-        backend.decide_slot(&p, &pos, &senders, &mut got);
-        let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-        assert_eq!(got, want);
     }
 
     #[test]
@@ -4882,7 +3481,7 @@ mod tests {
         }
         hybrid.update_positions(&p, &pos, &moved);
         assert!(
-            hybrid.hybrid_table().unwrap().matches(&p, &pos, 8.0),
+            hybrid.table().unwrap().matches(&p, &pos, 8.0),
             "mass move must rebuild against the new positions"
         );
         let senders: Vec<usize> = (0..16).step_by(2).collect();
@@ -5004,6 +3603,20 @@ mod tests {
             BackendSpec::hybrid(8.0).build_with_tables(None).name(),
             "hybrid"
         );
+        assert_eq!(
+            BackendSpec::cached().build_with_tables(None).name(),
+            "cached"
+        );
+        // An adopted dense table decides exactly, threaded or not.
+        let mut backend = BackendSpec::cached()
+            .with_threads(2)
+            .build_with_tables(Some(&tables));
+        backend.prepare(&p, &pos).unwrap();
+        let senders: Vec<usize> = (0..10).step_by(2).collect();
+        let mut got = vec![None; pos.len()];
+        backend.decide_slot(&p, &pos, &senders, &mut got);
+        let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
+        assert_eq!(got, want);
         // The matching() filter drops a mismatched member instead of
         // letting a backend adopt stale gains.
         let other = sinr_geom::deploy::uniform(10, 16.0, 5).unwrap();

@@ -2,46 +2,18 @@
 //! [`crate::reception`].
 //!
 //! Stable Rust only — no nightly `std::simd`, no intrinsics, no new
-//! dependencies. Each kernel walks its slices in fixed-width chunks
-//! (4 lanes for `f64`, 8 for `f32` sources) with the lane operations
-//! written out explicitly and a scalar tail for the remainder. The
-//! shapes are exactly what LLVM's autovectorizer turns into packed
-//! `addpd`/`cvtps2pd` sequences on x86-64 and the NEON equivalents on
-//! aarch64, while staying bit-identical to the naive scalar loop:
-//! every per-listener element sees the same single add/subtract in the
-//! same order, so totals (and therefore reception decisions, which are
-//! additionally protected by the drift-bound replay machinery in
-//! `reception.rs`) do not depend on whether vector units exist.
-//!
-//! # The `SINR_NO_SIMD` escape hatch
-//!
-//! Setting `SINR_NO_SIMD=1` makes [`enabled`] return `false`, which
-//! routes the cached backend's delta application back through the
-//! legacy one-sender-at-a-time scalar sweep and disables the f32
-//! row-mirror fast path. CI runs one lab preset both ways and `cmp`s
-//! the reports byte-for-byte — the decision-level equivalence argument
-//! made mechanically checkable.
-
-use std::sync::OnceLock;
+//! dependencies. Each kernel walks its slices in fixed-width chunks of
+//! 4 `f64` lanes with the lane operations written out explicitly and a
+//! scalar tail for the remainder. The shapes are exactly what LLVM's
+//! autovectorizer turns into packed `addpd` sequences on x86-64 and the
+//! NEON equivalents on aarch64, while staying bit-identical to the naive
+//! scalar loop: every per-listener element sees the same single add in
+//! the same order, so totals (and therefore reception decisions, which
+//! are additionally protected by the drift-bound replay machinery in
+//! the reception kernels) do not depend on whether vector units exist.
 
 /// Lane width used by the `f64` kernels.
-pub const LANES_F64: usize = 4;
-/// Lane width used by the `f32`-source kernels.
-pub const LANES_F32: usize = 8;
-
-/// Whether the vectorized/fused kernels are in use.
-///
-/// Reads `SINR_NO_SIMD` once per process: any non-empty value other
-/// than `0` disables the fused paths (see the module docs). The fused
-/// and legacy paths produce byte-identical *decisions* by the guarded
-/// drift-bound argument; the escape hatch exists so CI can prove it.
-pub fn enabled() -> bool {
-    static ENABLED: OnceLock<bool> = OnceLock::new();
-    *ENABLED.get_or_init(|| match std::env::var("SINR_NO_SIMD") {
-        Ok(v) => v.is_empty() || v == "0",
-        Err(_) => true,
-    })
-}
+const LANES_F64: usize = 4;
 
 /// `acc[i] += row[i]` over the common length, 4-lane unrolled.
 ///
@@ -62,76 +34,6 @@ pub fn add_assign(acc: &mut [f64], row: &[f64]) {
     }
     for (a, r) in chunks.into_remainder().iter_mut().zip(rows.remainder()) {
         *a += r;
-    }
-}
-
-/// `acc[i] -= row[i]` over the common length, 4-lane unrolled.
-#[inline]
-pub fn sub_assign(acc: &mut [f64], row: &[f64]) {
-    debug_assert_eq!(acc.len(), row.len());
-    let len = acc.len().min(row.len());
-    let (acc, row) = (&mut acc[..len], &row[..len]);
-    let mut chunks = acc.chunks_exact_mut(LANES_F64);
-    let mut rows = row.chunks_exact(LANES_F64);
-    for (a, r) in chunks.by_ref().zip(rows.by_ref()) {
-        a[0] -= r[0];
-        a[1] -= r[1];
-        a[2] -= r[2];
-        a[3] -= r[3];
-    }
-    for (a, r) in chunks.into_remainder().iter_mut().zip(rows.remainder()) {
-        *a -= r;
-    }
-}
-
-/// `acc[i] += row[i] as f64` over the common length, 8-lane unrolled.
-///
-/// The f32 fast path streams half-width gain rows but keeps full f64
-/// accumulators — the widening happens per lane, so the only error vs
-/// the f64 row is the one-time f32 *storage* rounding of each gain,
-/// which the widened drift bound in `reception.rs` covers.
-#[inline]
-pub fn add_assign_f32(acc: &mut [f64], row: &[f32]) {
-    debug_assert_eq!(acc.len(), row.len());
-    let len = acc.len().min(row.len());
-    let (acc, row) = (&mut acc[..len], &row[..len]);
-    let mut chunks = acc.chunks_exact_mut(LANES_F32);
-    let mut rows = row.chunks_exact(LANES_F32);
-    for (a, r) in chunks.by_ref().zip(rows.by_ref()) {
-        a[0] += f64::from(r[0]);
-        a[1] += f64::from(r[1]);
-        a[2] += f64::from(r[2]);
-        a[3] += f64::from(r[3]);
-        a[4] += f64::from(r[4]);
-        a[5] += f64::from(r[5]);
-        a[6] += f64::from(r[6]);
-        a[7] += f64::from(r[7]);
-    }
-    for (a, r) in chunks.into_remainder().iter_mut().zip(rows.remainder()) {
-        *a += f64::from(*r);
-    }
-}
-
-/// `acc[i] -= row[i] as f64` over the common length, 8-lane unrolled.
-#[inline]
-pub fn sub_assign_f32(acc: &mut [f64], row: &[f32]) {
-    debug_assert_eq!(acc.len(), row.len());
-    let len = acc.len().min(row.len());
-    let (acc, row) = (&mut acc[..len], &row[..len]);
-    let mut chunks = acc.chunks_exact_mut(LANES_F32);
-    let mut rows = row.chunks_exact(LANES_F32);
-    for (a, r) in chunks.by_ref().zip(rows.by_ref()) {
-        a[0] -= f64::from(r[0]);
-        a[1] -= f64::from(r[1]);
-        a[2] -= f64::from(r[2]);
-        a[3] -= f64::from(r[3]);
-        a[4] -= f64::from(r[4]);
-        a[5] -= f64::from(r[5]);
-        a[6] -= f64::from(r[6]);
-        a[7] -= f64::from(r[7]);
-    }
-    for (a, r) in chunks.into_remainder().iter_mut().zip(rows.remainder()) {
-        *a -= f64::from(*r);
     }
 }
 
@@ -180,31 +82,6 @@ pub fn lex_min_row_idx(best_d2: &mut [f64], best_s: &mut [usize], drow: &[f64], 
     }
 }
 
-/// Narrows an f64 gain row into an f32 mirror row (nearest-even),
-/// 8-lane unrolled. Used to materialize the [`crate::GainTable`]
-/// structure-of-arrays f32 mirror lazily.
-#[inline]
-pub fn narrow_row(dst: &mut [f32], src: &[f64]) {
-    debug_assert_eq!(dst.len(), src.len());
-    let len = dst.len().min(src.len());
-    let (dst, src) = (&mut dst[..len], &src[..len]);
-    let mut chunks = dst.chunks_exact_mut(LANES_F32);
-    let mut rows = src.chunks_exact(LANES_F32);
-    for (d, s) in chunks.by_ref().zip(rows.by_ref()) {
-        d[0] = s[0] as f32;
-        d[1] = s[1] as f32;
-        d[2] = s[2] as f32;
-        d[3] = s[3] as f32;
-        d[4] = s[4] as f32;
-        d[5] = s[5] as f32;
-        d[6] = s[6] as f32;
-        d[7] = s[7] as f32;
-    }
-    for (d, s) in chunks.into_remainder().iter_mut().zip(rows.remainder()) {
-        *d = *s as f32;
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -217,42 +94,13 @@ mod tests {
 
     #[test]
     fn unrolled_kernels_match_scalar_loop_bit_for_bit_at_every_tail() {
-        // Lane-remainder lengths around both chunk widths plus a long one.
+        // Lane-remainder lengths around the chunk width plus a long one.
         for n in [0, 1, 3, 4, 5, 7, 8, 9, 15, 16, 17, 63, 64, 65, 100] {
             let (acc0, row) = rows(n);
-
             let mut a = acc0.clone();
             add_assign(&mut a, &row);
             let expect: Vec<f64> = acc0.iter().zip(&row).map(|(x, y)| x + y).collect();
             assert_eq!(a, expect, "add_assign n={n}");
-
-            let mut a = acc0.clone();
-            sub_assign(&mut a, &row);
-            let expect: Vec<f64> = acc0.iter().zip(&row).map(|(x, y)| x - y).collect();
-            assert_eq!(a, expect, "sub_assign n={n}");
-
-            let row32: Vec<f32> = row.iter().map(|&g| g as f32).collect();
-            let mut a = acc0.clone();
-            add_assign_f32(&mut a, &row32);
-            let expect: Vec<f64> = acc0
-                .iter()
-                .zip(&row32)
-                .map(|(x, y)| x + f64::from(*y))
-                .collect();
-            assert_eq!(a, expect, "add_assign_f32 n={n}");
-
-            let mut a = acc0.clone();
-            sub_assign_f32(&mut a, &row32);
-            let expect: Vec<f64> = acc0
-                .iter()
-                .zip(&row32)
-                .map(|(x, y)| x - f64::from(*y))
-                .collect();
-            assert_eq!(a, expect, "sub_assign_f32 n={n}");
-
-            let mut narrowed = vec![0.0f32; n];
-            narrow_row(&mut narrowed, &row);
-            assert_eq!(narrowed, row32, "narrow_row n={n}");
         }
     }
 
@@ -322,11 +170,5 @@ mod tests {
             assert_eq!(bd, want_d, "distances n={n}");
             assert_eq!(bs, want_s, "senders n={n}");
         }
-    }
-
-    #[test]
-    fn enabled_is_stable_across_calls() {
-        // Whatever the environment says, the OnceLock must pin it.
-        assert_eq!(enabled(), enabled());
     }
 }

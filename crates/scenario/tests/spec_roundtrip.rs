@@ -143,7 +143,7 @@ proptest! {
         range in 2.0f64..200.0,
         threads in 1usize..9,
         measure_bits in 0u8..4,
-        backend_kind in 0u8..6,
+        backend_kind in 0u8..4,
     ) {
         let stop = match stop_kind {
             0 => StopSpec::Slots(slots),
@@ -159,16 +159,12 @@ proptest! {
             })
             .with_mac(mac)
             .with_backend(
-                // Every backend family — including the f32 fast-path
-                // grammar (`cached:f32`, `hybrid:R:f32`) — must survive
-                // the spec round trip.
+                // Every backend family must survive the spec round trip.
                 match backend_kind {
                     0 => sinr_phys::BackendSpec::exact(),
                     1 => sinr_phys::BackendSpec::grid_far_field(range / 2.0),
                     2 => sinr_phys::BackendSpec::cached(),
-                    3 => sinr_phys::BackendSpec::cached().with_fast32(),
-                    4 => sinr_phys::BackendSpec::hybrid(range / 2.0),
-                    _ => sinr_phys::BackendSpec::hybrid(range / 2.0).with_fast32(),
+                    _ => sinr_phys::BackendSpec::hybrid(range / 2.0),
                 }
                 .with_threads(threads),
             )

@@ -317,22 +317,33 @@ mod tests {
     }
 
     #[test]
-    fn fast32_requests_share_the_dense_entry() {
-        // `cached:f32` consumes the same dense gain table as `cached`
-        // (the f32 mirror is derived lazily from it), so the want-class
-        // — and therefore the cache entry — must be shared, not forked.
+    fn charged_bytes_stay_resident_bytes_after_runs() {
+        // An entry is charged once, at insert, so running through a
+        // resident entry must never grow what it holds: after dense,
+        // hybrid and mobile runs the budget still equals what the
+        // entries actually keep resident.
         if std::env::var("SINR_BACKEND").is_ok() {
             return;
         }
-        let dense = spec(11);
-        let mut fast = spec(11);
-        fast.set("backend", "cached:f32").unwrap();
+        let dense = spec(12);
+        let mut hybrid = spec(13);
+        hybrid.set("backend", "hybrid:8").unwrap();
+        let mut mobile = spec(12);
+        mobile.set("mobility", "drift:0.2:11").unwrap();
         let cache = TableCache::new(u64::MAX);
-        assert!(!cache.get_or_prepare(&dense).unwrap().1);
-        let (pp, hit) = cache.get_or_prepare(&fast).unwrap();
-        assert!(hit, "cached:f32 must adopt the dense entry");
-        assert!(pp.gain_table().is_some());
-        assert_eq!(cache.stats().entries, 1);
+        let mut entries: Vec<Arc<PreparedDeployment>> = Vec::new();
+        for s in [&dense, &hybrid, &mobile] {
+            let (prep, _) = cache.get_or_prepare(s).unwrap();
+            s.build_with_prepared(&prep).unwrap().run().unwrap();
+            if !entries.iter().any(|e| Arc::ptr_eq(e, &prep)) {
+                entries.push(prep);
+            }
+        }
+        let stats = cache.stats();
+        assert_eq!(stats.entries, 2, "the mobile run shares the dense entry");
+        assert_eq!(entries.len(), 2);
+        let resident: usize = entries.iter().map(|e| e.resident_bytes()).sum();
+        assert_eq!(stats.resident_bytes, resident as u64);
     }
 
     #[test]

@@ -986,6 +986,27 @@ mod tests {
     }
 
     #[test]
+    fn retired_backend_component_is_an_error_record_and_serving_continues() {
+        // The `f32` backend component no longer exists: a request naming
+        // it is refused with a structured error naming the component,
+        // and the next request on the connection is served as usual.
+        let retired = SPEC.replace("backend=cached", &format!("backend=cached:{}", "f32"));
+        let input =
+            format!("{{\"id\":1,\"run\":\"{retired}\"}}\n{{\"id\":2,\"run\":\"{SPEC}\"}}\n");
+        let (summary, records) = serve(&input, ServeConfig::default());
+        assert_eq!(summary.errors, 1, "records: {records:?}");
+        assert_eq!(summary.completed, 1);
+        let error = records
+            .iter()
+            .find(|r| r.get("event").and_then(Value::as_str) == Some("error"))
+            .and_then(|r| r.get("error"))
+            .and_then(Value::as_str)
+            .expect("error record emitted");
+        assert!(error.contains("\"f32\""), "{error}");
+        assert_eq!(events(&records, Some(2)), ["accepted", "report", "done"]);
+    }
+
+    #[test]
     fn no_cache_mode_never_caches_but_reports_match() {
         let input = format!("{{\"id\":1,\"run\":\"{SPEC}\"}}\n{{\"id\":2,\"run\":\"{SPEC}\"}}\n");
         let cached = serve(&input, ServeConfig::default());

@@ -221,30 +221,23 @@ proptest! {
         }
     }
 
-    /// Claim 3 at SIMD tail sizes: n straddling the 4-lane f64 and
-    /// 8-lane f32 chunk widths (63/64/65, 127/128/129, ...) exercises
-    /// every remainder path of the unrolled kernels, for both the f64
-    /// and the opt-in f32 fast path. Decisions must equal exact at each.
+    /// Claim 3 at SIMD tail sizes: n straddling the 4-lane chunk width
+    /// and the 64-listener prune blocks (63/64/65, 127/128/129, ...)
+    /// exercises every remainder path of the unrolled kernels. Decisions
+    /// must equal exact at each.
     #[test]
     fn cached_matches_exact_at_lane_remainder_sizes(
         which in 0usize..8,
         seed in 0u64..100,
         range in 6.0f64..24.0,
         stride in 1usize..4,
-        fast32_sel in 0u8..2,
     ) {
         const NS: [usize; 8] = [63, 64, 65, 127, 128, 129, 255, 257];
         let n = NS[which];
-        let fast32 = fast32_sel == 1;
         let side = (n as f64).sqrt() * 2.5;
         if let Ok(pts) = deploy::uniform(n, side, seed) {
             let sinr = SinrParams::builder().range(range).build().unwrap();
-            let spec = if fast32 {
-                BackendSpec::cached().with_fast32()
-            } else {
-                BackendSpec::cached()
-            };
-            let mut cached = spec.build();
+            let mut cached = BackendSpec::cached().build();
             cached.prepare(&sinr, &pts).unwrap();
             let mut got = vec![None; n];
             for step in 0..4usize {
@@ -252,46 +245,8 @@ proptest! {
                     (0..n).skip(step % 2).step_by(stride + step % 3).collect();
                 cached.decide_slot(&sinr, &pts, &senders, &mut got);
                 let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
-                prop_assert_eq!(&got, &want, "n {} slot {} fast32 {}", n, step, fast32);
+                prop_assert_eq!(&got, &want, "n {} slot {}", n, step);
             }
-        }
-    }
-
-    /// Claim 4 for the f32 fast path: the widened drift bound keeps the
-    /// half-width-row kernel byte-identical to exact under the hardest
-    /// combination — incremental mobility repair plus sender churn.
-    #[test]
-    fn fast32_repair_matches_exact_under_movement_and_churn(
-        pts in near_field_points(40, 24),
-        range in 4.0f64..30.0,
-        stride in 1usize..4,
-        movers_per_slot in 1usize..4,
-    ) {
-        let sinr = SinrParams::builder().range(range).build().unwrap();
-        let mut pts = pts;
-        let mut cached = BackendSpec::cached().with_fast32().build();
-        cached.prepare(&sinr, &pts).unwrap();
-        let mut got = vec![None; pts.len()];
-        let mut park = 0usize;
-        for step in 0..6usize {
-            let mut idxs: Vec<usize> = (0..movers_per_slot)
-                .map(|k| (step * movers_per_slot + k) % pts.len())
-                .collect();
-            idxs.sort_unstable();
-            idxs.dedup();
-            let mut moved: Vec<(usize, Point)> = Vec::new();
-            for &m in &idxs {
-                let to = Point::new(200.0 + 2.0 * park as f64, 200.0);
-                park += 1;
-                pts[m] = to;
-                moved.push((m, to));
-            }
-            cached.update_positions(&sinr, &pts, &moved);
-            let senders: Vec<usize> =
-                (0..pts.len()).skip(step % 2).step_by(stride + step % 2).collect();
-            cached.decide_slot(&sinr, &pts, &senders, &mut got);
-            let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
-            prop_assert_eq!(&got, &want, "slot {} (movers {})", step, movers_per_slot);
         }
     }
 
@@ -565,57 +520,89 @@ proptest! {
         };
         let exact = spec(BackendSpec::exact()).run();
         let cached = spec(BackendSpec::cached()).run();
-        let fast = spec(BackendSpec::cached().with_fast32()).run();
-        match (exact, cached, fast) {
-            (Ok(exact), Ok(cached), Ok(fast)) => {
+        match (exact, cached) {
+            (Ok(exact), Ok(cached)) => {
                 let exact_json = report_for(&exact).to_json();
                 let cached_json = report_for(&cached)
                     .to_json()
                     .replace("backend=cached", "backend=exact")
                     .replace("\"backend\":\"cached\"", "\"backend\":\"exact\"");
-                // Longest-name replacement first: `cached:f32` contains
-                // `cached` as a prefix.
-                let fast_json = report_for(&fast)
-                    .to_json()
-                    .replace("backend=cached:f32", "backend=exact")
-                    .replace("\"backend\":\"cached:f32\"", "\"backend\":\"exact\"");
                 prop_assert_eq!(&exact_json, &cached_json);
-                prop_assert_eq!(&exact_json, &fast_json);
             }
             // A run may fail (e.g. a teleport colliding with a walker),
-            // but then every backend must fail identically.
-            (exact, cached, fast) => {
-                prop_assert_eq!(exact.as_ref().err(), cached.as_ref().err());
-                prop_assert_eq!(exact.err(), fast.err());
+            // but then both backends must fail identically.
+            (exact, cached) => {
+                prop_assert_eq!(exact.err(), cached.err());
             }
         }
     }
 }
 
-/// Claim 3 past the serial/parallel crossover: at n ≥ 512 the cached
-/// kernel's chunked sweeps actually spawn threads, and must still be
-/// bit-identical to both its own serial execution and `Exact`. (Kept out
-/// of the proptest loop — the O(n²) gain cache makes per-case costs
-/// non-trivial at this size.)
+/// Claims 3, 4 and 6 past the serial/parallel crossover: at n ≥ 512 the
+/// table kernels' chunked sweeps — the churn sweeps and the leave and
+/// re-enter sweeps of the mobility repair alike — actually spawn
+/// threads, and must be bit-identical to their own serial execution,
+/// with `cached` still equal to `Exact` and `hybrid` never granting what
+/// `Exact` denies. (Kept out of the proptest loop — the O(n²) gain cache
+/// makes per-case costs non-trivial at this size.)
 #[test]
 fn cached_parallel_sweeps_are_bit_identical_past_the_crossover() {
     let n = 600usize;
-    let pts = deploy::uniform(n, 62.0, 3).unwrap();
+    let home = deploy::uniform(n, 62.0, 3).unwrap();
     let sinr = SinrParams::builder().range(16.0).build().unwrap();
-    let mut serial = BackendSpec::cached().build();
-    let mut par = BackendSpec::cached().with_threads(3).build();
-    serial.prepare(&sinr, &pts).unwrap();
-    par.prepare(&sinr, &pts).unwrap();
-    let mut got_serial = vec![None; n];
-    let mut got_par = vec![None; n];
-    let mut exact = BackendSpec::exact().build();
-    let mut want = vec![None; n];
-    for step in 0..4usize {
-        let senders: Vec<usize> = (0..n).skip(step % 2).step_by(2 + step % 2).collect();
-        serial.decide_slot(&sinr, &pts, &senders, &mut got_serial);
-        par.decide_slot(&sinr, &pts, &senders, &mut got_par);
-        exact.decide_slot(&sinr, &pts, &senders, &mut want);
-        assert_eq!(got_serial, want, "serial cached vs exact, slot {step}");
-        assert_eq!(got_par, want, "parallel cached vs exact, slot {step}");
+    for kernel in [BackendSpec::cached(), BackendSpec::hybrid(8.0)] {
+        let mut pts = home.clone();
+        let mut serial = kernel.build();
+        let mut par = kernel.with_threads(3).build();
+        serial.prepare(&sinr, &pts).unwrap();
+        par.prepare(&sinr, &pts).unwrap();
+        let mut got_serial = vec![None; n];
+        let mut got_par = vec![None; n];
+        let mut exact = BackendSpec::exact().build();
+        let mut want = vec![None; n];
+        let mut park = 0usize;
+        for step in 0..6usize {
+            if step > 0 {
+                // A few movers per slot, senders among them, parked on a
+                // distant row so the near-field invariant holds.
+                let mut idxs: Vec<usize> = [7 * step, 7 * step + 1, 97 * step + 2]
+                    .iter()
+                    .map(|m| m % n)
+                    .collect();
+                idxs.sort_unstable();
+                idxs.dedup();
+                let moved: Vec<(usize, Point)> = idxs
+                    .into_iter()
+                    .map(|m| {
+                        let to = Point::new(200.0 + 2.0 * park as f64, 200.0);
+                        park += 1;
+                        pts[m] = to;
+                        (m, to)
+                    })
+                    .collect();
+                serial.update_positions(&sinr, &pts, &moved);
+                par.update_positions(&sinr, &pts, &moved);
+            }
+            let senders: Vec<usize> = (0..n).skip(step % 2).step_by(2 + step % 2).collect();
+            serial.decide_slot(&sinr, &pts, &senders, &mut got_serial);
+            par.decide_slot(&sinr, &pts, &senders, &mut got_par);
+            exact.decide_slot(&sinr, &pts, &senders, &mut want);
+            let name = serial.name();
+            assert_eq!(got_serial, got_par, "{name} serial vs par:3, slot {step}");
+            if kernel.model == InterferenceModel::Cached {
+                assert_eq!(got_serial, want, "serial cached vs exact, slot {step}");
+                assert_eq!(got_par, want, "parallel cached vs exact, slot {step}");
+            } else {
+                for (u, (g, e)) in got_serial.iter().zip(&want).enumerate() {
+                    if let Some(gs) = g {
+                        assert_eq!(
+                            e.as_ref(),
+                            Some(gs),
+                            "slot {step}, listener {u}: hybrid granted {g:?}, exact {e:?}"
+                        );
+                    }
+                }
+            }
+        }
     }
 }
