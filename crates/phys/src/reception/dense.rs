@@ -25,13 +25,18 @@ fn block_min_rows(matrix: &[f64], n: usize) -> Vec<f64> {
     let nb = n.div_ceil(PRUNE_BLOCK);
     let mut bmin = vec![f64::INFINITY; n * nb];
     for (bmins, row) in bmin.chunks_mut(nb.max(1)).zip(matrix.chunks(n.max(1))) {
-        for (bm, chunk) in bmins.iter_mut().zip(row.chunks(PRUNE_BLOCK)) {
-            *bm = chunk
-                .iter()
-                .fold(f64::INFINITY, |m, &v| if v < m { v } else { m });
-        }
+        block_mins(bmins, row);
     }
     bmin
+}
+
+/// One row's minima over [`PRUNE_BLOCK`]-wide column blocks.
+fn block_mins(bmins: &mut [f64], row: &[f64]) {
+    for (bm, chunk) in bmins.iter_mut().zip(row.chunks(PRUNE_BLOCK)) {
+        *bm = chunk
+            .iter()
+            .fold(f64::INFINITY, |m, &v| if v < m { v } else { m });
+    }
 }
 
 /// Bytes a dense [`GainTable`] needs for an `n`-node deployment: two
@@ -175,17 +180,13 @@ impl GainTable {
             }
         };
         let eff = effective_threads(threads.max(1), n);
-        let tasks: Vec<(usize, &mut [f64], &mut [f64])> = if eff <= 1 || n == 0 {
-            vec![(0, gains.as_mut_slice(), d2.as_mut_slice())]
-        } else {
-            let rows = n.div_ceil(eff);
-            gains
-                .chunks_mut(rows * n)
-                .zip(d2.chunks_mut(rows * n))
-                .enumerate()
-                .map(|(k, (grows, drows))| (k * rows, grows, drows))
-                .collect()
-        };
+        let rows = n.div_ceil(eff);
+        let tasks: Vec<(usize, &mut [f64], &mut [f64])> = gains
+            .chunks_mut((rows * n).max(1))
+            .zip(d2.chunks_mut((rows * n).max(1)))
+            .enumerate()
+            .map(|(k, (grows, drows))| (k * rows, grows, drows))
+            .collect();
         chunked_scope(tasks, |(first_row, grows, drows)| {
             fill(first_row, grows, drows)
         });
@@ -297,45 +298,10 @@ impl GainTable {
         }
         // The moved node's own row changed wholesale — recompute its
         // block minima exactly.
-        for (b, bm) in d2_bmin[node * nb..node * nb + nb].iter_mut().enumerate() {
-            let lo = b * PRUNE_BLOCK;
-            let hi = (lo + PRUNE_BLOCK).min(n);
-            *bm = d2[node * n + lo..node * n + hi]
-                .iter()
-                .fold(f64::INFINITY, |m, &v| if v < m { v } else { m });
-        }
-    }
-}
-
-/// Folds sender `s`'s distance row into the nearest-sender selection
-/// for listeners `[base, base + len)`, skipping the sender's *own*
-/// listener slot. A node's zero self-distance would otherwise capture
-/// its entry on every enter — an entry that is never read while the
-/// node transmits (the decide loop skips `sending` listeners) but that
-/// would orphan the node the moment it stops. Excluding self keeps a
-/// departing transmitter's entry valid across the departure, which
-/// turns the per-slot orphan rescan from "every leaver, every slot"
-/// into the rare genuine case of a listener losing its nearest sender.
-#[inline]
-fn lex_min_skip_self(
-    best_d2: &mut [f64],
-    best_s: &mut [usize],
-    drow: &[f64],
-    s: usize,
-    base: usize,
-) {
-    let len = best_d2.len();
-    if s >= base && s < base + len {
-        let k = s - base;
-        simd::lex_min_row(&mut best_d2[..k], &mut best_s[..k], &drow[..k], s);
-        simd::lex_min_row(
-            &mut best_d2[k + 1..],
-            &mut best_s[k + 1..],
-            &drow[k + 1..],
-            s,
+        block_mins(
+            &mut d2_bmin[node * nb..node * nb + nb],
+            &d2[node * n..node * n + n],
         );
-    } else {
-        simd::lex_min_row(best_d2, best_s, drow, s);
     }
 }
 
@@ -356,13 +322,9 @@ fn refresh_range(ls: ListenerState<'_>, cache: &GainTable, senders: &[usize]) {
         simd::add_assign(ls.total, cache.gain_row(s, ls.base, len));
         // Ascending sender order + strict < == the exact backend's
         // first-minimum tie-break, in select lanes instead of branches.
-        lex_min_skip_self(
-            ls.best_d2,
-            ls.best_s,
-            cache.d2_row(s, ls.base, len),
-            s,
-            ls.base,
-        );
+        // The +∞ diagonal never wins, so a sender never becomes its own
+        // nearest sender and its entry stays valid once it stops.
+        simd::lex_min_row(ls.best_d2, ls.best_s, cache.d2_row(s, ls.base, len), s);
     }
     let kf = senders.len() as f64;
     for (e, t) in ls.err.iter_mut().zip(ls.total.iter()) {
@@ -595,10 +557,7 @@ impl RowSource for GainTable {
     }
 
     fn replay_near(&self, senders: Senders<'_>, u: usize) -> (f64, usize) {
-        let mut total = 0.0;
-        for &s in senders.list {
-            total += self.gain(s, u);
-        }
+        let total = senders.list.iter().fold(0.0, |t, &s| t + self.gain(s, u));
         (total, senders.list.len())
     }
 

@@ -1,19 +1,6 @@
-//! The incremental table kernel: one delta-driven skeleton shared by the
-//! dense ([`GainTable`](super::GainTable)) and sparse
-//! ([`HybridTable`](super::HybridTable)) row sources.
-//!
-//! Per slot the skeleton diffs the sorted sender set against the
-//! previous slot, either refreshes every listener from scratch or applies
-//! the arrivals and departures as deltas, and then decides each listener
-//! from its maintained total: outside a guard band derived from the
-//! tracked drift bound the decision provably matches a drift-free
-//! evaluation, inside it the listener's sum is replayed exactly. Node
-//! moves are repaired in place instead of forcing a re-preparation.
-//!
-//! A [`RowSource`] supplies only what differs between the table kinds:
-//! its refresh and delta sweeps, the decoded signal, the exact replay of
-//! one listener, a far-field term with its drift bound (zero for the
-//! dense table), and how the table follows node moves.
+//! The incremental table kernel: one delta-driven skeleton,
+//! [`IncrementalBackend`], shared by the dense and sparse row sources
+//! through the [`RowSource`] trait (see the parent module docs).
 
 use std::cmp::Ordering;
 use std::fmt::Debug;
@@ -234,46 +221,43 @@ pub(super) struct SlotState<F> {
     far: F,
 }
 
-impl<F> SlotState<F> {
+impl<F: Default> SlotState<F> {
     /// Resets the near-field state for a fresh run over `n` nodes (the
     /// row source resets `far`).
     fn reset(&mut self, n: usize) {
-        self.total.clear();
-        self.total.resize(n, 0.0);
-        self.err.clear();
-        self.err.resize(n, 0.0);
-        self.best_d2.clear();
-        self.best_d2.resize(n, f64::INFINITY);
-        self.best_s.clear();
-        self.best_s.resize(n, NO_SENDER);
-        self.sending.clear();
-        self.sending.resize(n, false);
-        self.prev.clear();
-        self.enters.clear();
-        self.leaves.clear();
-        self.ops_since_refresh = 0;
+        *self = SlotState {
+            total: vec![0.0; n],
+            err: vec![0.0; n],
+            best_d2: vec![f64::INFINITY; n],
+            best_s: vec![NO_SENDER; n],
+            sending: vec![false; n],
+            prev: Vec::new(),
+            enters: Vec::new(),
+            leaves: Vec::new(),
+            ops_since_refresh: 0,
+            far: std::mem::take(&mut self.far),
+        };
     }
 }
 
-/// Delta-driven reception kernel over a row source (see the module
-/// docs): [`CachedBackend`](super::CachedBackend) over the dense
+/// Delta-driven reception kernel over a row source:
+/// [`CachedBackend`](super::CachedBackend) over the dense
 /// [`GainTable`](super::GainTable), [`HybridBackend`](super::HybridBackend)
 /// over the sparse [`HybridTable`](super::HybridTable).
 ///
 /// [`prepare`](InterferenceBackend::prepare) builds the table (or adopts
 /// a matching shared one handed in at construction) and resets the
 /// per-run state; each [`decide_slot`](InterferenceBackend::decide_slot)
-/// then diffs the sender set against the previous slot and updates every
-/// listener's total interference and nearest sender incrementally —
-/// O(|Δ| × row length) instead of the exact backend's O(n × senders).
-/// Near-threshold decisions (the only ones float drift could flip) are
-/// detected by a conservative guard band derived from a tracked
-/// per-listener drift bound and resolved by replaying the listener's
-/// sum exactly, and a periodic full refresh keeps the drift bound (and
-/// hence the guard band) tiny. Over the dense table, receptions are
-/// therefore **bit-identical** to [`ExactBackend`](super::ExactBackend);
-/// over the sparse table they equal a drift-free evaluation of the
-/// conservative hybrid model.
+/// then diffs the sender set against the previous slot and either
+/// refreshes every listener or applies the arrivals and departures as
+/// deltas — O(|Δ| × row length) instead of the exact backend's
+/// O(n × senders). Near-threshold decisions (the only ones float drift
+/// could flip) are detected by a conservative guard band derived from a
+/// tracked per-listener drift bound and resolved by replaying the
+/// listener's sum exactly; a periodic full refresh keeps the band tiny.
+/// Over the dense table, receptions are therefore **bit-identical** to
+/// [`ExactBackend`](super::ExactBackend); over the sparse table they
+/// equal a drift-free evaluation of the conservative hybrid model.
 #[derive(Debug)]
 pub struct IncrementalBackend<S: RowSource> {
     threads: usize,
@@ -336,18 +320,20 @@ impl<S: RowSource> IncrementalBackend<S> {
         }
     }
 
-    /// Runs `op` over the per-listener state, chunked across threads
-    /// when the deployment is past the crossover, handing every chunk the
-    /// sender set `list` together with the current sending flags. The
-    /// table travels inside `op`: callers fetch it fallibly once
-    /// (structured [`PhysError::BackendNotPrepared`] on the decide path,
-    /// a benign early return on the repair path), so no "prepared above"
-    /// assertion is left to poison the process.
-    fn sweep_with(
+    /// Brings every listener and the far field up to date with a
+    /// transmitter change: a full `refresh` over `list`, or the arrivals
+    /// `enters` and departures `leaves` (with `list` the set after them).
+    /// The listener sweep is chunked across threads past the crossover;
+    /// every chunk sees `list` together with the current sending flags.
+    /// The table is an explicit argument: callers fetch it fallibly once,
+    /// so no "prepared above" assertion is left to poison the process.
+    fn apply(
+        table: &S,
         threads: usize,
         state: &mut SlotState<S::Far>,
         list: &[usize],
-        op: impl Fn(ListenerState<'_>, Senders<'_>) + Sync,
+        (enters, leaves): (&[usize], &[usize]),
+        refresh: bool,
     ) {
         let SlotState {
             total,
@@ -355,13 +341,23 @@ impl<S: RowSource> IncrementalBackend<S> {
             best_d2,
             best_s,
             sending,
+            far,
             ..
         } = state;
-        let n = total.len();
-        let eff = effective_threads(threads, n);
-        let senders = Senders { list, sending };
-        let tasks = listener_chunks(total, err, best_d2, best_s, n, eff);
-        chunked_scope(tasks, |ls| op(ls, senders));
+        if refresh || !enters.is_empty() || !leaves.is_empty() {
+            let n = total.len();
+            let senders = Senders { list, sending };
+            let eff = effective_threads(threads, n);
+            let tasks = listener_chunks(total, err, best_d2, best_s, n, eff);
+            chunked_scope(tasks, |ls| {
+                if refresh {
+                    table.refresh(ls, senders);
+                } else {
+                    table.delta(ls, senders, enters, leaves);
+                }
+            });
+        }
+        table.far_update(far, enters, leaves, refresh, threads);
     }
 }
 
@@ -461,61 +457,48 @@ impl<S: RowSource> InterferenceBackend for IncrementalBackend<S> {
 
         let IncrementalBackend {
             threads,
-            table,
+            table: Some(arc),
             state,
             ..
-        } = self;
+        } = self
+        else {
+            return;
+        };
         let threads = *threads;
         let moved_senders: Vec<usize> = moved
             .iter()
             .map(|&(i, _)| i)
             .filter(|&i| state.sending[i])
             .collect();
-        if !moved_senders.is_empty() {
-            // Departure at the old gains; orphaned listeners (their
-            // nearest sender moved) rescan over the unmoved senders,
-            // whose table entries are still valid.
-            for &s in &moved_senders {
-                state.sending[s] = false;
-            }
-            let remaining: Vec<usize> = state
-                .prev
-                .iter()
-                .copied()
-                .filter(|i| moved_senders.binary_search(i).is_err())
-                .collect();
-            let Some(old) = table.as_deref() else {
-                return;
-            };
-            Self::sweep_with(threads, state, &remaining, |ls, senders| {
-                old.delta(ls, senders, &[], &moved_senders)
-            });
-            old.far_update(&mut state.far, &[], &moved_senders, false, threads);
+        // Departure at the old gains; orphaned listeners (their nearest
+        // sender moved) rescan over the unmoved senders, whose table
+        // entries are still valid.
+        for &s in &moved_senders {
+            state.sending[s] = false;
         }
+        let remaining: Vec<usize> = state
+            .prev
+            .iter()
+            .copied()
+            .filter(|i| moved_senders.binary_search(i).is_err())
+            .collect();
+        let leave = (&[][..], &moved_senders[..]);
+        Self::apply(arc, threads, state, &remaining, leave, false);
 
         // Copy-on-write: a shared table is forked here, a private one is
         // patched in place.
-        let Some(arc) = table.as_mut() else {
-            return;
-        };
         Arc::make_mut(arc).move_nodes(&mut state.far, moved);
-        let Some(table) = table.as_deref() else {
-            return;
-        };
+        let table: &S = arc;
 
-        let prev = std::mem::take(&mut state.prev);
-        if !moved_senders.is_empty() {
-            // Re-entry at the new gains; the enter path also lets each
-            // moved sender re-compete for nearest sender with the exact
-            // backend's (distance, index) tie-break.
-            for &s in &moved_senders {
-                state.sending[s] = true;
-            }
-            Self::sweep_with(threads, state, &prev, |ls, senders| {
-                table.delta(ls, senders, &moved_senders, &[])
-            });
-            table.far_update(&mut state.far, &moved_senders, &[], false, threads);
+        // Re-entry at the new gains; the enter path also lets each moved
+        // sender re-compete for nearest sender with the exact backend's
+        // (distance, index) tie-break.
+        for &s in &moved_senders {
+            state.sending[s] = true;
         }
+        let prev = std::mem::take(&mut state.prev);
+        let enter = (&moved_senders[..], &[][..]);
+        Self::apply(table, threads, state, &prev, enter, false);
         for &(m, _) in moved {
             let ls = ListenerState {
                 base: m,
@@ -605,13 +588,8 @@ impl<S: RowSource> InterferenceBackend for IncrementalBackend<S> {
         let refresh = delta >= senders.len().max(1) || state.ops_since_refresh >= interval;
         if refresh {
             state.ops_since_refresh = 0;
-            Self::sweep_with(threads, state, senders, |ls, s| table.refresh(ls, s));
-        } else if delta > 0 {
-            Self::sweep_with(threads, state, senders, |ls, s| {
-                table.delta(ls, s, &enters, &leaves)
-            });
         }
-        table.far_update(&mut state.far, &enters, &leaves, refresh, threads);
+        Self::apply(table, threads, state, senders, (&enters, &leaves), refresh);
         state.enters = enters;
         state.leaves = leaves;
         state.prev.clear();

@@ -492,13 +492,7 @@ impl HybridTable {
         for link in &row {
             let nrow = &mut self.rows[link.node as usize];
             if let Err(i) = nrow.binary_search_by_key(&mu, |l| l.node) {
-                nrow.insert(
-                    i,
-                    NearLink {
-                        node: mu,
-                        gain: link.gain,
-                    },
-                );
+                nrow.insert(i, NearLink { node: mu, ..*link });
             }
         }
         self.rows[m] = row;
@@ -719,13 +713,12 @@ impl RowSource for HybridTable {
 
     fn reset_far(&self, far: &mut FarField) {
         let cells = self.cells.len();
-        far.count.clear();
-        far.count.resize(cells, 0);
-        far.sum.clear();
-        far.sum.resize(cells, 0.0);
-        far.err.clear();
-        far.err.resize(cells, 0.0);
-        far.delta.clear();
+        *far = FarField {
+            count: vec![0; cells],
+            sum: vec![0.0; cells],
+            err: vec![0.0; cells],
+            delta: Vec::new(),
+        };
     }
 
     fn far_ready(&self, far: &FarField) -> bool {
@@ -832,12 +825,11 @@ impl HybridBackend {
     ///
     /// Panics if `threads` is zero or `cutoff` is invalid.
     pub fn with_threads(cutoff: f64, threads: usize) -> Self {
-        let backend = IncrementalBackend::with_key(cutoff, threads);
         assert!(
             cutoff.is_finite() && cutoff >= 0.0,
             "hybrid cutoff must be finite and non-negative, got {cutoff}"
         );
-        backend
+        IncrementalBackend::with_key(cutoff, threads)
     }
 
     /// A hybrid kernel around an already-built shared sparse table:

@@ -201,12 +201,9 @@ fn cached_is_exact_on_symmetric_ties() {
     let pos = sinr_geom::deploy::lattice(6, 6, 2.0).unwrap();
     let mut cached = BackendSpec::cached().build();
     cached.prepare(&p, &pos).unwrap();
-    let mut got = vec![None; pos.len()];
     for step in 0..6usize {
         let senders: Vec<usize> = (0..36).skip(step % 3).step_by(2 + step % 2).collect();
-        cached.decide_slot(&p, &pos, &senders, &mut got);
-        let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-        assert_eq!(got, want, "slot {step}");
+        assert_matches_exact(&p, cached.as_mut(), &pos, &senders, &format!("slot {step}"));
     }
 }
 
@@ -219,10 +216,7 @@ fn cached_reprepares_on_deployment_change() {
     for seed in [3u64, 4, 5] {
         let pos = sinr_geom::deploy::uniform(30, 40.0, seed).unwrap();
         let senders: Vec<usize> = (0..30).step_by(3).collect();
-        let mut got = vec![None; pos.len()];
-        cached.decide_slot(&p, &pos, &senders, &mut got);
-        let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-        assert_eq!(got, want, "seed {seed}");
+        assert_matches_exact(&p, cached.as_mut(), &pos, &senders, &format!("seed {seed}"));
     }
 }
 
@@ -422,17 +416,17 @@ fn mismatched_output_slice_panics() {
     ExactBackend::new().decide_slot(&p, &pos, &[0], &mut out);
 }
 
-/// Asserts the cached backend's decisions equal fresh exact
-/// computation for the given positions/senders, returning both.
-fn assert_cached_matches_exact(
+/// Asserts a backend's decisions equal fresh exact computation for the
+/// given positions/senders.
+fn assert_matches_exact(
     p: &SinrParams,
-    cached: &mut CachedBackend,
+    backend: &mut dyn InterferenceBackend,
     pos: &[Point],
     senders: &[usize],
     label: &str,
 ) {
     let mut got = vec![None; pos.len()];
-    cached.decide_slot(p, pos, senders, &mut got);
+    backend.decide_slot(p, pos, senders, &mut got);
     let want = decide_receptions(p, pos, senders, InterferenceModel::Exact);
     assert_eq!(got, want, "{label}");
 }
@@ -465,7 +459,7 @@ fn update_positions_repairs_instead_of_rebuilding() {
     let mut cached = CachedBackend::new();
     cached.prepare(&p, &pos).unwrap();
     let senders: Vec<usize> = (0..40).step_by(3).collect();
-    assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "before any move");
+    assert_matches_exact(&p, &mut cached, &pos, &senders, "before any move");
     for step in 0..30usize {
         // Rotate a mover through senders and listeners alike; the
         // parking row sits clear of the deployment and spaces its
@@ -474,7 +468,7 @@ fn update_positions_repairs_instead_of_rebuilding() {
         let to = Point::new(70.0 + 2.0 * step as f64, 70.0);
         pos[m] = to;
         cached.update_positions(&p, &pos, &[(m, to)]);
-        assert_cached_matches_exact(&p, &mut cached, &pos, &senders, &format!("move {step}"));
+        assert_matches_exact(&p, &mut cached, &pos, &senders, &format!("move {step}"));
     }
 }
 
@@ -500,7 +494,7 @@ fn update_positions_handles_moved_best_sender() {
     let senders = vec![1, 2, 3];
     let mut cached = CachedBackend::new();
     cached.prepare(&p, &pos).unwrap();
-    assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "initial");
+    assert_matches_exact(&p, &mut cached, &pos, &senders, "initial");
     for step in 1..=12 {
         // The walker drifts away on an offset row, staying a unit
         // clear of the in-line senders it passes.
@@ -508,7 +502,7 @@ fn update_positions_handles_moved_best_sender() {
         cached.update_positions(&p, &pos, &[(1, pos[1])]);
         // The rebuild path would have cleared the previous sender set.
         assert_eq!(cached.state.prev, senders, "step {step} rebuilt");
-        assert_cached_matches_exact(&p, &mut cached, &pos, &senders, &format!("step {step}"));
+        assert_matches_exact(&p, &mut cached, &pos, &senders, &format!("step {step}"));
     }
 }
 
@@ -533,7 +527,7 @@ fn teleporting_across_the_threshold_never_leaves_a_stale_total() {
     let senders = vec![1, 2];
     let mut cached = CachedBackend::new();
     cached.prepare(&p, &pos).unwrap();
-    assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "initial");
+    assert_matches_exact(&p, &mut cached, &pos, &senders, "initial");
     let total_ops = REFRESH_OPS * 3 + 17;
     for step in 0..total_ops {
         let to = if step % 2 == 0 { near } else { far };
@@ -541,7 +535,7 @@ fn teleporting_across_the_threshold_never_leaves_a_stale_total() {
         cached.update_positions(&p, &pos, &[(2, to)]);
         // The rebuild path would have cleared the previous sender set.
         assert_eq!(cached.state.prev, senders, "teleport {step} rebuilt");
-        assert_cached_matches_exact(&p, &mut cached, &pos, &senders, &format!("teleport {step}"));
+        assert_matches_exact(&p, &mut cached, &pos, &senders, &format!("teleport {step}"));
         // Drift-bound bookkeeping: the maintained total must sit
         // within the tracked error of the exact ordered sum.
         let cache = cached.table().unwrap();
@@ -573,7 +567,7 @@ fn update_positions_mass_move_takes_the_rebuild_path() {
     let mut cached = CachedBackend::new();
     cached.prepare(&p, &pos).unwrap();
     let senders: Vec<usize> = (0..24).step_by(2).collect();
-    assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "before");
+    assert_matches_exact(&p, &mut cached, &pos, &senders, "before");
     let moved: Vec<(usize, Point)> = (0..12)
         .map(|i| {
             let to = Point::new(pos[i].x + 40.0, pos[i].y);
@@ -583,7 +577,7 @@ fn update_positions_mass_move_takes_the_rebuild_path() {
         .collect();
     cached.update_positions(&p, &pos, &moved);
     assert!(cached.table().unwrap().matches(&p, &pos));
-    assert_cached_matches_exact(&p, &mut cached, &pos, &senders, "after mass move");
+    assert_matches_exact(&p, &mut cached, &pos, &senders, "after mass move");
 }
 
 #[test]
@@ -594,7 +588,7 @@ fn update_positions_before_prepare_is_a_safe_noop() {
     // No cache yet: the hook must not panic, and the first
     // decide_slot prepares lazily.
     cached.update_positions(&p, &pos, &[(0, pos[0])]);
-    assert_cached_matches_exact(&p, &mut cached, &pos, &[0, 3], "lazy prepare");
+    assert_matches_exact(&p, &mut cached, &pos, &[0, 3], "lazy prepare");
 }
 
 #[test]
@@ -634,7 +628,7 @@ fn shared_table_is_adopted_without_a_rebuild() {
     // rebuild it.
     assert!(Arc::ptr_eq(&backend.shared_table().unwrap(), &table));
     let senders: Vec<usize> = (0..20).step_by(2).collect();
-    assert_cached_matches_exact(&p, &mut backend, &pos, &senders, "shared table");
+    assert_matches_exact(&p, &mut backend, &pos, &senders, "shared table");
     assert!(Arc::ptr_eq(&backend.shared_table().unwrap(), &table));
 }
 
@@ -648,7 +642,7 @@ fn shared_table_works_without_an_explicit_prepare() {
     let table = Arc::new(GainTable::build(&p, &pos, 1));
     let mut backend = CachedBackend::with_shared_table(Arc::clone(&table), 1);
     let senders: Vec<usize> = (0..16).step_by(3).collect();
-    assert_cached_matches_exact(&p, &mut backend, &pos, &senders, "lazy shared");
+    assert_matches_exact(&p, &mut backend, &pos, &senders, "lazy shared");
     assert!(Arc::ptr_eq(&backend.shared_table().unwrap(), &table));
 }
 
@@ -660,7 +654,7 @@ fn mismatched_shared_table_is_rebuilt_not_trusted() {
     let table = Arc::new(GainTable::build(&p, &other, 1));
     let mut backend = CachedBackend::with_shared_table(Arc::clone(&table), 1);
     let senders: Vec<usize> = (0..12).step_by(2).collect();
-    assert_cached_matches_exact(&p, &mut backend, &pos, &senders, "mismatched table");
+    assert_matches_exact(&p, &mut backend, &pos, &senders, "mismatched table");
     assert!(
         !Arc::ptr_eq(&backend.shared_table().unwrap(), &table),
         "a non-matching table must be replaced"
@@ -682,8 +676,8 @@ fn movement_forks_a_shared_table_copy_on_write() {
     mover.prepare(&p, &home).unwrap();
     bystander.prepare(&p, &home).unwrap();
     let senders: Vec<usize> = (0..24).step_by(2).collect();
-    assert_cached_matches_exact(&p, &mut mover, &home, &senders, "mover before");
-    assert_cached_matches_exact(&p, &mut bystander, &home, &senders, "bystander before");
+    assert_matches_exact(&p, &mut mover, &home, &senders, "mover before");
+    assert_matches_exact(&p, &mut bystander, &home, &senders, "bystander before");
 
     let mut moved_pos = home.clone();
     moved_pos[5] = Point::new(80.0, 80.0);
@@ -696,8 +690,8 @@ fn movement_forks_a_shared_table_copy_on_write() {
         Arc::ptr_eq(&bystander.shared_table().unwrap(), &table),
         "the bystander's table must be untouched"
     );
-    assert_cached_matches_exact(&p, &mut mover, &moved_pos, &senders, "mover after");
-    assert_cached_matches_exact(&p, &mut bystander, &home, &senders, "bystander after");
+    assert_matches_exact(&p, &mut mover, &moved_pos, &senders, "mover after");
+    assert_matches_exact(&p, &mut bystander, &home, &senders, "bystander after");
     // And the original table still holds the unmoved geometry.
     assert!(table.matches(&p, &home));
 }
@@ -716,7 +710,7 @@ fn update_positions_composes_with_sender_churn() {
         pos[m] = to;
         cached.update_positions(&p, &pos, &[(m, to)]);
         let senders: Vec<usize> = (0..36).skip(step % 3).step_by(2 + step % 2).collect();
-        assert_cached_matches_exact(&p, &mut cached, &pos, &senders, &format!("slot {step}"));
+        assert_matches_exact(&p, &mut cached, &pos, &senders, &format!("slot {step}"));
     }
 }
 
@@ -776,10 +770,7 @@ fn hybrid_with_generous_cutoff_matches_exact() {
     let mut hybrid = HybridBackend::new(64.0);
     for step in 0..10usize {
         let senders: Vec<usize> = (step % 3..40).step_by(2).collect();
-        let mut got = vec![None; pos.len()];
-        hybrid.decide_slot(&p, &pos, &senders, &mut got);
-        let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-        assert_eq!(got, want, "slot {step}");
+        assert_matches_exact(&p, &mut hybrid, &pos, &senders, &format!("slot {step}"));
     }
 }
 
@@ -983,10 +974,7 @@ fn build_with_tables_routes_by_model() {
         .build_with_tables(Some(&tables));
     backend.prepare(&p, &pos).unwrap();
     let senders: Vec<usize> = (0..10).step_by(2).collect();
-    let mut got = vec![None; pos.len()];
-    backend.decide_slot(&p, &pos, &senders, &mut got);
-    let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-    assert_eq!(got, want);
+    assert_matches_exact(&p, backend.as_mut(), &pos, &senders, "adopted dense table");
     // The matching() filter drops a mismatched member instead of
     // letting a backend adopt stale gains.
     let other = sinr_geom::deploy::uniform(10, 16.0, 5).unwrap();
