@@ -520,15 +520,15 @@ pub trait InterferenceBackend: Send {
     /// `moved` lists the changed nodes as `(index, new position)` pairs —
     /// ascending indices, each node at most once. Stateless backends
     /// (exact, grid, their parallel wrappers) read positions fresh every
-    /// slot, so the default is a no-op. The cached kernel overrides this
-    /// to repair only the touched gain rows/columns and the affected
-    /// incremental interference totals — O(movers × n) instead of the
-    /// O(n²) re-`prepare` the position change would otherwise force on
-    /// the next slot.
+    /// slot, so the default is a no-op. The table kernels override this
+    /// to repair only the touched table rows and the affected
+    /// incremental interference totals — O(movers × row length) instead
+    /// of the full re-`prepare` the position change would otherwise
+    /// force on the next slot.
     ///
     /// Calling [`decide_slot`](InterferenceBackend::decide_slot) after a
     /// position change *without* this hook stays correct for every
-    /// backend (the cached kernel detects the mismatch and re-prepares
+    /// backend (the table kernels detect the mismatch and re-prepare
     /// lazily); the hook is purely the fast path.
     fn update_positions(
         &mut self,
