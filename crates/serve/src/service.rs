@@ -987,10 +987,11 @@ mod tests {
 
     #[test]
     fn retired_backend_component_is_an_error_record_and_serving_continues() {
-        // The `f32` backend component no longer exists: a request naming
-        // it is refused with a structured error naming the component,
-        // and the next request on the connection is served as usual.
-        let retired = SPEC.replace("backend=cached", &format!("backend=cached:{}", "f32"));
+        // A request naming the retired `f32` backend component is refused
+        // with a structured error naming the component, and the next
+        // request on the connection is served as usual.
+        let component = "f32";
+        let retired = SPEC.replace("backend=cached", &format!("backend=cached:{component}"));
         let input =
             format!("{{\"id\":1,\"run\":\"{retired}\"}}\n{{\"id\":2,\"run\":\"{SPEC}\"}}\n");
         let (summary, records) = serve(&input, ServeConfig::default());
