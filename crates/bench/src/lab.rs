@@ -15,8 +15,9 @@ use std::time::Instant;
 use sinr_mac::MacParams;
 use sinr_phys::SinrParams;
 use sinr_scenario::{
-    merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec, Report, ScenarioSet,
-    ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec, WorkloadSpec,
+    json, merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec, Report,
+    ScenarioSet, ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec,
+    WorkloadSpec,
 };
 
 use crate::common::Table;
@@ -659,38 +660,32 @@ fn measure_sharded(cells: usize, threads: usize) -> Result<ShardedRow, String> {
     })
 }
 
-/// Shallow validation of the emitted `BENCH_scenario.json`: expected
-/// shape, one prepare-heavy row per size, strictly positive speedups.
+/// Validation of the emitted `BENCH_scenario.json`: expected shape, one
+/// prepare-heavy row per size, strictly positive speedups.
 ///
 /// # Panics
 ///
 /// Panics with a description when the file does not meet the contract —
 /// CI fails loudly instead of committing a rotten BENCH file.
-fn validate_scenario_json(json: &str, prepare_heavy_rows: usize) {
-    assert!(
-        json.trim_start().starts_with('{') && json.trim_end().ends_with('}'),
-        "BENCH_scenario json is not an object"
-    );
-    for key in [
-        "\"bench\":\"scenario_sweep\"",
-        "\"throughput\":",
-        "\"scenarios_per_sec\":",
-        "\"prepare_heavy\":",
-        "\"threads\":",
-        "\"sharded\":",
-        "\"merged_identical\":true",
-        "\"resume\":",
-        "\"reexecuted\":0",
-    ] {
-        assert!(json.contains(key), "BENCH_scenario json is missing {key}");
+fn validate_scenario_json(text: &str, prepare_heavy_rows: usize) {
+    let doc =
+        json::parse(text).unwrap_or_else(|e| panic!("BENCH_scenario json does not parse: {e}"));
+    let at = |path: &[&str]| {
+        path.iter()
+            .try_fold(&doc, |v, key| v.get(key))
+            .unwrap_or_else(|| panic!("BENCH_scenario json is missing {}", path.join(".")))
+    };
+    assert_eq!(at(&["bench"]).as_str(), Some("scenario_sweep"));
+    for path in [&["threads"][..], &["throughput", "scenarios_per_sec"]] {
+        assert!(at(path).as_f64().is_some(), "{path:?} is not a number");
     }
-    let speedups: Vec<f64> = json
-        .match_indices("\"shared_speedup\":")
-        .map(|(i, k)| {
-            let rest = &json[i + k.len()..];
-            let end = rest.find([',', '}']).expect("number terminator");
-            rest[..end].trim().parse().expect("speedup is a number")
-        })
+    assert_eq!(at(&["sharded", "merged_identical"]).as_bool(), Some(true));
+    assert_eq!(at(&["resume", "reexecuted"]).as_u64(), Some(0));
+    let speedups: Vec<Option<f64>> = at(&["prepare_heavy"])
+        .as_arr()
+        .unwrap_or_default()
+        .iter()
+        .map(|row| row.get("shared_speedup").and_then(Json::as_f64))
         .collect();
     assert_eq!(
         speedups.len(),
@@ -698,7 +693,7 @@ fn validate_scenario_json(json: &str, prepare_heavy_rows: usize) {
         "expected one prepare-heavy row per size"
     );
     assert!(
-        speedups.iter().all(|s| *s > 0.0),
+        speedups.iter().all(|s| s.is_some_and(|s| s > 0.0)),
         "speedups must be positive: {speedups:?}"
     );
 }
@@ -1459,5 +1454,22 @@ mod tests {
         let run = spec.run().unwrap();
         let json = report_for(&run).to_json();
         assert!(json.contains("\"name\":\"smoke-sinr\""));
+    }
+
+    #[test]
+    fn every_preset_report_re_renders_byte_identically() {
+        // Shard resume and merge accept a record only if parsing and
+        // re-rendering it gives back its bytes; every preset's report
+        // must pass that check.
+        for p in presets() {
+            let report = report_for(&(p.spec)().run().unwrap()).to_json();
+            let parsed = json::parse(&report).unwrap_or_else(|e| panic!("{}: {e}", p.name));
+            assert_eq!(parsed.to_string(), report, "{}", p.name);
+        }
+    }
+
+    #[test]
+    fn validator_accepts_the_committed_bench_file() {
+        validate_scenario_json(include_str!("../../../BENCH_scenario.json"), 4);
     }
 }

@@ -48,12 +48,12 @@
 //! output path defaults to `BENCH_reception.json` in the current
 //! directory.
 
-use std::fmt::Write as _;
 use std::time::Instant;
 
 use crate::common::Table;
 use sinr_geom::{deploy, Point};
 use sinr_phys::{dense_table_bytes, max_table_bytes, BackendSpec, GainTable, SinrParams};
+use sinr_scenario::json::{self, Json};
 
 /// Slots in one churn cycle (and distinct transmitter sets).
 const CYCLE: usize = 16;
@@ -301,8 +301,8 @@ fn check_mobility_exactness(sinr: &SinrParams, home: &[Point], senders: &[usize]
     }
 }
 
-/// Shallow validation of the emitted JSON: it must parse as the expected
-/// flat shape and carry one row per backend per (deployment, n) pair.
+/// Validation of the emitted JSON: it must parse as the expected shape
+/// and carry one row per backend per (deployment, n) pair.
 ///
 /// # Panics
 ///
@@ -310,61 +310,81 @@ fn check_mobility_exactness(sinr: &SinrParams, home: &[Point], senders: &[usize]
 /// the whole point is that CI fails loudly instead of committing a
 /// rotten BENCH file.
 fn validate_json(
-    json: &str,
+    text: &str,
     backends: &[String],
     configurations: usize,
     mobility_rows: usize,
     large_rows: usize,
 ) {
-    assert!(
-        json.trim_start().starts_with('{') && json.trim_end().ends_with('}'),
-        "BENCH json is not an object"
-    );
+    let doc = json::parse(text).unwrap_or_else(|e| panic!("BENCH json does not parse: {e}"));
+    let rows = |key: &str| {
+        doc.get(key)
+            .and_then(Json::as_arr)
+            .unwrap_or_else(|| panic!("BENCH json is missing the {key} array"))
+    };
+    let all_numbers = |rows: &[Json], key: &str| {
+        rows.iter()
+            .all(|r| r.get(key).and_then(Json::as_f64).is_some())
+    };
+    assert_eq!(doc.get("bench").and_then(Json::as_str), Some("reception"));
     assert_eq!(
-        json.matches("\"repair_speedup\":").count(),
-        mobility_rows,
-        "expected one moving-uniform row per size"
-    );
-    assert_eq!(
-        json.matches("\"kernel\":").count(),
-        large_rows,
-        "expected {large_rows} city-scale rows"
+        doc.get("unit").and_then(Json::as_str),
+        Some("slots_per_sec")
     );
     assert!(
-        json.contains("\"dense_table_cap\":"),
+        doc.get("dense_table_cap").and_then(Json::as_f64).is_some(),
         "BENCH json is missing the dense-table cap"
     );
-    let rows = json.matches("\"backend\":").count();
+    let mobility = rows("mobility_samples");
+    assert!(
+        mobility.len() == mobility_rows && all_numbers(mobility, "repair_speedup"),
+        "expected one moving-uniform row per size"
+    );
+    let large = rows("large_samples");
+    assert!(
+        large.len() == large_rows
+            && large
+                .iter()
+                .all(|r| r.get("kernel").and_then(Json::as_str).is_some()),
+        "expected {large_rows} city-scale rows"
+    );
+    let samples = rows("samples");
     assert_eq!(
-        rows,
+        samples.len(),
         backends.len() * configurations,
-        "expected {} rows ({} backends x {} configurations), found {}",
+        "expected {} rows ({} backends x {} configurations)",
         backends.len() * configurations,
         backends.len(),
         configurations,
-        rows
     );
     for b in backends {
-        let needle = format!("\"backend\": \"{b}\"");
+        let count = samples
+            .iter()
+            .filter(|r| r.get("backend").and_then(Json::as_str) == Some(b.as_str()))
+            .count();
         assert_eq!(
-            json.matches(&needle).count(),
-            configurations,
+            count, configurations,
             "backend {b} does not appear once per configuration"
         );
     }
-    assert_eq!(
-        json.matches("\"prepare_ms\":").count(),
-        rows,
-        "every sample row must carry its prepare-vs-slot breakdown"
+    assert!(
+        all_numbers(samples, "slots_per_sec") && all_numbers(samples, "prepare_ms"),
+        "every sample row must carry its rate and prepare-vs-slot breakdown"
     );
-    for key in [
-        "\"bench\":",
-        "\"unit\":",
-        "\"samples\":",
-        "\"slots_per_sec\":",
-    ] {
-        assert!(json.contains(key), "BENCH json is missing {key}");
-    }
+}
+
+/// The `slots_per_sec` a previous BENCH file recorded for one sample row.
+fn prev_rate(prev: &Json, deployment: &str, n: usize, backend: &str) -> Option<f64> {
+    prev.get("samples")?
+        .as_arr()?
+        .iter()
+        .find(|row| {
+            row.get("deployment").and_then(Json::as_str) == Some(deployment)
+                && row.get("n").and_then(Json::as_u64) == Some(n as u64)
+                && row.get("backend").and_then(Json::as_str) == Some(backend)
+        })?
+        .get("slots_per_sec")?
+        .as_f64()
 }
 
 /// Runs the benchmark. `args` may contain `--smoke` (tiny mode: n = 64
@@ -389,15 +409,9 @@ pub fn run(args: &[String]) {
     // Snapshot the previous report (if any) before overwriting it, so
     // the new JSON can record before/after rows for the cached kernel —
     // the artifact carries its own regression history.
-    let prev = std::fs::read_to_string(&out_path).ok();
-    let prev_rate = |deployment: &str, n: usize, backend: &str| -> Option<f64> {
-        let hay = prev.as_deref()?;
-        let needle = format!(
-            "\"deployment\": \"{deployment}\", \"n\": {n}, \"backend\": \"{backend}\", \"slots_per_sec\": "
-        );
-        let at = hay.find(&needle)? + needle.len();
-        hay[at..].split([',', '}']).next()?.trim().parse().ok()
-    };
+    let prev = std::fs::read_to_string(&out_path)
+        .ok()
+        .and_then(|text| json::parse(&text).ok());
 
     let sinr = SinrParams::builder().range(16.0).build().unwrap();
     // At least 2 so the parallel rows exist even on single-core runners
@@ -572,98 +586,102 @@ pub fn run(args: &[String]) {
             rate(10_000, "hybrid").max(rate(10_000, "hybrid+par")) / rate(10_000, "grid").max(1e-9);
     }
 
-    // Hand-rolled JSON: the workspace has no serde and the schema is flat.
-    let mut json = String::from("{\n  \"bench\": \"reception\",\n  \"unit\": \"slots_per_sec\",\n");
-    let _ = writeln!(json, "  \"threads\": {threads},");
-    let _ = writeln!(json, "  \"churn_cycle\": {CYCLE},");
-    let _ = writeln!(json, "  \"movers_div\": {MOVERS_DIV},");
-    json.push_str("  \"samples\": [\n");
-    for (i, s) in samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"deployment\": \"{}\", \"n\": {}, \"backend\": \"{}\", \"slots_per_sec\": {:.1}, \"receptions\": {}, \"prepare_ms\": {:.3}}}",
-            s.deployment, s.n, s.backend, s.slots_per_sec, s.receptions, s.prepare_ms
-        );
-        json.push_str(if i + 1 < samples.len() { ",\n" } else { "\n" });
+    let mut fields = vec![
+        ("bench".into(), Json::str("reception")),
+        ("unit".into(), Json::str("slots_per_sec")),
+        ("threads".into(), Json::int(threads as u64)),
+        ("churn_cycle".into(), Json::int(CYCLE as u64)),
+        ("movers_div".into(), Json::int(MOVERS_DIV as u64)),
+        (
+            "samples".into(),
+            Json::Arr(
+                samples
+                    .iter()
+                    .map(|s| {
+                        Json::Obj(vec![
+                            ("deployment".into(), Json::str(s.deployment)),
+                            ("n".into(), Json::int(s.n as u64)),
+                            ("backend".into(), Json::str(&s.backend)),
+                            ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
+                            ("receptions".into(), Json::int(s.receptions as u64)),
+                            ("prepare_ms".into(), Json::Num(s.prepare_ms)),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "mobility_samples".into(),
+            Json::Arr(
+                mobility_samples
+                    .iter()
+                    .map(|s| {
+                        Json::Obj(vec![
+                            ("deployment".into(), Json::str("moving-uniform")),
+                            ("n".into(), Json::int(s.n as u64)),
+                            ("movers".into(), Json::int(s.movers as u64)),
+                            ("repair_slots_per_sec".into(), Json::Num(s.repair)),
+                            ("reprepare_slots_per_sec".into(), Json::Num(s.reprepare)),
+                            ("exact_slots_per_sec".into(), Json::Num(s.exact)),
+                            ("repair_speedup".into(), Json::Num(s.speedup())),
+                        ])
+                    })
+                    .collect(),
+            ),
+        ),
+        (
+            "large_samples".into(),
+            Json::Arr(
+                large_samples
+                    .iter()
+                    .map(|s| {
+                        let mut row = vec![
+                            ("deployment".into(), Json::str("uniform-large")),
+                            ("n".into(), Json::int(s.n as u64)),
+                            ("kernel".into(), Json::str(&s.kernel)),
+                        ];
+                        if s.kernel.starts_with("hybrid") {
+                            row.push(("cutoff".into(), Json::Num(CITY_CUTOFF)));
+                        }
+                        row.extend([
+                            ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
+                            ("receptions".into(), Json::int(s.receptions as u64)),
+                            (
+                                "dense_table_bytes".into(),
+                                Json::int(dense_table_bytes(s.n)),
+                            ),
+                        ]);
+                        Json::Obj(row)
+                    })
+                    .collect(),
+            ),
+        ),
+    ];
+    let vs_previous: Vec<Json> = samples
+        .iter()
+        .filter(|s| s.backend == "cached")
+        .filter_map(|s| {
+            let p = prev_rate(prev.as_ref()?, s.deployment, s.n, "cached")?;
+            Some(Json::Obj(vec![
+                ("deployment".into(), Json::str(s.deployment)),
+                ("n".into(), Json::int(s.n as u64)),
+                ("prev_slots_per_sec".into(), Json::Num(p)),
+                ("now_slots_per_sec".into(), Json::Num(s.slots_per_sec)),
+                ("speedup".into(), Json::Num(s.slots_per_sec / p.max(1e-9))),
+            ]))
+        })
+        .collect();
+    if !vs_previous.is_empty() {
+        fields.push(("cached_vs_previous".into(), Json::Arr(vs_previous)));
     }
-    json.push_str("  ],\n  \"mobility_samples\": [\n");
-    for (i, s) in mobility_samples.iter().enumerate() {
-        let _ = write!(
-            json,
-            "    {{\"deployment\": \"moving-uniform\", \"n\": {}, \"movers\": {}, \
-             \"repair_slots_per_sec\": {:.1}, \"reprepare_slots_per_sec\": {:.1}, \
-             \"exact_slots_per_sec\": {:.1}, \"repair_speedup\": {:.2}}}",
-            s.n,
-            s.movers,
-            s.repair,
-            s.reprepare,
-            s.exact,
-            s.speedup()
-        );
-        json.push_str(if i + 1 < mobility_samples.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n  \"large_samples\": [\n");
-    for (i, s) in large_samples.iter().enumerate() {
-        let cutoff = if s.kernel.starts_with("hybrid") {
-            format!("\"cutoff\": {CITY_CUTOFF}, ")
-        } else {
-            String::new()
-        };
-        let _ = write!(
-            json,
-            "    {{\"deployment\": \"uniform-large\", \"n\": {}, \"kernel\": \"{}\", \
-             {}\"slots_per_sec\": {:.2}, \"receptions\": {}, \"dense_table_bytes\": {}}}",
-            s.n,
-            s.kernel,
-            cutoff,
-            s.slots_per_sec,
-            s.receptions,
-            dense_table_bytes(s.n)
-        );
-        json.push_str(if i + 1 < large_samples.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    json.push_str("  ],\n");
-    let mut prev_rows = String::new();
-    for s in &samples {
-        if s.backend != "cached" {
-            continue;
-        }
-        if let Some(p) = prev_rate(s.deployment, s.n, "cached") {
-            if !prev_rows.is_empty() {
-                prev_rows.push_str(",\n");
-            }
-            let _ = write!(
-                prev_rows,
-                "    {{\"deployment\": \"{}\", \"n\": {}, \"prev_slots_per_sec\": {:.1}, \"now_slots_per_sec\": {:.1}, \"speedup\": {:.2}}}",
-                s.deployment,
-                s.n,
-                p,
-                s.slots_per_sec,
-                s.slots_per_sec / p.max(1e-9)
-            );
-        }
-    }
-    if !prev_rows.is_empty() {
-        let _ = writeln!(json, "  \"cached_vs_previous\": [");
-        json.push_str(&prev_rows);
-        json.push_str("\n  ],\n");
-    }
-    let _ = write!(json, "  \"dense_table_cap\": {}", max_table_bytes());
+    fields.push(("dense_table_cap".into(), Json::int(max_table_bytes())));
     if !smoke {
-        let _ = write!(
-            json,
-            ",\n  \"hybrid_over_grid_n10000\": {hybrid_over_grid:.2}"
-        );
+        fields.push((
+            "hybrid_over_grid_n10000".into(),
+            Json::Num(hybrid_over_grid),
+        ));
     }
-    json.push_str("\n}\n");
+    let json = format!("{}\n", Json::Obj(fields));
     std::fs::write(&out_path, &json).expect("write BENCH_reception.json");
     let written = std::fs::read_to_string(&out_path).expect("read back BENCH_reception.json");
     validate_json(
@@ -758,5 +776,27 @@ pub fn run(args: &[String]) {
             large_rate(100_000, "hybrid"),
             large_rate(100_000, "hybrid+par"),
         );
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const COMMITTED: &str = include_str!("../../../BENCH_reception.json");
+
+    #[test]
+    fn prev_rate_reads_the_committed_bench_file() {
+        let committed = json::parse(COMMITTED).expect("the committed BENCH file parses");
+        let rate = prev_rate(&committed, "lattice", 1024, "cached");
+        assert!(rate.is_some_and(|r| r > 0.0), "{rate:?}");
+        assert_eq!(prev_rate(&committed, "lattice", 1024, "warp"), None);
+    }
+
+    #[test]
+    fn validator_accepts_the_committed_bench_file() {
+        let backends = ["exact", "grid", "cached", "hybrid", "exact+par", "grid+par"];
+        let backends: Vec<String> = backends.map(String::from).to_vec();
+        validate_json(COMMITTED, &backends, 6, 3, 6);
     }
 }

@@ -9,7 +9,8 @@
 use std::io::Cursor;
 use std::time::Instant;
 
-use sinr_scenario::{pool_threads, Json};
+use sinr_scenario::json::{self, Json};
+use sinr_scenario::pool_threads;
 use sinr_serve::{install_sigterm_drain, ServeConfig, ServeSummary, Service};
 
 /// `sinr-lab serve [--socket PATH] [--once] [--workers N] [--queue N]
@@ -156,47 +157,41 @@ fn run_storm(config: ServeConfig, input: &str) -> Result<(ServeSummary, f64), St
     Ok((summary, secs))
 }
 
-/// Shallow validation of the emitted `BENCH_service.json`: expected
-/// shape, a positive cached-over-cold speedup, byte-identical replays.
+/// Validation of the emitted `BENCH_service.json`: expected shape, a
+/// positive cached-over-cold speedup, byte-identical replays.
 ///
 /// # Panics
 ///
 /// Panics with a description when the file does not meet the contract —
 /// CI fails loudly instead of committing a rotten BENCH file.
-fn validate_service_json(json: &str) {
-    assert!(
-        json.trim_start().starts_with('{') && json.trim_end().ends_with('}'),
-        "BENCH_service json is not an object"
-    );
-    for key in [
-        "\"bench\":\"scenario_service\"",
-        "\"storm\":",
-        "\"cached\":",
-        "\"no_cache\":",
-        "\"cache_speedup\":",
-        "\"hit_rate\":",
-        "\"resident_bytes\":",
-        "\"replay\":",
-        "\"identical\":true",
-        "\"workers\":",
-    ] {
-        assert!(json.contains(key), "BENCH_service json is missing {key}");
-    }
-    let number_after = |key: &str| -> f64 {
-        let i = json.find(key).expect("key present") + key.len();
-        let rest = &json[i..];
-        let end = rest.find([',', '}']).expect("number terminator");
-        rest[..end].trim().parse().expect("field is a number")
+fn validate_service_json(text: &str) {
+    let doc =
+        json::parse(text).unwrap_or_else(|e| panic!("BENCH_service json does not parse: {e}"));
+    let at = |path: &[&str]| {
+        path.iter()
+            .try_fold(&doc, |v, key| v.get(key))
+            .unwrap_or_else(|| panic!("BENCH_service json is missing {}", path.join(".")))
     };
+    assert_eq!(at(&["bench"]).as_str(), Some("scenario_service"));
     assert!(
-        number_after("\"cache_speedup\":") > 0.0,
+        at(&["workers"]).as_u64().is_some(),
+        "workers is not a count"
+    );
+    assert_eq!(at(&["replay", "identical"]).as_bool(), Some(true));
+    assert!(
+        at(&["storm", "cache_speedup"])
+            .as_f64()
+            .is_some_and(|s| s > 0.0),
         "cache speedup must be positive"
     );
-    let hit_rate = number_after("\"hit_rate\":");
-    assert!(
-        (0.0..=1.0).contains(&hit_rate),
-        "hit rate out of range: {hit_rate}"
-    );
+    for leg in ["cached", "no_cache"] {
+        let hit_rate = at(&["storm", leg, "hit_rate"]).as_f64();
+        assert!(
+            hit_rate.is_some_and(|h| (0.0..=1.0).contains(&h)),
+            "{leg} hit rate out of range: {hit_rate:?}"
+        );
+        assert!(at(&["storm", leg, "resident_bytes"]).as_u64().is_some());
+    }
 }
 
 /// Measures the scenario service under a mixed-deployment request storm
@@ -329,6 +324,11 @@ mod tests {
         for n in ["512", "16:32", "23:23"] {
             assert!(input.contains(n));
         }
+    }
+
+    #[test]
+    fn validator_accepts_the_committed_bench_file() {
+        validate_service_json(include_str!("../../../BENCH_service.json"));
     }
 
     #[test]

@@ -43,7 +43,8 @@
 //!
 //! Parameter sweeps batch over a spec grid with [`ScenarioSet`]; the
 //! `sinr-lab` binary (in `sinr-bench`) drives all of this from the
-//! command line.
+//! command line. Reports, shard records and service requests all go
+//! through one JSON codec, [`json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -56,13 +57,15 @@ mod spec;
 mod sweep;
 
 pub mod clients;
+pub mod json;
 
 pub use build::{
     connected_uniform, PreparedDeployment, RunnableScenario, ScenarioCtx, ScenarioMac,
     ScenarioOutcome, ScenarioRun, WorkClient, CONNECTED_SEED_BUDGET,
 };
 pub use error::ScenarioError;
-pub use report::{report_for, Json, Report};
+pub use json::Json;
+pub use report::{report_for, Report};
 pub use shard::{
     manifest_path, merge_shards, output_path, sweep_key, MergedSweep, ReportRecord, ShardOutput,
 };

@@ -1,5 +1,5 @@
-//! Machine-readable run reports: a dependency-free JSON value type and
-//! the standard measurement extraction every run gets for free.
+//! Machine-readable run reports: the standard measurement extraction
+//! every run gets for free, rendered through [`Json`].
 //!
 //! The report computes the paper's empirical quantities from the trace
 //! when one was recorded: acknowledgment latencies (`f_ack`,
@@ -9,114 +9,10 @@
 //! workloads and the realized deployment facts needed to reproduce the
 //! run.
 
-use std::fmt;
-
 use absmac::measure::{self, LatencyStats, ProgressOutcome};
 
 use crate::build::ScenarioRun;
-
-/// A minimal JSON value, sufficient for scenario reports. Serialization
-/// is hand-rolled so the workspace stays free of external dependencies.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Json {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// A finite number (non-finite values serialize as `null`).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Json>),
-    /// An object with ordered keys.
-    Obj(Vec<(String, Json)>),
-}
-
-impl Json {
-    /// A string value.
-    pub fn str(s: impl Into<String>) -> Json {
-        Json::Str(s.into())
-    }
-
-    /// An integer value (exact for |v| < 2⁵³).
-    pub fn int(v: u64) -> Json {
-        Json::Num(v as f64)
-    }
-
-    /// `Some(v) → v as integer, None → null` — the shape of every
-    /// "completed at slot" field.
-    pub fn opt_int(v: Option<u64>) -> Json {
-        v.map_or(Json::Null, Json::int)
-    }
-
-    /// Streams the serialized form into `w` without building an
-    /// intermediate `String` — the scenario service writes values
-    /// straight onto a connection. Byte-identical to
-    /// [`Json::to_string`](ToString::to_string).
-    ///
-    /// # Errors
-    ///
-    /// Any I/O error `w` reports.
-    pub fn write_to(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        write!(w, "{self}")
-    }
-}
-
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            Json::Null => write!(f, "null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::Num(v) if !v.is_finite() => write!(f, "null"),
-            Json::Num(v) if v.fract() == 0.0 && v.abs() < 9.0e15 => write!(f, "{}", *v as i64),
-            Json::Num(v) => write!(f, "{v}"),
-            Json::Str(s) => {
-                let mut buf = String::with_capacity(s.len() + 2);
-                escape_into(&mut buf, s);
-                write!(f, "{buf}")
-            }
-            Json::Arr(items) => {
-                write!(f, "[")?;
-                for (i, item) in items.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    write!(f, "{item}")?;
-                }
-                write!(f, "]")
-            }
-            Json::Obj(fields) => {
-                write!(f, "{{")?;
-                for (i, (k, v)) in fields.iter().enumerate() {
-                    if i > 0 {
-                        write!(f, ",")?;
-                    }
-                    let mut key = String::with_capacity(k.len() + 2);
-                    escape_into(&mut key, k);
-                    write!(f, "{key}:{v}")?;
-                }
-                write!(f, "}}")
-            }
-        }
-    }
-}
+use crate::json::Json;
 
 /// A finished run rendered as structured data, ready for `to_json`.
 #[derive(Debug, Clone, PartialEq)]
@@ -155,7 +51,7 @@ impl Report {
     ///
     /// Any I/O error `w` reports.
     pub fn write_json(&self, w: &mut dyn std::io::Write) -> std::io::Result<()> {
-        self.to_json_value().write_to(w)
+        write!(w, "{}", self.to_json_value())
     }
 
     /// Looks up a metric by name.
@@ -276,23 +172,6 @@ mod tests {
     use super::*;
     use crate::spec::{DeploymentSpec, MacSpec, ScenarioSpec, SourceSet, StopSpec, WorkloadSpec};
     use sinr_geom::DeploySpec;
-
-    #[test]
-    fn json_serializes_all_shapes() {
-        let v = Json::Obj(vec![
-            ("s".into(), Json::str("a\"b\\c\nd")),
-            ("n".into(), Json::Num(1.5)),
-            ("i".into(), Json::int(42)),
-            ("inf".into(), Json::Num(f64::INFINITY)),
-            ("none".into(), Json::Null),
-            ("flag".into(), Json::Bool(true)),
-            ("arr".into(), Json::Arr(vec![Json::int(1), Json::int(2)])),
-        ]);
-        assert_eq!(
-            v.to_string(),
-            r#"{"s":"a\"b\\c\nd","n":1.5,"i":42,"inf":null,"none":null,"flag":true,"arr":[1,2]}"#
-        );
-    }
 
     #[test]
     fn report_for_a_tiny_run_has_standard_metrics() {

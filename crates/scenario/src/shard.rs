@@ -27,10 +27,10 @@
 //! byte-identical (see `tests/sweep_equivalence.rs`), so toggling it
 //! may not invalidate completed work.
 //!
-//! Records are parsed by an exact-grammar cursor (this crate has no
-//! JSON parser and takes no dependencies): the writer and parser live
-//! side by side here and are round-trip tested, and anything the writer
-//! could not have produced is treated as corruption.
+//! Records are read back with the crate's JSON parser ([`crate::json`])
+//! and then re-rendered: a line counts only if the writer reproduces it
+//! byte for byte, so anything the writer could not have produced (other
+//! key order, whitespace, escapes or number spellings) is corruption.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::fmt::Write as _;
@@ -39,7 +39,8 @@ use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
 use std::sync::{Mutex, PoisonError};
 
-use crate::report::{Json, Report};
+use crate::json::{self, Json};
+use crate::report::Report;
 use crate::spec::ScenarioSpec;
 use crate::sweep::{unescape_cell_name, Shard};
 use crate::{ScenarioError, ScenarioSet};
@@ -143,131 +144,59 @@ struct ParsedRecord {
     cell: usize,
     name: String,
     shard: usize,
-    /// The raw report object, byte-identical to what was written.
+    /// The report object, byte-identical to what was written.
     report: String,
 }
 
-/// Exact-grammar parser over one line: the inverse of this module's
-/// writers, and nothing more. Any deviation is corruption.
-struct Cursor<'a> {
-    s: &'a str,
-    pos: usize,
+impl ParsedRecord {
+    fn render(&self) -> String {
+        ReportRecord {
+            id: None,
+            cell: self.cell,
+            name: &self.name,
+            cached: None,
+            shard: Some(self.shard),
+            report: &self.report,
+        }
+        .render()
+    }
 }
 
-impl<'a> Cursor<'a> {
-    fn new(s: &'a str) -> Cursor<'a> {
-        Cursor { s, pos: 0 }
-    }
+/// A non-negative integer member of a parsed record.
+fn usize_field(v: &Json, key: &str) -> Option<usize> {
+    v.get(key).and_then(Json::as_u64).map(|x| x as usize)
+}
 
-    fn lit(&mut self, lit: &str) -> Result<(), String> {
-        if self.s[self.pos..].starts_with(lit) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(format!("expected {lit:?} at byte {}", self.pos))
-        }
-    }
-
-    fn integer(&mut self) -> Result<u64, String> {
-        let digits = self.s[self.pos..]
-            .bytes()
-            .take_while(u8::is_ascii_digit)
-            .count();
-        if digits == 0 {
-            return Err(format!("expected an integer at byte {}", self.pos));
-        }
-        let v = self.s[self.pos..self.pos + digits]
-            .parse()
-            .map_err(|e| format!("integer at byte {}: {e}", self.pos))?;
-        self.pos += digits;
-        Ok(v)
-    }
-
-    fn hex16(&mut self) -> Result<u64, String> {
-        let end = self.pos + 16;
-        if end > self.s.len() || !self.s.is_char_boundary(end) {
-            return Err(format!("expected 16 hex digits at byte {}", self.pos));
-        }
-        let v = u64::from_str_radix(&self.s[self.pos..end], 16)
-            .map_err(|e| format!("hex key at byte {}: {e}", self.pos))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    /// A JSON string (leading quote expected at the cursor), decoding
-    /// exactly the escapes [`Json`]'s serializer emits.
-    fn string(&mut self) -> Result<String, String> {
-        self.lit("\"")?;
-        let mut out = String::new();
-        let mut chars = self.s[self.pos..].char_indices();
-        while let Some((i, c)) = chars.next() {
-            match c {
-                '"' => {
-                    self.pos += i + 1;
-                    return Ok(out);
-                }
-                '\\' => match chars.next().map(|(_, e)| e) {
-                    Some('"') => out.push('"'),
-                    Some('\\') => out.push('\\'),
-                    Some('n') => out.push('\n'),
-                    Some('r') => out.push('\r'),
-                    Some('t') => out.push('\t'),
-                    Some('u') => {
-                        let hex: String = chars.by_ref().take(4).map(|(_, c)| c).collect();
-                        let v = u32::from_str_radix(&hex, 16)
-                            .map_err(|_| format!("bad \\u escape near byte {}", self.pos + i))?;
-                        out.push(
-                            char::from_u32(v).ok_or_else(|| {
-                                format!("bad \\u escape near byte {}", self.pos + i)
-                            })?,
-                        );
-                    }
-                    other => {
-                        return Err(format!(
-                            "unsupported string escape {other:?} near byte {}",
-                            self.pos + i
-                        ))
-                    }
-                },
-                _ => out.push(c),
-            }
-        }
-        Err("unterminated string".into())
-    }
-
-    fn rest(self) -> &'a str {
-        &self.s[self.pos..]
-    }
-
-    fn end(&self) -> Result<(), String> {
-        if self.pos == self.s.len() {
-            Ok(())
-        } else {
-            Err(format!("trailing bytes at {}", self.pos))
-        }
+/// Accepts a parsed line only if the writer's rendering of it is the
+/// line itself.
+fn canonical(line: &str, rendered: &str) -> Result<(), String> {
+    match line.bytes().zip(rendered.bytes()).position(|(a, b)| a != b) {
+        None if line.len() == rendered.len() => Ok(()),
+        at => Err(format!(
+            "not a record this writer produced (differs at byte {})",
+            at.unwrap_or(line.len().min(rendered.len()))
+        )),
     }
 }
 
 fn parse_report_line(line: &str) -> Result<ParsedRecord, String> {
-    let mut c = Cursor::new(line);
-    c.lit("{\"event\":\"report\",\"cell\":")?;
-    let cell = c.integer()? as usize;
-    c.lit(",\"name\":")?;
-    let name = c.string()?;
-    c.lit(",\"shard\":")?;
-    let shard = c.integer()? as usize;
-    c.lit(",\"report\":")?;
-    let tail = c.rest();
-    let report = tail
-        .strip_suffix('}')
-        .filter(|r| r.starts_with('{') && r.ends_with('}'))
-        .ok_or("report member is not a JSON object closing the record")?;
-    Ok(ParsedRecord {
+    let v = json::parse(line).map_err(|e| e.to_string())?;
+    let (Some(cell), Some(name), Some(shard), Some(report @ Json::Obj(_))) = (
+        usize_field(&v, "cell"),
+        v.get("name").and_then(Json::as_str),
+        usize_field(&v, "shard"),
+        v.get("report"),
+    ) else {
+        return Err("not a report record (needs cell, name, shard and a report object)".into());
+    };
+    let rec = ParsedRecord {
         cell,
-        name,
+        name: name.to_string(),
         shard,
         report: report.to_string(),
-    })
+    };
+    canonical(line, &rec.render())?;
+    Ok(rec)
 }
 
 /// The manifest's first line: sweep identity.
@@ -280,32 +209,40 @@ struct ManifestHeader {
 
 impl ManifestHeader {
     fn render(&self) -> String {
-        format!(
-            "{{\"event\":\"sweep\",\"key\":\"{:016x}\",\"cells\":{},\"shard\":{},\"shards\":{}}}",
-            self.key, self.cells, self.shard.index, self.shard.count
-        )
+        Json::Obj(vec![
+            ("event".into(), Json::str("sweep")),
+            ("key".into(), Json::str(format!("{:016x}", self.key))),
+            ("cells".into(), Json::int(self.cells as u64)),
+            ("shard".into(), Json::int(self.shard.index as u64)),
+            ("shards".into(), Json::int(self.shard.count as u64)),
+        ])
+        .to_string()
     }
 
     fn parse(line: &str) -> Result<ManifestHeader, String> {
-        let mut c = Cursor::new(line);
-        c.lit("{\"event\":\"sweep\",\"key\":\"")?;
-        let key = c.hex16()?;
-        c.lit("\",\"cells\":")?;
-        let cells = c.integer()? as usize;
-        c.lit(",\"shard\":")?;
-        let index = c.integer()? as usize;
-        c.lit(",\"shards\":")?;
-        let count = c.integer()? as usize;
-        c.lit("}")?;
-        c.end()?;
-        if count == 0 || index >= count {
-            return Err(format!("manifest shard {index}/{count} needs 0 <= K < N"));
-        }
-        Ok(ManifestHeader {
+        let v = json::parse(line).map_err(|e| e.to_string())?;
+        let key = v
+            .get("key")
+            .and_then(Json::as_str)
+            .and_then(|k| u64::from_str_radix(k, 16).ok());
+        let (Some(key), Some(cells), Some(index), Some(count)) = (
+            key,
+            usize_field(&v, "cells"),
+            usize_field(&v, "shard"),
+            usize_field(&v, "shards"),
+        ) else {
+            return Err("not a manifest header (needs key, cells, shard and shards)".into());
+        };
+        let header = ManifestHeader {
             key,
             cells,
             shard: Shard { index, count },
-        })
+        };
+        canonical(line, &header.render())?;
+        if count == 0 || index >= count {
+            return Err(format!("manifest shard {index}/{count} needs 0 <= K < N"));
+        }
+        Ok(header)
     }
 }
 
@@ -519,6 +456,10 @@ impl ShardOutput {
             report: &rendered,
         }
         .render();
+        let done = Json::Obj(vec![
+            ("event".into(), Json::str("done")),
+            ("cell".into(), Json::int(cell as u64)),
+        ]);
         let mut files = self.files.lock().unwrap_or_else(PoisonError::into_inner);
         files
             .0
@@ -527,7 +468,7 @@ impl ShardOutput {
             .map_err(|e| sweep_err(&self.out_path, e))?;
         files
             .1
-            .write_all(format!("{{\"event\":\"done\",\"cell\":{cell}}}\n").as_bytes())
+            .write_all(format!("{done}\n").as_bytes())
             .and_then(|()| files.1.flush())
             .map_err(|e| sweep_err(&self.out_path, e))
     }
@@ -741,9 +682,75 @@ mod tests {
             cells: 120,
             shard: Shard { index: 3, count: 4 },
         };
+        assert_eq!(
+            h.render(),
+            r#"{"event":"sweep","key":"0123456789abcdef","cells":120,"shard":3,"shards":4}"#
+        );
         assert_eq!(ManifestHeader::parse(&h.render()).unwrap(), h);
         assert!(ManifestHeader::parse("{\"event\":\"sweep\"}").is_err());
         assert!(ManifestHeader::parse(&h.render()[..h.render().len() - 1]).is_err());
+        // Valid JSON carrying the same fields, but not in the writer's
+        // form: reordered keys, whitespace, a `+`-prefixed hex key.
+        for bad in [
+            r#"{"key":"0123456789abcdef","event":"sweep","cells":120,"shard":3,"shards":4}"#,
+            r#"{"event":"sweep", "key":"0123456789abcdef","cells":120,"shard":3,"shards":4}"#,
+            r#"{"event":"sweep","key":"+123456789abcdef","cells":120,"shard":3,"shards":4}"#,
+        ] {
+            assert!(ManifestHeader::parse(bad).is_err(), "accepted {bad}");
+        }
+    }
+
+    /// Byte strings that are mostly near-misses of valid lines: random
+    /// bytes, and one-byte truncations, insertions and flips of real
+    /// records and headers.
+    struct Garbage;
+
+    impl proptest::Strategy for Garbage {
+        type Value = String;
+        fn generate(&self, rng: &mut rand::rngs::StdRng) -> String {
+            use rand::Rng;
+            let header = ManifestHeader {
+                key: rng.random(),
+                cells: 12,
+                shard: Shard { index: 1, count: 4 },
+            };
+            let record = ReportRecord {
+                id: None,
+                cell: 5,
+                name: "base/seed=\"3\"",
+                cached: None,
+                shard: Some(1),
+                report: r#"{"name":"x","metrics":{"a":-1.5e-7,"b":[true,null]}}"#,
+            };
+            let mut bytes = match rng.random_range(0..3u32) {
+                0 => header.render().into_bytes(),
+                1 => record.render().into_bytes(),
+                _ => (0..rng.random_range(0..64usize))
+                    .map(|_| rng.random_range(0..=255u8))
+                    .collect(),
+            };
+            if !bytes.is_empty() {
+                let at = rng.random_range(0..bytes.len());
+                match rng.random_range(0..3u32) {
+                    0 => bytes.truncate(at),
+                    1 => bytes.insert(at, rng.random_range(0..=255u8)),
+                    _ => bytes[at] ^= 1 << rng.random_range(0..8u32),
+                }
+            }
+            String::from_utf8_lossy(&bytes).into_owned()
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn garbage_lines_are_errors_not_panics(line in Garbage) {
+            // Each reader returns Ok or Err; a panic fails the test.
+            let _ = json::parse(&line);
+            let _ = parse_report_line(&line);
+            let _ = ManifestHeader::parse(&line);
+        }
     }
 
     #[test]
@@ -780,6 +787,11 @@ mod tests {
         };
         out.record(0, &report).unwrap();
         drop(out);
+        let manifest = std::fs::read_to_string(manifest_path(&dir, shard)).unwrap();
+        assert_eq!(
+            manifest.lines().nth(1),
+            Some(r#"{"event":"done","cell":0}"#)
+        );
         // Resume sees the completed cell and keeps its bytes.
         let (_out, completed) = ShardOutput::resume(&dir, &set, &cells, shard).unwrap();
         assert_eq!(completed, BTreeSet::from([0]));

@@ -1,375 +1,6 @@
-//! A minimal JSON *parser* for service requests, matching the
-//! workspace's dependency-free rule. The output side reuses
-//! [`sinr_scenario::Json`]; this module only covers the input
-//! direction: one small request object per NDJSON line.
+//! The service's JSON reader, by its old name: an alias of
+//! [`sinr_scenario::json`], the workspace's one codec (writer and
+//! parser). `Value` is [`sinr_scenario::Json`], so request lines and the
+//! records the service writes share one value type.
 
-use std::fmt;
-
-/// A parsed JSON value.
-#[derive(Debug, Clone, PartialEq)]
-pub enum Value {
-    /// `null`.
-    Null,
-    /// `true` / `false`.
-    Bool(bool),
-    /// Any JSON number (requests only carry ids and small counts, so
-    /// `f64` — exact below 2⁵³ — is sufficient).
-    Num(f64),
-    /// A string.
-    Str(String),
-    /// An array.
-    Arr(Vec<Value>),
-    /// An object, in source order.
-    Obj(Vec<(String, Value)>),
-}
-
-impl Value {
-    /// Member lookup on an object (first match, like every JSON
-    /// implementation that tolerates duplicate keys).
-    pub fn get(&self, key: &str) -> Option<&Value> {
-        match self {
-            Value::Obj(fields) => fields.iter().find(|(k, _)| k == key).map(|(_, v)| v),
-            _ => None,
-        }
-    }
-
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
-        match self {
-            Value::Str(s) => Some(s),
-            _ => None,
-        }
-    }
-
-    /// The numeric payload as a non-negative integer, if it is one
-    /// exactly (request ids must round-trip bit for bit).
-    pub fn as_u64(&self) -> Option<u64> {
-        match *self {
-            Value::Num(v) if v >= 0.0 && v.fract() == 0.0 && v <= 9.0e15 => Some(v as u64),
-            _ => None,
-        }
-    }
-
-    /// The boolean payload, if this is a boolean.
-    pub fn as_bool(&self) -> Option<bool> {
-        match *self {
-            Value::Bool(b) => Some(b),
-            _ => None,
-        }
-    }
-
-    /// The elements, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
-        match self {
-            Value::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-}
-
-/// A parse failure: byte offset plus a static description.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParseError {
-    /// Byte offset of the failure in the input line.
-    pub offset: usize,
-    /// What went wrong.
-    pub msg: &'static str,
-}
-
-impl fmt::Display for ParseError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "invalid JSON at byte {}: {}", self.offset, self.msg)
-    }
-}
-
-impl std::error::Error for ParseError {}
-
-/// Nesting cap: a request line is a flat object; anything deeper than
-/// this is hostile or broken input, not a scenario submission.
-const MAX_DEPTH: usize = 32;
-
-/// Parses one complete JSON document (trailing whitespace allowed,
-/// trailing garbage rejected).
-///
-/// # Errors
-///
-/// [`ParseError`] with the byte offset of the first violation.
-pub fn parse(input: &str) -> Result<Value, ParseError> {
-    let mut p = Parser {
-        bytes: input.as_bytes(),
-        pos: 0,
-    };
-    p.skip_ws();
-    let v = p.value(0)?;
-    p.skip_ws();
-    if p.pos != p.bytes.len() {
-        return Err(p.err("trailing characters after the document"));
-    }
-    Ok(v)
-}
-
-struct Parser<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &'static str) -> ParseError {
-        ParseError {
-            offset: self.pos,
-            msg,
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
-    }
-
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(b' ' | b'\t' | b'\n' | b'\r')) {
-            self.pos += 1;
-        }
-    }
-
-    fn eat(&mut self, lit: &str, msg: &'static str) -> Result<(), ParseError> {
-        if self.bytes[self.pos..].starts_with(lit.as_bytes()) {
-            self.pos += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(msg))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<Value, ParseError> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'n') => self.eat("null", "expected null").map(|()| Value::Null),
-            Some(b't') => self
-                .eat("true", "expected true")
-                .map(|()| Value::Bool(true)),
-            Some(b'f') => self
-                .eat("false", "expected false")
-                .map(|()| Value::Bool(false)),
-            Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(depth),
-            Some(b'{') => self.object(depth),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn number(&mut self) -> Result<Value, ParseError> {
-        let start = self.pos;
-        while matches!(
-            self.peek(),
-            Some(b'-' | b'+' | b'.' | b'e' | b'E' | b'0'..=b'9')
-        ) {
-            self.pos += 1;
-        }
-        // The accepted byte set cannot spell `inf`/`NaN`, so a
-        // successful f64 parse is always a finite JSON number.
-        std::str::from_utf8(&self.bytes[start..self.pos])
-            .ok()
-            .and_then(|s| s.parse::<f64>().ok())
-            .filter(|v| v.is_finite())
-            .map(Value::Num)
-            .ok_or_else(|| self.err("malformed number"))
-    }
-
-    fn string(&mut self) -> Result<String, ParseError> {
-        self.pos += 1; // opening quote
-        let mut out = String::new();
-        loop {
-            match self.peek() {
-                None => return Err(self.err("unterminated string")),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(out);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or_else(|| self.err("unterminated escape"))?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => out.push('"'),
-                        b'\\' => out.push('\\'),
-                        b'/' => out.push('/'),
-                        b'b' => out.push('\u{8}'),
-                        b'f' => out.push('\u{c}'),
-                        b'n' => out.push('\n'),
-                        b'r' => out.push('\r'),
-                        b't' => out.push('\t'),
-                        b'u' => {
-                            let hi = self.hex4()?;
-                            let c = if (0xD800..0xDC00).contains(&hi) {
-                                // Surrogate pair: the low half must follow.
-                                self.eat("\\u", "expected low surrogate")?;
-                                let lo = self.hex4()?;
-                                if !(0xDC00..0xE000).contains(&lo) {
-                                    return Err(self.err("invalid low surrogate"));
-                                }
-                                let code = 0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00);
-                                char::from_u32(code)
-                            } else {
-                                char::from_u32(hi)
-                            };
-                            out.push(c.ok_or_else(|| self.err("invalid unicode escape"))?);
-                        }
-                        _ => return Err(self.err("unknown escape")),
-                    }
-                }
-                Some(c) if c < 0x20 => return Err(self.err("raw control byte in string")),
-                Some(_) => {
-                    // Consume one UTF-8 scalar (input is &str, so the
-                    // byte stream is valid UTF-8 by construction).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().ok_or_else(|| self.err("empty string"))?;
-                    out.push(c);
-                    self.pos += c.len_utf8();
-                }
-            }
-        }
-    }
-
-    fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self
-            .pos
-            .checked_add(4)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| self.err("truncated unicode escape"))?;
-        let s = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid unicode escape"))?;
-        let v = u32::from_str_radix(s, 16).map_err(|_| self.err("invalid unicode escape"))?;
-        self.pos = end;
-        Ok(v)
-    }
-
-    fn array(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.pos += 1; // '['
-        let mut items = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.pos += 1;
-            return Ok(Value::Arr(items));
-        }
-        loop {
-            self.skip_ws();
-            items.push(self.value(depth + 1)?);
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b']') => {
-                    self.pos += 1;
-                    return Ok(Value::Arr(items));
-                }
-                _ => return Err(self.err("expected , or ] in array")),
-            }
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<Value, ParseError> {
-        self.pos += 1; // '{'
-        let mut fields = Vec::new();
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.pos += 1;
-            return Ok(Value::Obj(fields));
-        }
-        loop {
-            self.skip_ws();
-            if self.peek() != Some(b'"') {
-                return Err(self.err("expected a string key"));
-            }
-            let key = self.string()?;
-            self.skip_ws();
-            if self.peek() != Some(b':') {
-                return Err(self.err("expected : after key"));
-            }
-            self.pos += 1;
-            self.skip_ws();
-            let v = self.value(depth + 1)?;
-            fields.push((key, v));
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.pos += 1,
-                Some(b'}') => {
-                    self.pos += 1;
-                    return Ok(Value::Obj(fields));
-                }
-                _ => return Err(self.err("expected , or } in object")),
-            }
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn parses_a_request_shape() {
-        let v = parse(r#"{"id": 3, "run": "deploy=lattice:4:4:2\n", "axes": [1, 2.5]}"#).unwrap();
-        assert_eq!(v.get("id").and_then(Value::as_u64), Some(3));
-        assert_eq!(
-            v.get("run").and_then(Value::as_str),
-            Some("deploy=lattice:4:4:2\n")
-        );
-        assert_eq!(
-            v.get("axes").and_then(Value::as_arr).map(<[Value]>::len),
-            Some(2)
-        );
-        assert_eq!(v.get("missing"), None);
-    }
-
-    #[test]
-    fn round_trips_report_output() {
-        // Everything the output side (sinr_scenario::Json) emits must
-        // parse back — the replay check depends on it.
-        let line = r#"{"name":"a\"b","metrics":{"x":1.5,"y":null,"z":[true,false,-3]}}"#;
-        let v = parse(line).unwrap();
-        assert_eq!(v.get("name").and_then(Value::as_str), Some("a\"b"));
-        let metrics = v.get("metrics").unwrap();
-        assert_eq!(metrics.get("x"), Some(&Value::Num(1.5)));
-        assert_eq!(metrics.get("y"), Some(&Value::Null));
-    }
-
-    #[test]
-    fn escapes_and_unicode() {
-        let v = parse(r#""a\n\tA😀b""#).unwrap();
-        assert_eq!(v, Value::Str("a\n\tA😀b".into()));
-    }
-
-    #[test]
-    fn rejects_malformed_input() {
-        for bad in [
-            "",
-            "{",
-            "[1,",
-            r#"{"a"}"#,
-            r#"{"a":}"#,
-            "nul",
-            "1 2",
-            "\"abc",
-            "[1]]",
-            "inf",
-            "NaN",
-            "1e999",
-            "{\"a\":1,}",
-        ] {
-            assert!(parse(bad).is_err(), "accepted {bad:?}");
-        }
-        // Depth bomb.
-        let deep = "[".repeat(100) + &"]".repeat(100);
-        assert!(parse(&deep).is_err());
-    }
-
-    #[test]
-    fn id_extraction_is_exact() {
-        assert_eq!(parse("7").unwrap().as_u64(), Some(7));
-        assert_eq!(parse("7.5").unwrap().as_u64(), None);
-        assert_eq!(parse("-1").unwrap().as_u64(), None);
-    }
-}
+pub use sinr_scenario::json::{parse, Json as Value, ParseError};

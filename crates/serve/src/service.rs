@@ -32,12 +32,10 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
 
-use sinr_scenario::{
-    report_for, Axis, Json, ReportRecord, ScenarioError, ScenarioSet, ScenarioSpec,
-};
+use sinr_scenario::json::{self, Json};
+use sinr_scenario::{report_for, Axis, ReportRecord, ScenarioError, ScenarioSet, ScenarioSpec};
 
 use crate::cache::{CacheStats, TableCache};
-use crate::json::{self, Value};
 use crate::signal;
 
 /// Service tuning knobs.
@@ -414,7 +412,7 @@ impl Service {
                 return;
             }
         };
-        if request.get("stats").and_then(Value::as_bool) == Some(true) {
+        if request.get("stats").and_then(Json::as_bool) == Some(true) {
             conn.emit.line(&self.stats_record(conn));
             return;
         }
@@ -426,7 +424,7 @@ impl Service {
             self.handle_replay(conn, target);
             return;
         }
-        let Some(id) = request.get("id").and_then(Value::as_u64) else {
+        let Some(id) = request.get("id").and_then(Json::as_u64) else {
             conn.errors.fetch_add(1, Ordering::Relaxed);
             conn.emit.line(&error_record(
                 None,
@@ -434,12 +432,12 @@ impl Service {
             ));
             return;
         };
-        let kind = if let Some(spec) = request.get("run").and_then(Value::as_str) {
+        let kind = if let Some(spec) = request.get("run").and_then(Json::as_str) {
             JobKind::Run {
                 spec: spec.to_string(),
                 axes: Vec::new(),
             }
-        } else if let Some(spec) = request.get("sweep").and_then(Value::as_str) {
+        } else if let Some(spec) = request.get("sweep").and_then(Json::as_str) {
             match parse_axes(request.get("axes")) {
                 Ok(axes) => JobKind::Run {
                     spec: spec.to_string(),
@@ -478,7 +476,7 @@ impl Service {
         });
     }
 
-    fn handle_cancel(&self, conn: &Conn<impl Write>, target: &Value) {
+    fn handle_cancel(&self, conn: &Conn<impl Write>, target: &Json) {
         let Some(id) = target.as_u64() else {
             conn.errors.fetch_add(1, Ordering::Relaxed);
             conn.emit
@@ -505,7 +503,7 @@ impl Service {
         ));
     }
 
-    fn handle_replay(&self, conn: &Conn<impl Write>, target: &Value) {
+    fn handle_replay(&self, conn: &Conn<impl Write>, target: &Json) {
         let Some(id) = target.as_u64() else {
             conn.errors.fetch_add(1, Ordering::Relaxed);
             conn.emit
@@ -667,12 +665,15 @@ impl Service {
                 Err(e) => {
                     conn.errors.fetch_add(1, Ordering::Relaxed);
                     conn.cells.fetch_add(i as u64, Ordering::Relaxed);
-                    conn.emit.line(&format!(
-                        "{{\"id\":{},\"event\":\"error\",\"cell\":{},\"error\":{}}}",
-                        job.id,
-                        i,
-                        Json::str(e.to_string())
-                    ));
+                    conn.emit.line(
+                        &Json::Obj(vec![
+                            ("id".into(), Json::int(job.id)),
+                            ("event".into(), Json::str("error")),
+                            ("cell".into(), Json::int(i as u64)),
+                            ("error".into(), Json::str(e.to_string())),
+                        ])
+                        .to_string(),
+                    );
                     return;
                 }
             }
@@ -761,17 +762,9 @@ impl Service {
         } else {
             (cell.build()?.run()?, false)
         };
-        let report = report_for(&run);
-        // Through the streaming hook: the service writes reports as
-        // bytes (kept for the replay comparison), never re-rendered.
-        let mut buf = Vec::new();
-        report
-            .write_json(&mut buf)
-            .expect("Vec<u8> writes are infallible");
-        Ok((
-            String::from_utf8(buf).expect("reports are valid UTF-8"),
-            hit,
-        ))
+        // Rendered once: these bytes are streamed and kept for the
+        // replay comparison, never re-rendered.
+        Ok((report_for(&run).to_json(), hit))
     }
 }
 
@@ -788,7 +781,7 @@ fn expand_cells(spec: &str, axes: &[Axis]) -> Result<Vec<ScenarioSpec>, Scenario
     set.cells()
 }
 
-fn parse_axes(axes: Option<&Value>) -> Result<Vec<Axis>, &'static str> {
+fn parse_axes(axes: Option<&Json>) -> Result<Vec<Axis>, &'static str> {
     let Some(axes) = axes else {
         return Ok(Vec::new());
     };
@@ -797,20 +790,20 @@ fn parse_axes(axes: Option<&Value>) -> Result<Vec<Axis>, &'static str> {
         .map(|axis| {
             let key = axis
                 .get("key")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or("each axis needs a string \"key\"")?
                 .to_string();
             let raw = axis
                 .get("values")
-                .and_then(Value::as_arr)
+                .and_then(Json::as_arr)
                 .ok_or("each axis needs a \"values\" array")?;
             let values = raw
                 .iter()
                 .map(|v| match v {
-                    Value::Str(s) => Ok(s.clone()),
+                    Json::Str(s) => Ok(s.clone()),
                     // Render numbers the way the report side does, so
                     // "values":[2] means the same as "values":["2"].
-                    Value::Num(n) => Ok(Json::Num(*n).to_string()),
+                    Json::Num(n) => Ok(Json::Num(*n).to_string()),
                     _ => Err("axis values must be strings or numbers"),
                 })
                 .collect::<Result<Vec<_>, _>>()?;
@@ -848,7 +841,7 @@ mod tests {
                         backend=cached\\nworkload=repeat:stride:2\\n\
                         stop=slots:30\\nmeasure=none\\nseed=7\\n";
 
-    fn serve(input: &str, config: ServeConfig) -> (ServeSummary, Vec<Value>) {
+    fn serve(input: &str, config: ServeConfig) -> (ServeSummary, Vec<Json>) {
         let service = Service::new(config);
         let mut out = Vec::new();
         let summary = service
@@ -862,11 +855,11 @@ mod tests {
         (summary, records)
     }
 
-    fn events(records: &[Value], id: Option<u64>) -> Vec<&str> {
+    fn events(records: &[Json], id: Option<u64>) -> Vec<&str> {
         records
             .iter()
-            .filter(|r| r.get("id").and_then(Value::as_u64) == id || id.is_none())
-            .filter_map(|r| r.get("event").and_then(Value::as_str))
+            .filter(|r| r.get("id").and_then(Json::as_u64) == id || id.is_none())
+            .filter_map(|r| r.get("event").and_then(Json::as_str))
             .collect()
     }
 
@@ -884,12 +877,9 @@ mod tests {
         );
         let report = records
             .iter()
-            .find(|r| r.get("event").and_then(Value::as_str) == Some("report"))
+            .find(|r| r.get("event").and_then(Json::as_str) == Some("report"))
             .unwrap();
-        assert_eq!(
-            report.get("name").and_then(Value::as_str),
-            Some("serve-e2e")
-        );
+        assert_eq!(report.get("name").and_then(Json::as_str), Some("serve-e2e"));
         // The embedded report is the standard run report.
         assert!(report
             .get("report")
@@ -897,13 +887,13 @@ mod tests {
             .and_then(|m| m.get("horizon"))
             .is_some());
         assert_eq!(
-            records.last().unwrap().get("event").and_then(Value::as_str),
+            records.last().unwrap().get("event").and_then(Json::as_str),
             Some("drained")
         );
         // The stats record answered synchronously.
         assert!(records
             .iter()
-            .any(|r| r.get("event").and_then(Value::as_str) == Some("stats")));
+            .any(|r| r.get("event").and_then(Json::as_str) == Some("stats")));
     }
 
     #[test]
@@ -922,7 +912,7 @@ mod tests {
         assert_eq!(summary.cache.hits, 2);
         let dones: Vec<_> = records
             .iter()
-            .filter(|r| r.get("event").and_then(Value::as_str) == Some("done"))
+            .filter(|r| r.get("event").and_then(Json::as_str) == Some("done"))
             .collect();
         assert_eq!(dones.len(), 2);
     }
@@ -936,9 +926,9 @@ mod tests {
         assert_eq!(summary.replay_mismatches, 0, "records: {records:?}");
         let replay = records
             .iter()
-            .find(|r| r.get("event").and_then(Value::as_str) == Some("replay"))
+            .find(|r| r.get("event").and_then(Json::as_str) == Some("replay"))
             .expect("replay record emitted");
-        assert_eq!(replay.get("identical").and_then(Value::as_bool), Some(true));
+        assert_eq!(replay.get("identical").and_then(Json::as_bool), Some(true));
         assert_eq!(summary.errors, 1, "the unknown id is an error record");
     }
 
@@ -961,10 +951,10 @@ mod tests {
         assert_eq!(events(&records, Some(2)), ["accepted", "cancelled"]);
         let cancelled = records
             .iter()
-            .find(|r| r.get("event").and_then(Value::as_str) == Some("cancelled"))
+            .find(|r| r.get("event").and_then(Json::as_str) == Some("cancelled"))
             .unwrap();
         assert_eq!(
-            cancelled.get("where").and_then(Value::as_str),
+            cancelled.get("where").and_then(Json::as_str),
             Some("queued")
         );
     }
@@ -980,7 +970,7 @@ mod tests {
         assert_eq!(summary.completed, 0);
         assert_eq!(summary.errors, 5, "records: {records:?}");
         assert_eq!(
-            records.last().unwrap().get("event").and_then(Value::as_str),
+            records.last().unwrap().get("event").and_then(Json::as_str),
             Some("drained")
         );
     }
@@ -999,12 +989,38 @@ mod tests {
         assert_eq!(summary.completed, 1);
         let error = records
             .iter()
-            .find(|r| r.get("event").and_then(Value::as_str) == Some("error"))
+            .find(|r| r.get("event").and_then(Json::as_str) == Some("error"))
             .and_then(|r| r.get("error"))
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .expect("error record emitted");
         assert!(error.contains("\"f32\""), "{error}");
         assert_eq!(events(&records, Some(2)), ["accepted", "report", "done"]);
+    }
+
+    #[test]
+    fn failing_cell_error_record_keeps_its_byte_layout() {
+        // A spec that parses but cannot build fails at its cell: the
+        // record carries the cell index between `event` and `error`.
+        let crowded = SPEC.replace("lattice:4:4:2", "uniform:1000:1:1");
+        let service = Service::new(ServeConfig::default());
+        let mut out = Vec::new();
+        service
+            .serve_connection(
+                Cursor::new(format!("{{\"id\":1,\"run\":\"{crowded}\"}}\n")),
+                &mut out,
+            )
+            .expect("connection serves");
+        let text = String::from_utf8(out).expect("output is UTF-8");
+        let line = text
+            .lines()
+            .nth(1)
+            .expect("an error record follows accepted");
+        assert!(
+            line.starts_with(
+                "{\"id\":1,\"event\":\"error\",\"cell\":0,\"error\":\"deployment error: "
+            ) && line.ends_with("\"}"),
+            "{line}"
+        );
     }
 
     #[test]
@@ -1020,12 +1036,12 @@ mod tests {
         );
         assert_eq!(cold.0.cache.hits + cold.0.cache.misses, 0);
         assert_eq!(cached.0.cache.hits, 1);
-        let report_of = |records: &[Value], id: u64| -> Value {
+        let report_of = |records: &[Json], id: u64| -> Json {
             records
                 .iter()
                 .find(|r| {
-                    r.get("id").and_then(Value::as_u64) == Some(id)
-                        && r.get("event").and_then(Value::as_str) == Some("report")
+                    r.get("id").and_then(Json::as_u64) == Some(id)
+                        && r.get("event").and_then(Json::as_str) == Some("report")
                 })
                 .and_then(|r| r.get("report"))
                 .cloned()
@@ -1064,7 +1080,7 @@ mod tests {
             let mut saw_drained = false;
             for line in reader.lines() {
                 let v = json::parse(&line.expect("line reads")).expect("record parses");
-                match v.get("event").and_then(Value::as_str) {
+                match v.get("event").and_then(Json::as_str) {
                     Some("done") => saw_done = true,
                     Some("drained") => saw_drained = true,
                     _ => {}
