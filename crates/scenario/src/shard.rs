@@ -635,6 +635,14 @@ mod tests {
             rec.report,
             r#"{"name":"x","metrics":{"completed_at":null}}"#
         );
+        // The same record as valid JSON the writer cannot produce.
+        for bad in [
+            line.replace("\"cell\":", "\"cell\": "),
+            line.replace("\"completed_at\":null", "\"completed_at\" : null"),
+            line.replace("\"shard\":2,", "\"shard\":2.0,"),
+        ] {
+            assert!(parse_report_line(&bad).is_err(), "accepted {bad}");
+        }
     }
 
     #[test]
@@ -720,7 +728,7 @@ mod tests {
                 name: "base/seed=\"3\"",
                 cached: None,
                 shard: Some(1),
-                report: r#"{"name":"x","metrics":{"a":-1.5e-7,"b":[true,null]}}"#,
+                report: r#"{"name":"x","metrics":{"a":-0.00000015,"b":[true,null]}}"#,
             };
             let mut bytes = match rng.random_range(0..3u32) {
                 0 => header.render().into_bytes(),
