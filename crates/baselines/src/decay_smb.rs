@@ -5,16 +5,14 @@
 //! cycle) until the horizon. With cycle length `⌈log₂ n⌉ + 1` and a
 //! synchronized start this realizes the `O(D·log n + log² n)` runtime
 //! *shape* of Czumaj–Rytter / Jurdziński et al. \[32\] on the uniform
-//! deployments of the experiment suite — it is the proxy comparator of
-//! Table 2 (see DESIGN.md §4) and the Theorem 8.1 baseline.
+//! deployments of the experiment suite. It stands in for \[32\] as the
+//! proxy comparator of Table 2 (reproducing the runtime shape, not the
+//! algorithm) and is the Theorem 8.1 baseline.
 
 use absmac::MsgId;
 use sinr_geom::Point;
 use sinr_mac::Frame;
-use sinr_phys::{
-    Action, BackendSpec, Engine, InterferenceModel, NodeId, PhysError, Protocol, SinrParams,
-    SlotCtx,
-};
+use sinr_phys::{Action, BackendSpec, Engine, NodeId, PhysError, Protocol, SinrParams, SlotCtx};
 
 use crate::SmbReport;
 
@@ -86,31 +84,6 @@ impl<P: Clone> DecaySmb<P> {
         payload: P,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_model(
-            sinr,
-            positions,
-            config,
-            source,
-            payload,
-            seed,
-            InterferenceModel::Exact,
-        )
-    }
-
-    /// Like [`DecaySmb::new`] with an explicit interference model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from engine construction.
-    pub fn with_model(
-        sinr: SinrParams,
-        positions: &[Point],
-        config: DecaySmbConfig,
-        source: usize,
-        payload: P,
-        seed: u64,
-        model: InterferenceModel,
-    ) -> Result<Self, PhysError> {
         Self::with_backend(
             sinr,
             positions,
@@ -118,7 +91,7 @@ impl<P: Clone> DecaySmb<P> {
             source,
             payload,
             seed,
-            BackendSpec::from(model),
+            BackendSpec::exact(),
         )
     }
 

@@ -13,10 +13,7 @@
 use absmac::MsgId;
 use sinr_geom::Point;
 use sinr_mac::{ApprogLayer, Frame, MacParams};
-use sinr_phys::{
-    Action, BackendSpec, Engine, InterferenceModel, NodeId, PhysError, Protocol, SinrParams,
-    SlotCtx,
-};
+use sinr_phys::{Action, BackendSpec, Engine, NodeId, PhysError, Protocol, SinrParams, SlotCtx};
 
 use crate::SmbReport;
 
@@ -90,31 +87,6 @@ impl<P: Clone> DgknSmb<P> {
         payload: P,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_model(
-            sinr,
-            positions,
-            config,
-            source,
-            payload,
-            seed,
-            InterferenceModel::Exact,
-        )
-    }
-
-    /// Like [`DgknSmb::new`] with an explicit interference model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from engine construction.
-    pub fn with_model(
-        sinr: SinrParams,
-        positions: &[Point],
-        config: &DgknSmbConfig,
-        source: usize,
-        payload: P,
-        seed: u64,
-        model: InterferenceModel,
-    ) -> Result<Self, PhysError> {
         Self::with_backend(
             sinr,
             positions,
@@ -122,7 +94,7 @@ impl<P: Clone> DgknSmb<P> {
             source,
             payload,
             seed,
-            BackendSpec::from(model),
+            BackendSpec::exact(),
         )
     }
 

@@ -9,8 +9,9 @@
 //! * [`DecaySmb`] — global broadcast by synchronized Decay cycles
 //!   (Bar-Yehuda–Goldreich–Itai). With cycle length `⌈log₂ n⌉ + 1` this
 //!   realizes the `O(D·log n + log² n)` *shape* of Jurdziński et al.
-//!   (PODC 2014, \[32\]) under its synchronized-start assumption, and is
-//!   labeled a proxy in every experiment output (see DESIGN.md §4).
+//!   (PODC 2014, \[32\]) under its synchronized-start assumption. It is a
+//!   proxy for \[32\]: it reproduces the runtime shape, not the
+//!   algorithm.
 //! * [`RoundRobinSmb`] — a centrally scheduled TDMA broadcast: the
 //!   optimal schedule of Theorem 6.1's lower-bound argument, used by the
 //!   Figure 1 experiment to show `f_prog ≥ Δ` even with free central

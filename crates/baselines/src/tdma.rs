@@ -10,10 +10,7 @@
 use absmac::MsgId;
 use sinr_geom::Point;
 use sinr_mac::Frame;
-use sinr_phys::{
-    Action, BackendSpec, Engine, InterferenceModel, NodeId, PhysError, Protocol, SinrParams,
-    SlotCtx,
-};
+use sinr_phys::{Action, BackendSpec, Engine, NodeId, PhysError, Protocol, SinrParams, SlotCtx};
 
 use crate::SmbReport;
 
@@ -95,7 +92,7 @@ impl<P: Clone> RoundRobinSmb<P> {
             config,
             payload_of,
             seed,
-            BackendSpec::from(InterferenceModel::Exact),
+            BackendSpec::exact(),
         )
     }
 

@@ -1,5 +1,5 @@
 //! A3 — exact vs grid-aggregated interference: reception agreement and
-//! wall-clock speedup of the kernel, plus the threading lever.
+//! wall-clock speedup of the kernel.
 //!
 //! Thin wrapper over `sinr-lab legacy ablation_interference`.
 //!

@@ -1340,8 +1340,7 @@ fn legacy_ablation_labels() {
 }
 
 fn legacy_ablation_interference() {
-    use sinr_phys::reception::{decide_receptions, decide_receptions_threaded};
-    use sinr_phys::InterferenceModel;
+    use sinr_phys::reception::{decide_receptions, BackendSpec};
 
     let sinr = SinrParams::builder().range(16.0).build().unwrap();
     let mut t = Table::new(
@@ -1353,7 +1352,6 @@ fn legacy_ablation_interference() {
             "grid_speedup",
             "agree_rate",
             "grid_missed",
-            "threaded2_us",
         ],
     );
     for &n in &[128usize, 256, 512, 1024] {
@@ -1365,29 +1363,21 @@ fn legacy_ablation_interference() {
         let t0 = Instant::now();
         let mut exact = Vec::new();
         for _ in 0..reps {
-            exact = decide_receptions(&sinr, &positions, &senders, InterferenceModel::Exact);
+            exact = decide_receptions(&sinr, &positions, &senders, BackendSpec::exact());
         }
         let exact_us = t0.elapsed().as_micros() / reps;
 
-        let model = InterferenceModel::GridFarField { cell_size: 8.0 };
         let t0 = Instant::now();
         let mut grid = Vec::new();
         for _ in 0..reps {
-            grid = decide_receptions(&sinr, &positions, &senders, model);
-        }
-        let grid_us = t0.elapsed().as_micros() / reps;
-
-        let t0 = Instant::now();
-        for _ in 0..reps {
-            let _ = decide_receptions_threaded(
+            grid = decide_receptions(
                 &sinr,
                 &positions,
                 &senders,
-                InterferenceModel::Exact,
-                2,
+                BackendSpec::grid_far_field(8.0),
             );
         }
-        let thr_us = t0.elapsed().as_micros() / reps;
+        let grid_us = t0.elapsed().as_micros() / reps;
 
         let agree = exact.iter().zip(&grid).filter(|(e, g)| e == g).count();
         let missed = exact
@@ -1402,7 +1392,6 @@ fn legacy_ablation_interference() {
             format!("{:.2}x", exact_us as f64 / grid_us.max(1) as f64),
             format!("{:.4}", agree as f64 / n as f64),
             missed.to_string(),
-            thr_us.to_string(),
         ]);
     }
     t.print();

@@ -1,17 +1,15 @@
-//! Experiment harness regenerating the paper's tables and figures (see
-//! DESIGN.md §2 for the experiment index), built on the declarative
-//! scenario API of `sinr-scenario`.
+//! Experiment harness regenerating the paper's tables and figures (the
+//! README's "Legacy regenerators" table indexes them), built on the
+//! declarative scenario API of `sinr-scenario`.
 //!
 //! Each experiment module exposes **spec constructors** (a
 //! `ScenarioSpec` per measurement leg) plus a post-processor that runs
 //! the spec and extracts the paper's quantities. They are called by
 //!
 //! * the [`lab`] driver (`sinr-lab` binary: `list`/`show`/`run`/`sweep`
-//!   over specs, JSON reports, plus `legacy` reprints of every table),
+//!   over specs, JSON reports, plus `legacy` reprints of every table), and
 //! * the legacy binaries in `src/bin/` — thin wrappers over
-//!   [`lab::legacy`], kept so published invocations stay valid, and
-//! * the Criterion benches in `benches/paper_benches.rs` (reduced
-//!   ranges so `cargo bench --workspace` touches every experiment).
+//!   [`lab::legacy`], kept so published invocations stay valid.
 //!
 //! All measurements are **slot counts** of the simulated network — the
 //! unit the paper's bounds are stated in — not wall-clock time.

@@ -4,8 +4,7 @@
 //!
 //! For every deployment shape (lattice, uniform) and size
 //! `n ∈ {64, 256, 1024}`, each backend (`exact`, `grid`, `cached`,
-//! `hybrid`, `exact+par`, `grid+par`) repeatedly resolves whole slots
-//! against a
+//! `hybrid`) repeatedly resolves whole slots against a
 //! **churning transmitter schedule**: roughly half the nodes always
 //! transmit and an extra cohort of `n/32` rotates every slot, so
 //! consecutive slots differ in ~n/16 transmitters — the access pattern
@@ -34,7 +33,8 @@
 //! respectively marginal (1.6 GB) and refused outright (160 GB, over
 //! the `SINR_MAX_TABLE_BYTES` cap; the refusal is asserted before
 //! measuring). Serial `grid` is the reference at n = 10⁴ and the row
-//! set pins the headline ratio (target ≥10x hybrid over grid). The
+//! set pins the headline ratio (target ≥10x hybrid over grid); the
+//! hybrid rows run serial and threaded (`hybrid+par`). The
 //! hybrid rows run at an explicit near-field cutoff tuned for the
 //! bench density (see [`CITY_CUTOFF`]).
 //!
@@ -65,8 +65,8 @@ struct Sample {
     backend: String,
     slots_per_sec: f64,
     /// Receptions in the cycle's first slot, as a sanity anchor: backends
-    /// on the same deployment must broadly agree (grid is conservative,
-    /// cached and the parallel wrappers are bit-identical to exact).
+    /// on the same deployment must broadly agree (grid and hybrid are
+    /// conservative, cached is bit-identical to exact).
     receptions: usize,
     /// Wall-clock milliseconds of the one-time `prepare` call, so
     /// table-fill speedups stay visible separately from slot-loop
@@ -414,8 +414,9 @@ pub fn run(args: &[String]) {
         .and_then(|text| json::parse(&text).ok());
 
     let sinr = SinrParams::builder().range(16.0).build().unwrap();
-    // At least 2 so the parallel rows exist even on single-core runners
-    // (below the serial/parallel crossover they measure the automatic
+    // Threads for the city-scale `hybrid+par` rows and the dense-table
+    // refusal check: at least 2 so the threaded rows exist even on
+    // single-core runners (there they measure the automatic serial
     // fallback, which is itself worth tracking); capped to keep thread
     // start-up noise bounded.
     let threads = std::thread::available_parallelism()
@@ -428,8 +429,6 @@ pub fn run(args: &[String]) {
         BackendSpec::grid_far_field(cell),
         BackendSpec::cached(),
         BackendSpec::hybrid(0.0),
-        BackendSpec::exact().with_threads(threads),
-        BackendSpec::grid_far_field(cell).with_threads(threads),
     ];
     let backend_names: Vec<String> = backends
         .iter()
@@ -552,7 +551,6 @@ pub fn run(args: &[String]) {
             let mut kernels: Vec<BackendSpec> = Vec::new();
             if with_grid {
                 kernels.push(BackendSpec::grid_far_field(cell));
-                kernels.push(BackendSpec::grid_far_field(cell).with_threads(threads));
             }
             kernels.push(BackendSpec::hybrid(CITY_CUTOFF));
             kernels.push(BackendSpec::hybrid(CITY_CUTOFF).with_threads(threads));
@@ -709,37 +707,10 @@ pub fn run(args: &[String]) {
             };
             let exact = rate("exact");
             let cached = rate("cached");
-            let best_accel = rate("grid")
-                .max(rate("exact+par"))
-                .max(rate("grid+par"))
-                .max(cached);
             println!(
-                "n=1024 {deployment}: exact {exact:.0}/s, cached {cached:.0}/s ({:.2}x), best accelerated {best_accel:.0}/s ({:.2}x)",
+                "n=1024 {deployment}: exact {exact:.0}/s, cached {cached:.0}/s ({:.2}x)",
                 cached / exact.max(1e-9),
-                best_accel / exact.max(1e-9)
             );
-        }
-        // The parallel-regression claim: with the hardware cap and the
-        // per-thread work floor in `effective_threads`, a `+par` row
-        // must never fall meaningfully below its serial counterpart.
-        for (par, serial) in [("exact+par", "exact"), ("grid+par", "grid")] {
-            for s in samples.iter().filter(|s| s.backend == par) {
-                let base = samples
-                    .iter()
-                    .find(|b| b.deployment == s.deployment && b.n == s.n && b.backend == serial)
-                    .map(|b| b.slots_per_sec)
-                    .unwrap_or(0.0);
-                let ratio = s.slots_per_sec / base.max(1e-9);
-                println!(
-                    "par check {} n={} {}: {:.0}/s vs {serial} {:.0}/s ({ratio:.2}x){}",
-                    s.deployment,
-                    s.n,
-                    par,
-                    s.slots_per_sec,
-                    base,
-                    if ratio < 0.9 { "  <-- REGRESSION" } else { "" }
-                );
-            }
         }
         // The mobility claim: incremental repair must beat the full
         // re-prepare by a wide margin at n = 1024 with n/32 movers.
@@ -795,8 +766,8 @@ mod tests {
 
     #[test]
     fn validator_accepts_the_committed_bench_file() {
-        let backends = ["exact", "grid", "cached", "hybrid", "exact+par", "grid+par"];
+        let backends = ["exact", "grid", "cached", "hybrid"];
         let backends: Vec<String> = backends.map(String::from).to_vec();
-        validate_json(COMMITTED, &backends, 6, 3, 6);
+        validate_json(COMMITTED, &backends, 6, 3, 5);
     }
 }

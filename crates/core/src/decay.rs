@@ -11,8 +11,7 @@
 use absmac::{IndexedSet, MacError, MacEvent, MacLayer, MacMessage, MsgId, StepEvents};
 use sinr_geom::Point;
 use sinr_phys::{
-    Action, BackendSpec, Engine, EngineStats, InterferenceModel, NodeId, PhysError, Protocol,
-    SinrParams, SlotCtx,
+    Action, BackendSpec, Engine, EngineStats, NodeId, PhysError, Protocol, SinrParams, SlotCtx,
 };
 
 use crate::Frame;
@@ -105,22 +104,7 @@ impl<P: Clone> DecayMac<P> {
         params: DecayParams,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_model(sinr, positions, params, seed, InterferenceModel::Exact)
-    }
-
-    /// Like [`DecayMac::new`] with an explicit interference model.
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from engine construction.
-    pub fn with_model(
-        sinr: SinrParams,
-        positions: &[Point],
-        params: DecayParams,
-        seed: u64,
-        model: InterferenceModel,
-    ) -> Result<Self, PhysError> {
-        Self::with_backend(sinr, positions, params, seed, BackendSpec::from(model))
+        Self::with_backend(sinr, positions, params, seed, BackendSpec::exact())
     }
 
     /// Like [`DecayMac::new`] with an explicit reception backend

@@ -15,8 +15,7 @@
 use absmac::{IndexedSet, MacError, MacEvent, MacLayer, MacMessage, MsgId, StepEvents};
 use sinr_geom::Point;
 use sinr_phys::{
-    Action, BackendSpec, Engine, EngineStats, InterferenceModel, NodeId, PhysError, Protocol,
-    SinrParams, SlotCtx,
+    Action, BackendSpec, Engine, EngineStats, NodeId, PhysError, Protocol, SinrParams, SlotCtx,
 };
 
 use crate::{AckLayer, ApprogLayer, Frame, MacParams};
@@ -138,22 +137,7 @@ impl<P: Clone> SinrAbsMac<P> {
         params: MacParams,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_model(sinr, positions, params, seed, InterferenceModel::Exact)
-    }
-
-    /// Like [`SinrAbsMac::new`] with an explicit interference model.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SinrAbsMac::new`].
-    pub fn with_model(
-        sinr: SinrParams,
-        positions: &[Point],
-        params: MacParams,
-        seed: u64,
-        model: InterferenceModel,
-    ) -> Result<Self, PhysError> {
-        Self::with_backend(sinr, positions, params, seed, BackendSpec::from(model))
+        Self::with_backend(sinr, positions, params, seed, BackendSpec::exact())
     }
 
     /// Like [`SinrAbsMac::new`] with an explicit reception backend
@@ -207,20 +191,6 @@ impl<P: Clone> SinrAbsMac<P> {
     /// The resolved MAC parameters.
     pub fn params(&self) -> &MacParams {
         &self.params
-    }
-
-    /// Sets the number of OS threads reception decisions run on; the
-    /// execution stays bit-identical (listeners are independent).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from re-preparing the backend.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn set_threads(&mut self, threads: usize) -> Result<(), PhysError> {
-        self.engine.set_threads(threads)
     }
 
     /// The reception backend specification this MAC runs with.

@@ -7,7 +7,7 @@ use rand::SeedableRng;
 
 use sinr_geom::{deploy, MobilityModel, Point};
 
-use crate::reception::{BackendSpec, InterferenceBackend, InterferenceModel, SharedTables};
+use crate::reception::{BackendSpec, InterferenceBackend, SharedTables};
 use crate::{PhysError, SinrParams};
 
 /// Identifier of a node in a simulation (its index in the position list).
@@ -140,23 +140,7 @@ impl<P: Protocol> Engine<P> {
         protocols: Vec<P>,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_model(params, positions, protocols, seed, InterferenceModel::Exact)
-    }
-
-    /// Like [`Engine::new`] with an explicit interference model (serial
-    /// execution; see [`Engine::with_backend`] for parallel backends).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::new`].
-    pub fn with_model(
-        params: SinrParams,
-        positions: Vec<Point>,
-        protocols: Vec<P>,
-        seed: u64,
-        model: InterferenceModel,
-    ) -> Result<Self, PhysError> {
-        Self::with_backend(params, positions, protocols, seed, BackendSpec::from(model))
+        Self::with_backend(params, positions, protocols, seed, BackendSpec::exact())
     }
 
     /// Like [`Engine::new`] with an explicit reception backend
@@ -271,40 +255,7 @@ impl<P: Protocol> Engine<P> {
         self.slot
     }
 
-    /// Sets the number of OS threads used for reception decisions (the
-    /// simulation stays deterministic — listeners are independent).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::set_backend`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero.
-    pub fn set_threads(&mut self, threads: usize) -> Result<(), PhysError> {
-        self.set_backend(self.spec.with_threads(threads))
-    }
-
-    /// Swaps the reception backend mid-simulation. Determinism note: the
-    /// protocol RNG streams are untouched, but if the new spec uses a
-    /// different interference *model* the reception outcomes (and hence
-    /// the execution) may diverge from that point on; changing only the
-    /// thread count never does.
-    ///
-    /// # Errors
-    ///
-    /// [`PhysError::GainTableTooLarge`] when a cached-model spec would
-    /// need a dense table over the configured memory cap; the previous
-    /// backend stays in place.
-    pub fn set_backend(&mut self, spec: BackendSpec) -> Result<(), PhysError> {
-        let mut backend = spec.build();
-        backend.prepare(&self.params, &self.positions)?;
-        self.spec = spec;
-        self.backend = backend;
-        Ok(())
-    }
-
-    /// The backend specification reception decisions currently run with.
+    /// The backend specification reception decisions run with.
     #[inline]
     pub fn backend_spec(&self) -> BackendSpec {
         self.spec
@@ -678,18 +629,6 @@ mod tests {
         };
         assert_eq!(run(7), run(7));
         assert_ne!(run(7), run(8));
-    }
-
-    #[test]
-    fn threaded_reception_is_identical_to_serial() {
-        let run = |threads: usize| {
-            let pos = sinr_geom::deploy::uniform(30, 40.0, 5).unwrap();
-            let protos: Vec<CoinFlip> = (0..30).map(|_| CoinFlip).collect();
-            let mut e = Engine::new(params(), pos, protos, 3).unwrap();
-            e.set_threads(threads).unwrap();
-            (0..40).map(|_| e.step()).collect::<Vec<_>>()
-        };
-        assert_eq!(run(1), run(2));
     }
 
     #[test]

@@ -11,7 +11,7 @@
 //!
 //! Every slot of every simulation funnels through one reception decision
 //! per listener, so this is the hot path of the whole workspace. The
-//! computation is pluggable through [`InterferenceBackend`], with three
+//! computation is pluggable through [`InterferenceBackend`], with four
 //! implementations offering different accuracy/throughput trade-offs:
 //!
 //! * [`ExactBackend`] sums `P/d^α` over every transmitter — the ground
@@ -76,23 +76,25 @@
 //! hybrid's per-cell aggregate — the Lemma 10.3 ring bound — is the only
 //! difference in what the two kernels compute.
 //!
-//! * [`ParallelBackend`] wraps the exact or grid model and splits the
-//!   per-listener loop across OS threads (`std::thread::scope`).
-//!   Listeners are independent, so the result is **bit-identical** to the
-//!   serial computation at any thread count (verified by proptest) —
-//!   parallelism is purely a wall-clock lever for large deployments.
-//!   Below [`PAR_CROSSOVER_LISTENERS`] listeners the thread fan-out costs
-//!   more than it saves, so the parallel paths automatically fall back to
-//!   serial execution (see [`effective_threads`]).
+//! Threads (`:par:T` in a spec) act only on the two table kernels, which
+//! split their listener sweeps across OS threads (`std::thread::scope`).
+//! Listeners are independent, so receptions are **bit-identical** at any
+//! thread count (verified by proptest) — threading is purely a
+//! wall-clock lever. Below [`PAR_CROSSOVER_LISTENERS`] listeners the
+//! fan-out costs more than it saves, so the sweeps run serial (see
+//! [`effective_threads`]). `exact` and `grid` always run serial: `cached`
+//! decides what `exact` decides and `hybrid` keeps `grid`'s conservative
+//! guarantee, and each is several times faster than its stateless
+//! counterpart on any thread count.
 //!
 //! # Lifecycle: `prepare` once, `decide_slot` every slot
 //!
 //! Backends are stateful. [`InterferenceBackend::prepare`] is called once
-//! per run with the deployment (the `Engine` does this at construction
-//! and on backend swaps) and front-loads whatever the backend can
-//! precompute — the gain matrix for [`CachedBackend`], nothing for the
-//! stateless models. [`decide_slot`](InterferenceBackend::decide_slot)
-//! then runs every slot against the prepared deployment; scratch
+//! per run with the deployment (the `Engine` does this at construction)
+//! and front-loads whatever the backend can precompute — the gain matrix
+//! for [`CachedBackend`], nothing for the stateless models.
+//! [`decide_slot`](InterferenceBackend::decide_slot) then runs every slot
+//! against the prepared deployment; scratch
 //! allocations (sender position buffers, flattened cell lists, delta
 //! sets) are reused across slots. Calling `decide_slot` without `prepare`
 //! (or with a different deployment) stays correct — backends detect the
@@ -113,10 +115,10 @@
 //! corrupt another run's gains — sharing stays safe even if a moving
 //! scenario is accidentally handed a shared table.
 //!
-//! Selection is data-driven through [`BackendSpec`], a small `Copy` value
-//! that travels through constructor APIs (`Engine`, `SinrAbsMac`,
-//! `DecayMac`, the baselines, the bench binaries) and builds the backend
-//! at the edge.
+//! Selection is data-driven through [`BackendSpec`], the one backend
+//! selector: a small `Copy` value that travels through constructor APIs
+//! (`Engine`, `SinrAbsMac`, `DecayMac`, the baselines, the bench
+//! binaries) and builds the backend at the edge.
 
 use std::sync::{Arc, OnceLock};
 
@@ -132,14 +134,10 @@ mod stateless;
 pub use dense::{dense_table_bytes, max_table_bytes, CachedBackend, GainTable};
 pub use incremental::IncrementalBackend;
 pub use sparse::{HybridBackend, HybridTable};
-pub use stateless::{ExactBackend, GridFarFieldBackend, ParallelBackend};
+pub use stateless::{ExactBackend, GridFarFieldBackend};
 
-/// How interference sums are computed by [`decide_receptions`].
-///
-/// This is the legacy serial-model selector, kept because it appears in
-/// many constructor signatures; [`BackendSpec`] supersedes it and adds
-/// parallel execution. Every `InterferenceModel` converts losslessly into
-/// a `BackendSpec`.
+/// How interference sums are computed: the [`BackendSpec::model`] half of
+/// a backend choice. Backends are chosen through [`BackendSpec`] alone.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 #[derive(Default)]
@@ -176,16 +174,20 @@ pub enum InterferenceModel {
 ///
 /// `BackendSpec` is the value that travels through constructor APIs; the
 /// actual worker state is built once at the edge with
-/// [`BackendSpec::build`].
+/// [`BackendSpec::build`]. Threads reach only the table kernels
+/// (`cached`, `hybrid`); `exact` and `grid` always run serial.
 ///
 /// # Examples
 ///
 /// ```
 /// use sinr_phys::reception::BackendSpec;
 ///
-/// let spec = BackendSpec::grid_far_field(8.0).with_threads(4);
-/// let backend = spec.build();
-/// assert_eq!(backend.name(), "grid+par");
+/// let spec = BackendSpec::cached().with_threads(4);
+/// assert_eq!(spec.build().name(), "cached+par");
+/// // A thread request on a stateless model parses but runs serial.
+/// let grid = BackendSpec::grid_far_field(8.0).with_threads(4);
+/// assert_eq!(grid.build().name(), "grid");
+/// assert_eq!(grid.tuned(4096).to_string(), "grid:8");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendSpec {
@@ -197,17 +199,15 @@ pub struct BackendSpec {
 
 impl Default for BackendSpec {
     fn default() -> Self {
-        BackendSpec::from(InterferenceModel::Exact)
-    }
-}
-
-impl From<InterferenceModel> for BackendSpec {
-    fn from(model: InterferenceModel) -> Self {
-        BackendSpec { model, threads: 1 }
+        BackendSpec::serial(InterferenceModel::Exact)
     }
 }
 
 impl BackendSpec {
+    fn serial(model: InterferenceModel) -> Self {
+        BackendSpec { model, threads: 1 }
+    }
+
     /// Serial exact summation.
     pub fn exact() -> Self {
         BackendSpec::default()
@@ -223,13 +223,13 @@ impl BackendSpec {
             cell_size.is_finite() && cell_size > 0.0,
             "cell_size must be positive"
         );
-        BackendSpec::from(InterferenceModel::GridFarField { cell_size })
+        BackendSpec::serial(InterferenceModel::GridFarField { cell_size })
     }
 
     /// The cached-gain delta kernel (bit-identical to exact, fastest for
     /// long runs; see module docs).
     pub fn cached() -> Self {
-        BackendSpec::from(InterferenceModel::Cached)
+        BackendSpec::serial(InterferenceModel::Cached)
     }
 
     /// The sparse hybrid near/far kernel with the given near-field cutoff
@@ -244,10 +244,15 @@ impl BackendSpec {
             cutoff.is_finite() && cutoff >= 0.0,
             "hybrid cutoff must be finite and non-negative"
         );
-        BackendSpec::from(InterferenceModel::Hybrid { cutoff })
+        BackendSpec::serial(InterferenceModel::Hybrid { cutoff })
     }
 
-    /// The same model split across `threads` OS threads.
+    /// The same model with `threads` OS threads requested for its
+    /// listener sweeps. Only the table kernels use them; [`build`] runs
+    /// `exact` and `grid` serial and [`tuned`] resolves their count to 1.
+    ///
+    /// [`build`]: Self::build
+    /// [`tuned`]: Self::tuned
     ///
     /// # Panics
     ///
@@ -257,11 +262,14 @@ impl BackendSpec {
         BackendSpec { threads, ..self }
     }
 
-    /// Resolves the thread count against a concrete deployment size via
-    /// the serial/parallel crossover ([`effective_threads`]): below
-    /// [`PAR_CROSSOVER_LISTENERS`] listeners the returned spec is serial,
-    /// so small scenarios never pay thread fan-out that costs more than
-    /// it saves. Thread tuning never changes results — only wall clock.
+    /// Resolves the thread count against a concrete deployment size.
+    /// `exact` and `grid` always resolve to 1, the serial form they run
+    /// in, so the resolved spec names the backend that runs. The table
+    /// kernels go through the serial/parallel crossover
+    /// ([`effective_threads`]): below [`PAR_CROSSOVER_LISTENERS`]
+    /// listeners the returned spec is serial, so small scenarios never pay
+    /// thread fan-out that costs more than it saves. Thread tuning never
+    /// changes results — only wall clock.
     ///
     /// **Memory fallback:** a [`Cached`](InterferenceModel::Cached) model
     /// whose dense table would exceed [`max_table_bytes`] at this
@@ -281,33 +289,27 @@ impl BackendSpec {
             }
             m => m,
         };
-        BackendSpec {
-            model,
-            threads: effective_threads(self.threads, listeners),
-        }
+        let threads = match model {
+            InterferenceModel::Exact | InterferenceModel::GridFarField { .. } => 1,
+            InterferenceModel::Cached | InterferenceModel::Hybrid { .. } => {
+                effective_threads(self.threads, listeners)
+            }
+        };
+        BackendSpec { model, threads }
     }
 
-    /// Builds the worker for this spec.
+    /// Builds the worker for this spec. The table kernels chunk their own
+    /// listener sweeps across `threads`; `exact` and `grid` ignore it.
     pub fn build(self) -> Box<dyn InterferenceBackend> {
-        let serial: Box<dyn InterferenceBackend> = match self.model {
+        match self.model {
             InterferenceModel::Exact => Box::new(ExactBackend::new()),
             InterferenceModel::GridFarField { cell_size } => {
                 Box::new(GridFarFieldBackend::new(cell_size))
             }
-            // The cached and hybrid kernels own their thread handling
-            // (their hot loops are listener-chunked internally), so they
-            // never go through `ParallelBackend`.
-            InterferenceModel::Cached => {
-                return Box::new(CachedBackend::with_threads(self.threads))
-            }
+            InterferenceModel::Cached => Box::new(CachedBackend::with_threads(self.threads)),
             InterferenceModel::Hybrid { cutoff } => {
-                return Box::new(HybridBackend::with_threads(cutoff, self.threads))
+                Box::new(HybridBackend::with_threads(cutoff, self.threads))
             }
-        };
-        if self.threads == 1 {
-            serial
-        } else {
-            Box::new(ParallelBackend::new(self.model, self.threads))
         }
     }
 
@@ -347,9 +349,11 @@ impl BackendSpec {
 
     /// Parses a spec from a compact string, for CLI/bench selection:
     /// `exact`, `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `par:THREADS`,
-    /// or combinations like `grid:CELL:par:THREADS` and
-    /// `hybrid:16:par:8`. The hybrid cutoff is optional — bare `hybrid`
-    /// auto-selects the weak range R at preparation time.
+    /// or combinations like `cached:par:THREADS` and `hybrid:16:par:8`.
+    /// The hybrid cutoff is optional — bare `hybrid` auto-selects the
+    /// weak range R at preparation time. `par:THREADS` parses after any
+    /// model, but only `cached` and `hybrid` run threaded (see
+    /// [`BackendSpec::tuned`]).
     ///
     /// # Errors
     ///
@@ -436,8 +440,8 @@ impl std::fmt::Display for BackendSpec {
 /// See the module docs for the trade-offs between the implementations.
 pub trait InterferenceBackend: Send {
     /// Short stable identifier (`"exact"`, `"grid"`, `"cached"`,
-    /// `"exact+par"`, `"grid+par"`, `"cached+par"`), used by benches and
-    /// diagnostics.
+    /// `"hybrid"`, and `"cached+par"` / `"hybrid+par"` for a table kernel
+    /// built with more than one thread), used by benches and diagnostics.
     fn name(&self) -> &'static str;
 
     /// Front-loads per-deployment work (first phase of the lifecycle;
@@ -518,13 +522,12 @@ pub trait InterferenceBackend: Send {
     ///
     /// `positions` is the **already updated** full position slice and
     /// `moved` lists the changed nodes as `(index, new position)` pairs —
-    /// ascending indices, each node at most once. Stateless backends
-    /// (exact, grid, their parallel wrappers) read positions fresh every
-    /// slot, so the default is a no-op. The table kernels override this
-    /// to repair only the touched table rows and the affected
-    /// incremental interference totals — O(movers × row length) instead
-    /// of the full re-`prepare` the position change would otherwise
-    /// force on the next slot.
+    /// ascending indices, each node at most once. The stateless backends
+    /// (exact, grid) read positions fresh every slot, so the default is a
+    /// no-op. The table kernels override this to repair only the touched
+    /// table rows and the affected incremental interference totals —
+    /// O(movers × row length) instead of the full re-`prepare` the
+    /// position change would otherwise force on the next slot.
     ///
     /// Calling [`decide_slot`](InterferenceBackend::decide_slot) after a
     /// position change *without* this hook stays correct for every
@@ -559,14 +562,15 @@ fn check_invariants(positions: &[Point], senders: &[usize], out: &[Option<usize>
 ///
 /// Thread spawn/join costs a few tens of microseconds per slot, so
 /// requesting threads for a small deployment must not be honored
-/// blindly: BENCH_reception.json measured `exact+par` 2.2x *slower*
-/// than `exact` at n = 64 and still behind at n = 256. The threshold
-/// sits at 512 rather than at that run's break-even (~1024) because the
-/// BENCH numbers come from a core-starved CI container whose parallel
-/// rows mostly price spawn overhead — on machines with real cores the
-/// crossover lands earlier — and because the same gate serves the
-/// one-shot [`GainTable::build`] row fill, an O(n²) job that amortizes
-/// its spawns far sooner than a per-slot loop does.
+/// blindly: a threaded per-slot listener loop measured 2.2x *slower*
+/// than the serial loop at n = 64 and still behind at n = 256. The
+/// threshold sits at 512 rather than at that run's break-even (~1024)
+/// because those numbers came from a core-starved CI container whose
+/// threaded rows mostly price spawn overhead — on machines with real
+/// cores the crossover lands earlier — and because the same gate serves
+/// the one-shot [`GainTable::build`] and [`HybridTable::build`] row
+/// fills, jobs that amortize their spawns far sooner than the per-slot
+/// `cached` and `hybrid` sweeps do.
 pub const PAR_CROSSOVER_LISTENERS: usize = 512;
 
 /// Minimum listeners each spawned thread must own past the crossover.
@@ -574,10 +578,10 @@ pub const PAR_CROSSOVER_LISTENERS: usize = 512;
 /// A per-slot sweep touches ~8–16 bytes per listener per delta sender —
 /// a few microseconds of work per 256 listeners — which is the smallest
 /// chunk that reliably pays for a `thread::scope` spawn/join. Smaller
-/// chunks turned the n=1024 `grid+par` row *slower* than serial `grid`
-/// in BENCH_reception.json; this floor (together with the hardware cap)
-/// is what guarantees `+par` backends are never slower than their
-/// serial counterparts at any benched size.
+/// chunks made a threaded n = 1024 listener loop *slower* than its
+/// serial form; this floor (together with the hardware cap) is what
+/// keeps `cached+par` and `hybrid+par` from running slower than serial
+/// `cached` and `hybrid` at the benched sizes.
 pub const PAR_MIN_CHUNK: usize = 256;
 
 /// Resolves a requested thread count against a deployment size: serial
@@ -595,7 +599,7 @@ pub fn effective_threads(requested: usize, listeners: usize) -> usize {
 /// The injectable core of [`effective_threads`]: the same resolution
 /// against an explicit hardware thread count `hw`, so the crossover,
 /// the hardware cap (no oversubscription: spawning 8 threads on 1 core
-/// made `grid+par` 2x slower than `grid` at n = 1024) and the
+/// made a threaded n = 1024 listener loop 2x slower than serial) and the
 /// per-thread work floor can be pinned by tests independently of the
 /// machine running them.
 pub fn effective_threads_for(requested: usize, listeners: usize, hw: usize) -> usize {
@@ -609,8 +613,8 @@ pub fn effective_threads_for(requested: usize, listeners: usize, hw: usize) -> u
 
 /// Runs one task per chunk of pre-split work, spawning a scoped OS
 /// thread per chunk — the single chunking primitive behind every
-/// parallel loop in this module (gain-table row fill, the cached and
-/// hybrid listener-state sweeps, the parallel per-listener decide).
+/// parallel loop in this module (the gain-table and hybrid-table row
+/// fills, the cached and hybrid listener-state sweeps).
 ///
 /// Callers split their mutable state into disjoint chunk values first
 /// (`chunks_mut` plus whatever per-chunk context the task needs) and
@@ -748,9 +752,10 @@ pub fn sinr_at(
 /// transmission this slot, `None` otherwise. Transmitters themselves are
 /// always `None` (half-duplex).
 ///
-/// This is a convenience wrapper building a fresh backend per call; hot
-/// loops should hold an [`InterferenceBackend`] instead so scratch
-/// buffers carry over between slots.
+/// This is a convenience wrapper building a fresh backend for `spec` per
+/// call (a table kernel pays its preparation every time); hot loops
+/// should hold an [`InterferenceBackend`] instead so scratch buffers and
+/// tables carry over between slots.
 ///
 /// `senders` must be sorted, deduplicated node indices into `positions`.
 ///
@@ -762,35 +767,10 @@ pub fn decide_receptions(
     params: &SinrParams,
     positions: &[Point],
     senders: &[usize],
-    model: InterferenceModel,
+    spec: BackendSpec,
 ) -> Vec<Option<usize>> {
     let mut out = vec![None; positions.len()];
-    BackendSpec::from(model)
-        .build()
-        .decide_slot(params, positions, senders, &mut out);
-    out
-}
-
-/// Like [`decide_receptions`] but splitting the per-listener work across
-/// `threads` OS threads. The result is bit-identical to the serial
-/// computation — listeners are independent — so parallelism is purely a
-/// wall-clock lever for large simulations.
-///
-/// # Panics
-///
-/// Same input invariants as [`decide_receptions`]; additionally `threads`
-/// must be nonzero.
-pub fn decide_receptions_threaded(
-    params: &SinrParams,
-    positions: &[Point],
-    senders: &[usize],
-    model: InterferenceModel,
-    threads: usize,
-) -> Vec<Option<usize>> {
-    let mut out = vec![None; positions.len()];
-    BackendSpec::from(model)
-        .with_threads(threads)
-        .build()
+    spec.build()
         .decide_slot(params, positions, senders, &mut out);
     out
 }

@@ -1,14 +1,11 @@
-//! The stateless reception models: [`ExactBackend`] (the ground truth),
-//! [`GridFarFieldBackend`] (conservative per-cell far field) and
-//! [`ParallelBackend`] (either model chunked across threads). They read
-//! positions fresh every slot, so they keep nothing between slots but
-//! scratch buffers.
+//! The stateless reception models: [`ExactBackend`] (the ground truth)
+//! and [`GridFarFieldBackend`] (conservative per-cell far field). They
+//! read positions fresh every slot, so they keep nothing between slots
+//! but scratch buffers, and they always run on the calling thread.
 
 use sinr_geom::{HashGrid, Point};
 
-use super::{
-    check_invariants, chunked_scope, effective_threads, InterferenceBackend, InterferenceModel,
-};
+use super::{check_invariants, InterferenceBackend};
 use crate::SinrParams;
 
 /// Exact interference summation (see module docs).
@@ -146,126 +143,6 @@ fn rebuild_cells(grid: &HashGrid, cells: &mut Vec<((i64, i64), Vec<usize>)>) {
         cells.push((cell, owned));
     }
     cells.sort_unstable_by_key(|(cell, _)| *cell);
-}
-
-/// Chunked parallel execution of either serial model across OS threads.
-///
-/// Listener decisions are independent, so splitting `out` into contiguous
-/// chunks and deciding each chunk on its own thread produces bit-identical
-/// results at any thread count. Slot preparation (sender gather, grid
-/// build) stays serial — it is linear in the sender count and not worth
-/// distributing. Below [`PAR_CROSSOVER_LISTENERS`](super::PAR_CROSSOVER_LISTENERS) listeners the whole
-/// slot runs serial ([`effective_threads`]).
-#[derive(Debug)]
-pub struct ParallelBackend {
-    model: InterferenceModel,
-    threads: usize,
-    sender_pts: Vec<Point>,
-    cells: Vec<((i64, i64), Vec<usize>)>,
-}
-
-impl ParallelBackend {
-    /// A backend running `model` across `threads` OS threads.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `threads` is zero, or if `model` is
-    /// [`InterferenceModel::Cached`] or [`InterferenceModel::Hybrid`] —
-    /// those kernels chunk their own hot loops (build via
-    /// [`BackendSpec::build`](super::BackendSpec::build) instead).
-    pub fn new(model: InterferenceModel, threads: usize) -> Self {
-        assert!(threads > 0, "threads must be nonzero");
-        assert!(
-            !matches!(
-                model,
-                InterferenceModel::Cached | InterferenceModel::Hybrid { .. }
-            ),
-            "the cached/hybrid kernels parallelize internally; build them through BackendSpec"
-        );
-        if let InterferenceModel::GridFarField { cell_size } = model {
-            assert!(
-                cell_size.is_finite() && cell_size > 0.0,
-                "cell_size must be positive"
-            );
-        }
-        ParallelBackend {
-            model,
-            threads,
-            sender_pts: Vec::new(),
-            cells: Vec::new(),
-        }
-    }
-
-    /// The configured thread count.
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-}
-
-impl InterferenceBackend for ParallelBackend {
-    fn name(&self) -> &'static str {
-        match self.model {
-            InterferenceModel::Exact => "exact+par",
-            InterferenceModel::GridFarField { .. } => "grid+par",
-            InterferenceModel::Cached | InterferenceModel::Hybrid { .. } => {
-                unreachable!("rejected by ParallelBackend::new")
-            }
-        }
-    }
-
-    fn decide_slot(
-        &mut self,
-        params: &SinrParams,
-        positions: &[Point],
-        senders: &[usize],
-        out: &mut [Option<usize>],
-    ) {
-        check_invariants(positions, senders, out);
-        out.fill(None);
-        if senders.is_empty() {
-            return;
-        }
-        self.sender_pts.clear();
-        self.sender_pts
-            .extend(senders.iter().map(|&s| positions[s]));
-        let grid_ctx: Option<(HashGrid, f64)> = match self.model {
-            InterferenceModel::Exact => None,
-            InterferenceModel::GridFarField { cell_size } => {
-                let grid = HashGrid::build(&self.sender_pts, cell_size);
-                rebuild_cells(&grid, &mut self.cells);
-                Some((grid, near_cutoff(params, cell_size)))
-            }
-            InterferenceModel::Cached | InterferenceModel::Hybrid { .. } => {
-                unreachable!("rejected by ParallelBackend::new")
-            }
-        };
-        let threads = effective_threads(self.threads, positions.len());
-        let chunk = positions.len().div_ceil(threads);
-        let tasks: Vec<(usize, &mut [Option<usize>])> = out
-            .chunks_mut(chunk)
-            .enumerate()
-            .map(|(k, chunk_out)| (k * chunk, chunk_out))
-            .collect();
-        let sender_pts = &self.sender_pts;
-        let cells = &self.cells;
-        let grid_ctx = &grid_ctx;
-        chunked_scope(tasks, |(base, out_chunk)| {
-            for (i, slot) in out_chunk.iter_mut().enumerate() {
-                let u = base + i;
-                *slot = match grid_ctx {
-                    None => decide_exact(params, positions, senders, sender_pts, u),
-                    Some((grid, cutoff)) => {
-                        let ctx = GridSlot {
-                            grid,
-                            cells,
-                            near_cutoff: *cutoff,
-                        };
-                        decide_grid(params, positions, senders, sender_pts, &ctx, u)
-                    }
-                };
-            }
-        });
-    }
 }
 
 /// Per-slot grid state shared (immutably) by all listener decisions.

@@ -10,7 +10,7 @@ fn params() -> SinrParams {
 fn single_sender_in_range_is_decoded() {
     let p = params();
     let pos = vec![Point::new(0.0, 0.0), Point::new(10.0, 0.0)];
-    let got = decide_receptions(&p, &pos, &[0], InterferenceModel::Exact);
+    let got = decide_receptions(&p, &pos, &[0], BackendSpec::exact());
     assert_eq!(got, vec![None, Some(0)]);
 }
 
@@ -18,7 +18,7 @@ fn single_sender_in_range_is_decoded() {
 fn single_sender_out_of_range_is_not_decoded() {
     let p = params();
     let pos = vec![Point::new(0.0, 0.0), Point::new(17.0, 0.0)];
-    let got = decide_receptions(&p, &pos, &[0], InterferenceModel::Exact);
+    let got = decide_receptions(&p, &pos, &[0], BackendSpec::exact());
     assert_eq!(got, vec![None, None]);
 }
 
@@ -32,7 +32,7 @@ fn symmetric_senders_jam_each_other() {
         Point::new(4.0, 0.0),
         Point::new(8.0, 0.0),
     ];
-    let got = decide_receptions(&p, &pos, &[0, 2], InterferenceModel::Exact);
+    let got = decide_receptions(&p, &pos, &[0, 2], BackendSpec::exact());
     assert_eq!(got[1], None);
 }
 
@@ -40,7 +40,7 @@ fn symmetric_senders_jam_each_other() {
 fn transmitters_never_receive() {
     let p = params();
     let pos = vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
-    let got = decide_receptions(&p, &pos, &[0, 1], InterferenceModel::Exact);
+    let got = decide_receptions(&p, &pos, &[0, 1], BackendSpec::exact());
     assert_eq!(got, vec![None, None]);
 }
 
@@ -52,7 +52,7 @@ fn nearest_sender_wins_when_dominant() {
         Point::new(1.5, 0.0),  // close sender
         Point::new(14.0, 0.0), // far sender
     ];
-    let got = decide_receptions(&p, &pos, &[1, 2], InterferenceModel::Exact);
+    let got = decide_receptions(&p, &pos, &[1, 2], BackendSpec::exact());
     assert_eq!(got[0], Some(1));
 }
 
@@ -60,7 +60,7 @@ fn nearest_sender_wins_when_dominant() {
 fn no_senders_means_silence() {
     let p = params();
     let pos = vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
-    let got = decide_receptions(&p, &pos, &[], InterferenceModel::Exact);
+    let got = decide_receptions(&p, &pos, &[], BackendSpec::exact());
     assert_eq!(got, vec![None, None]);
 }
 
@@ -73,7 +73,7 @@ fn sinr_at_matches_decode_boundary() {
         Point::new(30.0, 0.0),
     ];
     let s = sinr_at(&p, &pos, &[1, 2], 0, 1);
-    let decoded = decide_receptions(&p, &pos, &[1, 2], InterferenceModel::Exact)[0];
+    let decoded = decide_receptions(&p, &pos, &[1, 2], BackendSpec::exact())[0];
     assert_eq!(decoded.is_some(), s >= p.beta());
 }
 
@@ -83,13 +83,8 @@ fn grid_model_is_conservative() {
     let p = params();
     let pos = sinr_geom::deploy::uniform(60, 80.0, 11).unwrap();
     let senders: Vec<usize> = (0..60).step_by(3).collect();
-    let exact = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-    let grid = decide_receptions(
-        &p,
-        &pos,
-        &senders,
-        InterferenceModel::GridFarField { cell_size: 8.0 },
-    );
+    let exact = decide_receptions(&p, &pos, &senders, BackendSpec::exact());
+    let grid = decide_receptions(&p, &pos, &senders, BackendSpec::grid_far_field(8.0));
     for (e, g) in exact.iter().zip(grid.iter()) {
         if let Some(gs) = g {
             assert_eq!(
@@ -108,13 +103,8 @@ fn grid_model_agrees_when_cells_are_large_enough() {
     let p = params();
     let pos = sinr_geom::deploy::uniform(40, 60.0, 3).unwrap();
     let senders: Vec<usize> = (0..40).step_by(4).collect();
-    let exact = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
-    let grid = decide_receptions(
-        &p,
-        &pos,
-        &senders,
-        InterferenceModel::GridFarField { cell_size: 100.0 },
-    );
+    let exact = decide_receptions(&p, &pos, &senders, BackendSpec::exact());
+    let grid = decide_receptions(&p, &pos, &senders, BackendSpec::grid_far_field(100.0));
     assert_eq!(exact, grid);
 }
 
@@ -123,24 +113,7 @@ fn grid_model_agrees_when_cells_are_large_enough() {
 fn unsorted_senders_panic() {
     let p = params();
     let pos = vec![Point::new(0.0, 0.0), Point::new(2.0, 0.0)];
-    let _ = decide_receptions(&p, &pos, &[1, 0], InterferenceModel::Exact);
-}
-
-#[test]
-fn parallel_backend_matches_serial_at_every_thread_count() {
-    let p = params();
-    let pos = sinr_geom::deploy::uniform(50, 60.0, 21).unwrap();
-    let senders: Vec<usize> = (0..50).step_by(2).collect();
-    for model in [
-        InterferenceModel::Exact,
-        InterferenceModel::GridFarField { cell_size: 8.0 },
-    ] {
-        let serial = decide_receptions(&p, &pos, &senders, model);
-        for threads in [2, 3, 7, 64] {
-            let par = decide_receptions_threaded(&p, &pos, &senders, model, threads);
-            assert_eq!(serial, par, "model {model:?}, threads {threads}");
-        }
-    }
+    let _ = decide_receptions(&p, &pos, &[1, 0], BackendSpec::exact());
 }
 
 #[test]
@@ -154,12 +127,7 @@ fn backends_reuse_cleanly_across_slots() {
     for step in 0..5usize {
         let senders: Vec<usize> = (0..40).skip(step).step_by(3).collect();
         backend.decide_slot(&p, &pos, &senders, &mut out);
-        let fresh = decide_receptions(
-            &p,
-            &pos,
-            &senders,
-            InterferenceModel::GridFarField { cell_size: 8.0 },
-        );
+        let fresh = decide_receptions(&p, &pos, &senders, BackendSpec::grid_far_field(8.0));
         assert_eq!(out, fresh, "slot {step}");
     }
 }
@@ -316,12 +284,25 @@ fn crossover_keeps_small_deployments_serial() {
     // Never more threads than the work floor allows.
     assert_eq!(effective_threads_for(4096, 4096, 64), 16);
 
-    // The public wrapper supplies the real core count.
+    // The public wrapper supplies the real core count. Past the
+    // crossover only the table kernels keep their threads; exact and
+    // grid always resolve serial, the form they are built in.
     assert_eq!(effective_threads(8, 64), 1);
-    let spec = BackendSpec::exact().with_threads(8);
-    assert_eq!(spec.tuned(64).threads, 1);
-    assert_eq!(spec.tuned(2048).threads, effective_threads(8, 2048));
-    assert_eq!(spec.tuned(64).model, spec.model);
+    for spec in [BackendSpec::cached(), BackendSpec::hybrid(0.0)] {
+        let spec = spec.with_threads(8);
+        assert_eq!(spec.tuned(64).threads, 1, "{spec}");
+        assert_eq!(
+            spec.tuned(2048).threads,
+            effective_threads(8, 2048),
+            "{spec}"
+        );
+        assert_eq!(spec.tuned(64).model, spec.model);
+    }
+    for spec in [BackendSpec::exact(), BackendSpec::grid_far_field(8.0)] {
+        let spec = spec.with_threads(8);
+        assert_eq!(spec.tuned(2048).threads, 1, "{spec}");
+        assert_eq!(spec.tuned(2048).model, spec.model);
+    }
 }
 
 #[test]
@@ -333,7 +314,9 @@ fn spec_parsing_round_trips() {
         "hybrid",
         "hybrid:16",
         "exact:par:4",
+        "grid:8:par:2",
         "grid:2.5:par:8",
+        "par:8",
         "cached:par:4",
         "hybrid:par:4",
         "hybrid:2.5:par:8",
@@ -349,6 +332,12 @@ fn spec_parsing_round_trips() {
     assert_eq!(
         BackendSpec::parse("par:4").unwrap(),
         BackendSpec::exact().with_threads(4)
+    );
+    // A thread request on a stateless model is kept verbatim: it only
+    // resolves to serial when tuned against a deployment.
+    assert_eq!(
+        BackendSpec::parse("grid:8:par:2").unwrap(),
+        BackendSpec::grid_far_field(8.0).with_threads(2)
     );
     assert_eq!(BackendSpec::parse("cached").unwrap(), BackendSpec::cached());
     assert_eq!(
@@ -389,16 +378,14 @@ fn backend_names_are_stable() {
         BackendSpec::cached().with_threads(2).build().name(),
         "cached+par"
     );
-    assert_eq!(
-        BackendSpec::exact().with_threads(2).build().name(),
-        "exact+par"
-    );
+    // Threads reach only the table kernels: exact and grid build serial.
+    assert_eq!(BackendSpec::exact().with_threads(2).build().name(), "exact");
     assert_eq!(
         BackendSpec::grid_far_field(4.0)
             .with_threads(2)
             .build()
             .name(),
-        "grid+par"
+        "grid"
     );
     assert_eq!(BackendSpec::hybrid(8.0).build().name(), "hybrid");
     assert_eq!(
@@ -427,7 +414,7 @@ fn assert_matches_exact(
 ) {
     let mut got = vec![None; pos.len()];
     backend.decide_slot(p, pos, senders, &mut got);
-    let want = decide_receptions(p, pos, senders, InterferenceModel::Exact);
+    let want = decide_receptions(p, pos, senders, BackendSpec::exact());
     assert_eq!(got, want, "{label}");
 }
 
@@ -593,8 +580,8 @@ fn update_positions_before_prepare_is_a_safe_noop() {
 
 #[test]
 fn update_positions_is_a_noop_for_stateless_backends() {
-    // Exact/grid/parallel read positions fresh per slot; the hook
-    // must not disturb them.
+    // Exact and grid (threads requested or not) read positions fresh
+    // per slot; the hook must not disturb them.
     let p = params();
     let mut pos = sinr_geom::deploy::uniform(20, 30.0, 6).unwrap();
     let senders: Vec<usize> = (0..20).step_by(2).collect();
@@ -610,7 +597,7 @@ fn update_positions_is_a_noop_for_stateless_backends() {
         pos[5] = Point::new(pos[5].x + 9.0, pos[5].y);
         backend.update_positions(&p, &pos, &[(5, pos[5])]);
         backend.decide_slot(&p, &pos, &senders, &mut out);
-        let want = decide_receptions(&p, &pos, &senders, InterferenceModel::Exact);
+        let want = decide_receptions(&p, &pos, &senders, BackendSpec::exact());
         if spec.model == InterferenceModel::Exact {
             assert_eq!(out, want, "{spec}");
         }
@@ -727,7 +714,7 @@ fn assert_hybrid_conservative(
 ) -> usize {
     let mut got = vec![None; pos.len()];
     hybrid.decide_slot(p, pos, senders, &mut got);
-    let want = decide_receptions(p, pos, senders, InterferenceModel::Exact);
+    let want = decide_receptions(p, pos, senders, BackendSpec::exact());
     let mut grants = 0;
     for (u, (h, e)) in got.iter().zip(&want).enumerate() {
         if let Some(s) = h {
@@ -930,9 +917,14 @@ fn tuned_falls_back_to_hybrid_over_the_memory_cap() {
         "hybrid"
     };
     assert_eq!(big.build().name(), expected);
-    // Non-cached models never switch.
-    let exact = BackendSpec::exact().tuned(100_000);
+    // Non-cached models never switch, and the stateless ones never
+    // keep a thread request.
+    let exact = BackendSpec::exact().with_threads(8).tuned(100_000);
     assert_eq!(exact.model, InterferenceModel::Exact);
+    assert_eq!(exact.threads, 1);
+    assert_eq!(exact.build().name(), "exact");
+    let grid = BackendSpec::grid_far_field(8.0).with_threads(8);
+    assert_eq!(grid.tuned(2048), BackendSpec::grid_far_field(8.0));
 }
 
 #[test]

@@ -16,7 +16,7 @@
 //!   uses only its `O(D·f_ack)` bound and the absMAC interface; in the
 //!   failure-free reliable setting studied here flood-max provides the
 //!   identical guarantees (agreement, validity, termination) with the
-//!   same time structure — see DESIGN.md §4 for the substitution note.
+//!   same time structure, so it substitutes for wPAXOS here.
 //!
 //! # Examples
 //!

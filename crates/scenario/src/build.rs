@@ -604,9 +604,9 @@ impl ScenarioSpec {
         // Serial/parallel crossover: now that the deployment size is
         // known, resolve the env override and the requested thread count
         // against it so small scenarios never pay thread fan-out
-        // (`backend=par:8` on a 16-node spec runs serial; receptions are
-        // thread-invariant, so this changes wall clock only). The
-        // effective spec is what the run context reports.
+        // (`backend=cached:par:8` on a 16-node spec runs serial;
+        // receptions are thread-invariant, so this changes wall clock
+        // only). The effective spec is what the run context reports.
         //
         // The resolution is deliberately made ONCE, against the
         // deployment realized at slot 0. Mobility moves nodes but never
@@ -1545,10 +1545,13 @@ mod tests {
             WorkloadSpec::Repeat(SourceSet::All),
             StopSpec::Slots(10),
         )
-        .with_backend(BackendSpec::exact().with_threads(8));
+        .with_backend(BackendSpec::cached().with_threads(8));
         let built = spec.build().unwrap();
         assert_eq!(built.ctx.backend.threads, 1);
-        assert_eq!(built.ctx.backend.model, sinr_phys::InterferenceModel::Exact);
+        assert_eq!(
+            built.ctx.backend.model,
+            sinr_phys::InterferenceModel::Cached
+        );
     }
 
     #[test]

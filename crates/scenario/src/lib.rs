@@ -14,7 +14,7 @@
 //! |------------|--------------|
 //! | `deploy`   | evaluation workloads: uniform/cluster deployments, the two-lines gadget of Fig. 1/Thm 6.1, the two-balls gadget of Thm 8.1 |
 //! | `sinr`     | the SINR model parameters `α, β, N, ε, R` of §4.2 |
-//! | `backend`  | reception computation (exact / grid far-field / threaded) — an implementation choice, not a model choice |
+//! | `backend`  | reception computation (exact / grid far-field / cached / hybrid, threads for the last two) — an implementation choice, not a model choice |
 //! | `mac`      | the plug-and-play axis: Algorithm 11.1 (`sinr`), the ideal reference layer, Decay (Thm 8.1 baseline), or the self-contained SMB baselines (TDMA schedule of Thm 6.1, DGKN \[14\], Decay/\[32\] proxy) |
 //! | `workload` | §4.5 problems: continuous/one-shot local broadcast (Defs. 5.1/7.1 measurement workloads), SMB/MMB (Thms 12.1/12.7), consensus (Cor. 5.5) |
 //! | `mobility` | beyond-the-paper movement: random-waypoint / drift trajectories evolved deterministically per slot (physical-engine MACs) |
@@ -95,7 +95,8 @@ pub mod prelude {
 ///
 /// The spec's `backend=` field is the source of truth, so published runs
 /// are reproducible from the spec alone; the environment variable is a
-/// deliberate operator override (e.g. forcing `par:8` on a big machine)
+/// deliberate operator override (e.g. forcing `cached:par:8` on a big
+/// machine)
 /// and **wins with a warning on stderr** when it differs from the spec.
 /// The warning is printed once per process ([`std::sync::Once`]) — a
 /// sweep builds hundreds of scenarios and must not repeat it per cell.
@@ -178,7 +179,7 @@ mod tests {
         if std::env::var("SINR_BACKEND").is_ok() {
             return;
         }
-        let spec = sinr_phys::BackendSpec::exact().with_threads(8);
+        let spec = sinr_phys::BackendSpec::cached().with_threads(8);
         assert_eq!(resolve_backend(spec, 64).threads, 1);
         // Past the crossover the resolved count is hardware-capped, so
         // pin it against the phys resolver rather than an absolute.

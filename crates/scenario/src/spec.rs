@@ -871,7 +871,8 @@ pub struct ScenarioSpec {
     /// SINR physical model.
     pub sinr: SinrSpec,
     /// Reception backend (interference model + threads): `exact`,
-    /// `grid:CELL`, `cached` or `par:T` combinations. The
+    /// `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, with `:par:T` threading
+    /// the last two. The
     /// `SINR_BACKEND` environment variable can override this at run time
     /// (with a warning); published runs should rely on the spec field.
     /// At build time the thread count is resolved against the realized

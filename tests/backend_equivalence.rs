@@ -1,12 +1,14 @@
 //! Property-based equivalence guarantees across reception backends.
 //!
-//! Two claims the module docs of `sinr_phys::reception` make, checked on
+//! The claims the module docs of `sinr_phys::reception` make, checked on
 //! randomized deployments:
 //!
-//! 1. **Thread-count invariance** — the parallel backend is bit-identical
-//!    to the serial computation at every thread count, for both
-//!    interference models (listeners are independent, so chunking cannot
-//!    change any decision).
+//! 1. **Thread-count invariance** — the table kernels (`cached`,
+//!    `hybrid`) are bit-identical to their own serial execution at any
+//!    thread count (listeners are independent, so chunking their sweeps
+//!    cannot change any decision); checked past the serial/parallel
+//!    crossover, where threads actually spawn. `exact` and `grid` always
+//!    run serial, so they have no thread count to vary.
 //! 2. **Grid conservativeness** — `GridFarField` over-estimates far-field
 //!    interference (each aggregated cell contributes
 //!    `|cell| · P / cell_min_dist^α`, a lower bound on distances hence an
@@ -35,9 +37,7 @@
 
 use proptest::prelude::*;
 
-use sinr_local_broadcast::phys::reception::{
-    decide_receptions, decide_receptions_threaded, BackendSpec,
-};
+use sinr_local_broadcast::phys::reception::{decide_receptions, BackendSpec};
 use sinr_local_broadcast::prelude::*;
 use sinr_local_broadcast::scenario::{
     report_for, DeploymentSpec, DynEvent, DynKind, MacSpec, ScenarioSpec, SourceSet, StopSpec,
@@ -58,42 +58,6 @@ fn near_field_points(max_n: usize, extent: i32) -> impl Strategy<Value = Vec<Poi
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Claim 1, exact model: every thread count produces the serial
-    /// result, bit for bit.
-    #[test]
-    fn parallel_exact_is_bit_identical_across_thread_counts(
-        pts in near_field_points(48, 28),
-        range in 4.0f64..30.0,
-        stride in 1usize..4,
-        threads in 2usize..9,
-    ) {
-        let sinr = SinrParams::builder().range(range).build().unwrap();
-        let senders: Vec<usize> = (0..pts.len()).step_by(stride).collect();
-        let serial = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
-        let par = decide_receptions_threaded(
-            &sinr, &pts, &senders, InterferenceModel::Exact, threads,
-        );
-        prop_assert_eq!(serial, par, "threads = {}", threads);
-    }
-
-    /// Claim 1, grid model: thread-count invariance also holds for the
-    /// approximate backend (the grid is built serially, so chunked
-    /// listeners see identical cell aggregates).
-    #[test]
-    fn parallel_grid_is_bit_identical_across_thread_counts(
-        pts in near_field_points(48, 28),
-        range in 4.0f64..24.0,
-        cell in 2.0f64..16.0,
-        threads in 2usize..9,
-    ) {
-        let sinr = SinrParams::builder().range(range).build().unwrap();
-        let senders: Vec<usize> = (0..pts.len()).step_by(2).collect();
-        let model = InterferenceModel::GridFarField { cell_size: cell };
-        let serial = decide_receptions(&sinr, &pts, &senders, model);
-        let par = decide_receptions_threaded(&sinr, &pts, &senders, model, threads);
-        prop_assert_eq!(serial, par, "threads = {}, cell = {}", threads, cell);
-    }
-
     /// Claim 2: `GridFarField` never grants a reception `Exact` denies,
     /// at any cell size, and agreements name the same sender.
     #[test]
@@ -105,10 +69,10 @@ proptest! {
     ) {
         let sinr = SinrParams::builder().range(range).build().unwrap();
         let senders: Vec<usize> = (0..pts.len()).step_by(stride).collect();
-        let exact = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+        let exact = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
         let grid = decide_receptions(
             &sinr, &pts, &senders,
-            InterferenceModel::GridFarField { cell_size: cell },
+            BackendSpec::grid_far_field(cell),
         );
         for (u, (e, g)) in exact.iter().zip(grid.iter()).enumerate() {
             if let Some(gs) = g {
@@ -149,7 +113,7 @@ proptest! {
                     .collect()
             };
             cached.decide_slot(&sinr, &pts, &senders, &mut got);
-            let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+            let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
             prop_assert_eq!(&got, &want, "slot {} (stride {})", step, stride);
         }
     }
@@ -175,7 +139,7 @@ proptest! {
                 let senders: Vec<usize> =
                     (0..n).skip(step % 2).step_by(stride + step % 3).collect();
                 cached.decide_slot(&sinr, &pts, &senders, &mut got);
-                let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+                let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
                 prop_assert_eq!(&got, &want, "slot {}", step);
             }
         }
@@ -216,7 +180,7 @@ proptest! {
             let senders: Vec<usize> =
                 (0..pts.len()).skip(step % 2).step_by(stride + step % 2).collect();
             cached.decide_slot(&sinr, &pts, &senders, &mut got);
-            let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+            let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
             prop_assert_eq!(&got, &want, "slot {} (movers {})", step, movers_per_slot);
         }
     }
@@ -244,7 +208,7 @@ proptest! {
                 let senders: Vec<usize> =
                     (0..n).skip(step % 2).step_by(stride + step % 3).collect();
                 cached.decide_slot(&sinr, &pts, &senders, &mut got);
-                let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+                let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
                 prop_assert_eq!(&got, &want, "n {} slot {}", n, step);
             }
         }
@@ -274,7 +238,7 @@ proptest! {
                 (0..pts.len()).skip(step % 3).step_by(stride + step % 2).collect()
             };
             hybrid.decide_slot(&sinr, &pts, &senders, &mut got);
-            let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+            let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
             for (u, (g, e)) in got.iter().zip(want.iter()).enumerate() {
                 if let Some(gs) = g {
                     prop_assert_eq!(
@@ -306,7 +270,7 @@ proptest! {
                 let senders: Vec<usize> =
                     (0..n).skip(step % 2).step_by(stride + step % 3).collect();
                 hybrid.decide_slot(&sinr, &pts, &senders, &mut got);
-                let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+                let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
                 for (u, (g, e)) in got.iter().zip(want.iter()).enumerate() {
                     if let Some(gs) = g {
                         prop_assert_eq!(
@@ -355,7 +319,7 @@ proptest! {
             let senders: Vec<usize> =
                 (0..pts.len()).skip(step % 2).step_by(stride + step % 2).collect();
             hybrid.decide_slot(&sinr, &pts, &senders, &mut got);
-            let want = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+            let want = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
             for (u, (g, e)) in got.iter().zip(want.iter()).enumerate() {
                 if let Some(gs) = g {
                     prop_assert_eq!(
@@ -384,11 +348,7 @@ proptest! {
         for step in 0..4usize {
             let senders: Vec<usize> = (0..pts.len()).skip(step % 2).step_by(2 + step).collect();
             backend.decide_slot(&sinr, &pts, &senders, &mut out);
-            let fresh = decide_receptions_threaded(
-                &sinr, &pts, &senders,
-                InterferenceModel::GridFarField { cell_size: cell },
-                threads,
-            );
+            let fresh = decide_receptions(&sinr, &pts, &senders, spec);
             prop_assert_eq!(&out, &fresh, "slot {}", step);
         }
     }
@@ -538,7 +498,7 @@ proptest! {
     }
 }
 
-/// Claims 3, 4 and 6 past the serial/parallel crossover: at n ≥ 512 the
+/// Claims 1, 3, 4 and 6 past the serial/parallel crossover: at n ≥ 512 the
 /// table kernels' chunked sweeps — the churn sweeps and the leave and
 /// re-enter sweeps of the mobility repair alike — actually spawn
 /// threads, and must be bit-identical to their own serial execution,

@@ -45,7 +45,7 @@ proptest! {
         range in 4.0f64..30.0,
     ) {
         let sinr = SinrParams::builder().range(range).build().unwrap();
-        let decisions = decide_receptions(&sinr, &pts, &[0], InterferenceModel::Exact);
+        let decisions = decide_receptions(&sinr, &pts, &[0], BackendSpec::exact());
         for (u, d) in decisions.iter().enumerate().skip(1) {
             let in_range = pts[0].dist(pts[u]) <= range;
             prop_assert_eq!(d.is_some(), in_range, "listener {}", u);
@@ -63,10 +63,10 @@ proptest! {
     ) {
         let sinr = SinrParams::builder().range(range).build().unwrap();
         let senders: Vec<usize> = (0..pts.len()).step_by(stride).collect();
-        let exact = decide_receptions(&sinr, &pts, &senders, InterferenceModel::Exact);
+        let exact = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
         let grid = decide_receptions(
             &sinr, &pts, &senders,
-            InterferenceModel::GridFarField { cell_size: cell },
+            BackendSpec::grid_far_field(cell),
         );
         for (e, g) in exact.iter().zip(grid.iter()) {
             if let Some(gs) = g {
