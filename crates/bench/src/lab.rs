@@ -194,13 +194,32 @@ pub const LEGACY: [(&str, &str); 9] = [
     ),
 ];
 
+/// Checks the `SINR_*` variables the library reads lazily, so a
+/// malformed value is refused before any command runs instead of
+/// panicking mid-run: `SINR_BACKEND` must parse as a
+/// [`BackendSpec`](sinr_phys::BackendSpec), `SINR_MAX_TABLE_BYTES` as
+/// the `u64` [`max_table_bytes`](sinr_phys::max_table_bytes) reads.
+fn check_env() -> Result<(), String> {
+    if let Ok(raw) = std::env::var("SINR_BACKEND") {
+        sinr_phys::BackendSpec::parse(&raw).map_err(|e| format!("SINR_BACKEND: {e}"))?;
+    }
+    if let Ok(raw) = std::env::var("SINR_MAX_TABLE_BYTES") {
+        raw.trim()
+            .parse::<u64>()
+            .map_err(|e| format!("SINR_MAX_TABLE_BYTES: bad value {raw:?}: {e}"))?;
+    }
+    Ok(())
+}
+
 /// Entry point shared by the `sinr-lab` binary and tests.
 ///
 /// # Errors
 ///
-/// A human-readable message on bad usage or a failed run; the caller
-/// turns it into a non-zero exit.
+/// A human-readable message on bad usage, a malformed `SINR_BACKEND` or
+/// `SINR_MAX_TABLE_BYTES`, or a failed run; the caller turns it into a
+/// non-zero exit.
 pub fn cli_main(args: &[String]) -> Result<(), String> {
+    check_env()?;
     match args.first().map(String::as_str) {
         Some("list") => {
             println!("named scenario presets:");

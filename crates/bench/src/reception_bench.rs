@@ -14,6 +14,15 @@
 //! `Engine` drives) and each reports decided slots per second of wall
 //! clock.
 //!
+//! The uniform deployments are also run on a **turnover schedule**:
+//! sixteen seeded sender sets in which each node sends with probability
+//! 1/12 (Algorithm 11.1 sends ~867 per 10⁴ nodes at city density).
+//! Consecutive sets differ in more nodes than either holds, so every
+//! slot takes the table kernels' full-refresh path — the path the
+//! paper's MAC drives, where the churn rows measure only the delta path.
+//! Every row names its `schedule`: `churn`, `turnover`, or `fixed` for
+//! the moving-uniform rows below, whose senders never change.
+//!
 //! A second, **moving-uniform** workload measures the mobility fast
 //! path: each slot teleports a cohort of `n/32` nodes between their home
 //! position and a parking row (the near-field invariant holds throughout)
@@ -34,13 +43,15 @@
 //! the `SINR_MAX_TABLE_BYTES` cap; the refusal is asserted before
 //! measuring). Serial `grid` is the reference at n = 10⁴ and the row
 //! set pins the headline ratio (target ≥10x hybrid over grid); the
-//! hybrid rows run serial and threaded (`hybrid+par`). The
-//! hybrid rows run at an explicit near-field cutoff tuned for the
+//! hybrid rows run serial and threaded (`hybrid+par`) on the churn
+//! schedule, and on the turnover schedule (serial only at n = 10⁵).
+//! Every city-scale row records its table build time (`prepare_ms`).
+//! The hybrid rows run at an explicit near-field cutoff tuned for the
 //! bench density (see [`CITY_CUTOFF`]).
 //!
 //! After writing, the emitted JSON is read back and validated (parses
-//! shallowly, one row per backend per configuration) so a refactor
-//! cannot silently rot the BENCH file; CI runs the same binary in
+//! shallowly, one row per backend per configuration and schedule) so a
+//! refactor cannot silently rot the BENCH file; CI runs the same binary in
 //! `--smoke` mode (n = 64 only, short measurements) on every push.
 //!
 //! Entry points: the `bench_reception` binary and
@@ -51,6 +62,8 @@
 use std::time::Instant;
 
 use crate::common::Table;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 use sinr_geom::{deploy, Point};
 use sinr_phys::{dense_table_bytes, max_table_bytes, BackendSpec, GainTable, SinrParams};
 use sinr_scenario::json::{self, Json};
@@ -58,10 +71,14 @@ use sinr_scenario::json::{self, Json};
 /// Slots in one churn cycle (and distinct transmitter sets).
 const CYCLE: usize = 16;
 
+/// Seed of the turnover schedule's sender sets.
+const TURNOVER_SEED: u64 = 12;
+
 /// One measured configuration.
 struct Sample {
     deployment: &'static str,
     n: usize,
+    schedule: Schedule,
     backend: String,
     slots_per_sec: f64,
     /// Receptions in the cycle's first slot, as a sanity anchor: backends
@@ -85,6 +102,40 @@ fn churn_schedule(n: usize) -> Vec<Vec<usize>> {
                 .collect()
         })
         .collect()
+}
+
+/// The turnover schedule: `CYCLE` seeded sender sets, each node sending
+/// with probability 1/12, so every slot refreshes (see the module docs).
+fn turnover_schedule(n: usize) -> Vec<Vec<usize>> {
+    let mut rng = StdRng::seed_from_u64(TURNOVER_SEED);
+    (0..CYCLE)
+        .map(|_| (0..n).filter(|_| rng.random_bool(1.0 / 12.0)).collect())
+        .collect()
+}
+
+/// The transmitter schedule a row runs (see the module docs).
+#[derive(Clone, Copy, PartialEq)]
+enum Schedule {
+    /// [`churn_schedule`]: the delta path.
+    Churn,
+    /// [`turnover_schedule`]: every slot refreshes.
+    Turnover,
+}
+
+impl Schedule {
+    fn name(self) -> &'static str {
+        match self {
+            Schedule::Churn => "churn",
+            Schedule::Turnover => "turnover",
+        }
+    }
+
+    fn sets(self, n: usize) -> Vec<Vec<usize>> {
+        match self {
+            Schedule::Churn => churn_schedule(n),
+            Schedule::Turnover => turnover_schedule(n),
+        }
+    }
 }
 
 fn measure(
@@ -185,9 +236,11 @@ const CITY_CUTOFF: f64 = 20.0;
 /// dense n×n table is marginal or refused.
 struct LargeSample {
     n: usize,
+    schedule: Schedule,
     kernel: String,
     slots_per_sec: f64,
     receptions: usize,
+    prepare_ms: f64,
 }
 
 /// Which per-slot procedure a mobility kernel runs.
@@ -301,8 +354,9 @@ fn check_mobility_exactness(sinr: &SinrParams, home: &[Point], senders: &[usize]
     }
 }
 
-/// Validation of the emitted JSON: it must parse as the expected shape
-/// and carry one row per backend per (deployment, n) pair.
+/// Validation of the emitted JSON: it must parse as the expected shape,
+/// carry one row per backend per (deployment, n) pair of each schedule,
+/// and name every row's schedule.
 ///
 /// # Panics
 ///
@@ -312,7 +366,7 @@ fn check_mobility_exactness(sinr: &SinrParams, home: &[Point], senders: &[usize]
 fn validate_json(
     text: &str,
     backends: &[String],
-    configurations: usize,
+    (churn, turnover): (usize, usize),
     mobility_rows: usize,
     large_rows: usize,
 ) {
@@ -326,6 +380,9 @@ fn validate_json(
         rows.iter()
             .all(|r| r.get(key).and_then(Json::as_f64).is_some())
     };
+    fn schedule(row: &Json) -> Option<&str> {
+        row.get("schedule").and_then(Json::as_str)
+    }
     assert_eq!(doc.get("bench").and_then(Json::as_str), Some("reception"));
     assert_eq!(
         doc.get("unit").and_then(Json::as_str),
@@ -345,27 +402,38 @@ fn validate_json(
         large.len() == large_rows
             && large
                 .iter()
-                .all(|r| r.get("kernel").and_then(Json::as_str).is_some()),
-        "expected {large_rows} city-scale rows"
+                .all(|r| r.get("kernel").and_then(Json::as_str).is_some())
+            && all_numbers(large, "prepare_ms"),
+        "expected {large_rows} city-scale rows, each with its prepare time"
     );
     let samples = rows("samples");
+    assert!(
+        [samples, mobility, large]
+            .iter()
+            .all(|rows| rows.iter().all(|r| schedule(r).is_some())),
+        "every row must name its schedule"
+    );
     assert_eq!(
         samples.len(),
-        backends.len() * configurations,
-        "expected {} rows ({} backends x {} configurations)",
-        backends.len() * configurations,
+        backends.len() * (churn + turnover),
+        "expected {} rows ({} backends x {churn} churn + {turnover} turnover configurations)",
+        backends.len() * (churn + turnover),
         backends.len(),
-        configurations,
     );
     for b in backends {
-        let count = samples
-            .iter()
-            .filter(|r| r.get("backend").and_then(Json::as_str) == Some(b.as_str()))
-            .count();
-        assert_eq!(
-            count, configurations,
-            "backend {b} does not appear once per configuration"
-        );
+        for (name, configurations) in [("churn", churn), ("turnover", turnover)] {
+            let count = samples
+                .iter()
+                .filter(|r| {
+                    r.get("backend").and_then(Json::as_str) == Some(b.as_str())
+                        && schedule(r) == Some(name)
+                })
+                .count();
+            assert_eq!(
+                count, configurations,
+                "backend {b} does not appear once per {name} configuration"
+            );
+        }
     }
     assert!(
         all_numbers(samples, "slots_per_sec") && all_numbers(samples, "prepare_ms"),
@@ -373,7 +441,9 @@ fn validate_json(
     );
 }
 
-/// The `slots_per_sec` a previous BENCH file recorded for one sample row.
+/// The churn-schedule `slots_per_sec` a previous BENCH file recorded for
+/// one sample row. Files written before rows named their schedule hold
+/// churn rows only.
 fn prev_rate(prev: &Json, deployment: &str, n: usize, backend: &str) -> Option<f64> {
     prev.get("samples")?
         .as_arr()?
@@ -382,9 +452,32 @@ fn prev_rate(prev: &Json, deployment: &str, n: usize, backend: &str) -> Option<f
             row.get("deployment").and_then(Json::as_str) == Some(deployment)
                 && row.get("n").and_then(Json::as_u64) == Some(n as u64)
                 && row.get("backend").and_then(Json::as_str) == Some(backend)
+                && row
+                    .get("schedule")
+                    .and_then(Json::as_str)
+                    .unwrap_or("churn")
+                    == "churn"
         })?
         .get("slots_per_sec")?
         .as_f64()
+}
+
+/// The CPU count and model of the machine the bench runs on.
+fn machine() -> Json {
+    let cpus = std::thread::available_parallelism().map_or(0, |p| p.get());
+    let model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|s| {
+            s.lines()
+                .find(|l| l.starts_with("model name"))
+                .and_then(|l| l.split_once(':'))
+                .map(|(_, m)| m.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".into());
+    Json::Obj(vec![
+        ("cpus".into(), Json::int(cpus as u64)),
+        ("cpu_model".into(), Json::str(model)),
+    ])
 }
 
 /// Runs the benchmark. `args` may contain `--smoke` (tiny mode: n = 64
@@ -437,10 +530,11 @@ pub fn run(args: &[String]) {
 
     let mut samples: Vec<Sample> = Vec::new();
     let mut table = Table::new(
-        "reception kernel throughput (≈ n/2 transmitters, ~n/16 churn per slot)",
+        "reception kernel throughput (churn: ≈ n/2 transmitters, ~n/16 change per slot; turnover: ≈ n/12, every slot refreshes)",
         &[
             "deployment",
             "n",
+            "schedule",
             "backend",
             "slots_per_sec",
             "receptions",
@@ -458,27 +552,35 @@ pub fn run(args: &[String]) {
             ),
             ("uniform", deploy::uniform(n, side, 5).expect("uniform")),
         ];
-        let schedule = churn_schedule(n);
         for (name, positions) in deployments {
-            for (spec, backend_name) in backends.iter().zip(&backend_names) {
-                let (slots_per_sec, receptions, prepare_ms) =
-                    measure(&sinr, &positions, &schedule, *spec, target_secs);
-                table.row(vec![
-                    name.to_string(),
-                    n.to_string(),
-                    backend_name.clone(),
-                    format!("{slots_per_sec:.0}"),
-                    receptions.to_string(),
-                    format!("{prepare_ms:.2}"),
-                ]);
-                samples.push(Sample {
-                    deployment: name,
-                    n,
-                    backend: backend_name.clone(),
-                    slots_per_sec,
-                    receptions,
-                    prepare_ms,
-                });
+            for schedule in [Schedule::Churn, Schedule::Turnover] {
+                // The turnover rows run on the uniform deployment only.
+                if schedule == Schedule::Turnover && name != "uniform" {
+                    continue;
+                }
+                let sets = schedule.sets(n);
+                for (spec, backend_name) in backends.iter().zip(&backend_names) {
+                    let (slots_per_sec, receptions, prepare_ms) =
+                        measure(&sinr, &positions, &sets, *spec, target_secs);
+                    table.row(vec![
+                        name.to_string(),
+                        n.to_string(),
+                        schedule.name().to_string(),
+                        backend_name.clone(),
+                        format!("{slots_per_sec:.0}"),
+                        receptions.to_string(),
+                        format!("{prepare_ms:.2}"),
+                    ]);
+                    samples.push(Sample {
+                        deployment: name,
+                        n,
+                        schedule,
+                        backend: backend_name.clone(),
+                        slots_per_sec,
+                        receptions,
+                        prepare_ms,
+                    });
+                }
             }
         }
     }
@@ -532,13 +634,34 @@ pub fn run(args: &[String]) {
     let mut hybrid_over_grid = 0.0f64;
     if !smoke {
         let mut large_table = Table::new(
-            "city-scale uniform: sparse hybrid kernel (~n/2 transmitters, ~n/16 churn)",
-            &["n", "kernel", "slots_per_sec", "receptions"],
+            "city-scale uniform: sparse hybrid kernel (churn: ~n/2 transmitters, ~n/16 change; turnover: ~n/12, every slot refreshes)",
+            &[
+                "n",
+                "schedule",
+                "kernel",
+                "slots_per_sec",
+                "receptions",
+                "prepare_ms",
+            ],
         );
-        for &(n, with_grid) in &[(10_000usize, true), (100_000, false)] {
+        let hybrid = BackendSpec::hybrid(CITY_CUTOFF);
+        let rows = [
+            (
+                10_000usize,
+                Schedule::Churn,
+                BackendSpec::grid_far_field(cell),
+            ),
+            (10_000, Schedule::Churn, hybrid),
+            (10_000, Schedule::Churn, hybrid.with_threads(threads)),
+            (10_000, Schedule::Turnover, hybrid),
+            (10_000, Schedule::Turnover, hybrid.with_threads(threads)),
+            (100_000, Schedule::Churn, hybrid),
+            (100_000, Schedule::Churn, hybrid.with_threads(threads)),
+            (100_000, Schedule::Turnover, hybrid),
+        ];
+        for n in [10_000usize, 100_000] {
             let side = (n as f64).sqrt() * 2.2;
             let positions = deploy::uniform(n, side, 5).expect("uniform");
-            let schedule = churn_schedule(n);
             // Past the byte cap the dense table must refuse with a
             // structured error (not OOM) — the refusal the hybrid
             // kernel exists to answer.
@@ -548,27 +671,25 @@ pub fn run(args: &[String]) {
                     "dense table must refuse at n={n}"
                 );
             }
-            let mut kernels: Vec<BackendSpec> = Vec::new();
-            if with_grid {
-                kernels.push(BackendSpec::grid_far_field(cell));
-            }
-            kernels.push(BackendSpec::hybrid(CITY_CUTOFF));
-            kernels.push(BackendSpec::hybrid(CITY_CUTOFF).with_threads(threads));
-            for spec in kernels {
+            for &(_, schedule, spec) in rows.iter().filter(|r| r.0 == n) {
                 let kernel = spec.build().name().to_string();
-                let (slots_per_sec, receptions, _prepare_ms) =
-                    measure(&sinr, &positions, &schedule, spec, target_secs);
+                let (slots_per_sec, receptions, prepare_ms) =
+                    measure(&sinr, &positions, &schedule.sets(n), spec, target_secs);
                 large_table.row(vec![
                     n.to_string(),
+                    schedule.name().to_string(),
                     kernel.clone(),
                     format!("{slots_per_sec:.1}"),
                     receptions.to_string(),
+                    format!("{prepare_ms:.0}"),
                 ]);
                 large_samples.push(LargeSample {
                     n,
+                    schedule,
                     kernel,
                     slots_per_sec,
                     receptions,
+                    prepare_ms,
                 });
             }
         }
@@ -576,7 +697,7 @@ pub fn run(args: &[String]) {
         let rate = |n: usize, kernel: &str| {
             large_samples
                 .iter()
-                .find(|s| s.n == n && s.kernel == kernel)
+                .find(|s| s.n == n && s.schedule == Schedule::Churn && s.kernel == kernel)
                 .map(|s| s.slots_per_sec)
                 .unwrap_or(0.0)
         };
@@ -588,6 +709,7 @@ pub fn run(args: &[String]) {
         ("bench".into(), Json::str("reception")),
         ("unit".into(), Json::str("slots_per_sec")),
         ("threads".into(), Json::int(threads as u64)),
+        ("machine".into(), machine()),
         ("churn_cycle".into(), Json::int(CYCLE as u64)),
         ("movers_div".into(), Json::int(MOVERS_DIV as u64)),
         (
@@ -599,6 +721,7 @@ pub fn run(args: &[String]) {
                         Json::Obj(vec![
                             ("deployment".into(), Json::str(s.deployment)),
                             ("n".into(), Json::int(s.n as u64)),
+                            ("schedule".into(), Json::str(s.schedule.name())),
                             ("backend".into(), Json::str(&s.backend)),
                             ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
                             ("receptions".into(), Json::int(s.receptions as u64)),
@@ -617,6 +740,7 @@ pub fn run(args: &[String]) {
                         Json::Obj(vec![
                             ("deployment".into(), Json::str("moving-uniform")),
                             ("n".into(), Json::int(s.n as u64)),
+                            ("schedule".into(), Json::str("fixed")),
                             ("movers".into(), Json::int(s.movers as u64)),
                             ("repair_slots_per_sec".into(), Json::Num(s.repair)),
                             ("reprepare_slots_per_sec".into(), Json::Num(s.reprepare)),
@@ -636,6 +760,7 @@ pub fn run(args: &[String]) {
                         let mut row = vec![
                             ("deployment".into(), Json::str("uniform-large")),
                             ("n".into(), Json::int(s.n as u64)),
+                            ("schedule".into(), Json::str(s.schedule.name())),
                             ("kernel".into(), Json::str(&s.kernel)),
                         ];
                         if s.kernel.starts_with("hybrid") {
@@ -644,6 +769,7 @@ pub fn run(args: &[String]) {
                         row.extend([
                             ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
                             ("receptions".into(), Json::int(s.receptions as u64)),
+                            ("prepare_ms".into(), Json::Num(s.prepare_ms)),
                             (
                                 "dense_table_bytes".into(),
                                 Json::int(dense_table_bytes(s.n)),
@@ -657,7 +783,7 @@ pub fn run(args: &[String]) {
     ];
     let vs_previous: Vec<Json> = samples
         .iter()
-        .filter(|s| s.backend == "cached")
+        .filter(|s| s.backend == "cached" && s.schedule == Schedule::Churn)
         .filter_map(|s| {
             let p = prev_rate(prev.as_ref()?, s.deployment, s.n, "cached")?;
             Some(Json::Obj(vec![
@@ -685,7 +811,7 @@ pub fn run(args: &[String]) {
     validate_json(
         &written,
         &backend_names,
-        sizes.len() * 2,
+        (sizes.len() * 2, sizes.len()),
         sizes.len(),
         large_samples.len(),
     );
@@ -701,7 +827,12 @@ pub fn run(args: &[String]) {
             let rate = |backend: &str| {
                 samples
                     .iter()
-                    .find(|s| s.deployment == deployment && s.n == 1024 && s.backend == backend)
+                    .find(|s| {
+                        s.deployment == deployment
+                            && s.n == 1024
+                            && s.schedule == Schedule::Churn
+                            && s.backend == backend
+                    })
                     .map(|s| s.slots_per_sec)
                     .unwrap_or(0.0)
             };
@@ -727,25 +858,31 @@ pub fn run(args: &[String]) {
         // The city-scale claims: hybrid beats grid by ≥10x at n = 10⁴,
         // and still decides slots at n = 10⁵ where the dense table
         // refuses to build at all.
-        let large_rate = |n: usize, kernel: &str| {
+        let large_rate = |n: usize, schedule: Schedule, kernel: &str| {
             large_samples
                 .iter()
-                .find(|s| s.n == n && s.kernel == kernel)
+                .find(|s| s.n == n && s.schedule == schedule && s.kernel == kernel)
                 .map(|s| s.slots_per_sec)
                 .unwrap_or(0.0)
         };
         println!(
             "n=10000 uniform: grid {:.1}/s, hybrid:{CITY_CUTOFF} {:.1}/s, hybrid+par {:.1}/s — hybrid/grid {hybrid_over_grid:.1}x (target >=10x)",
-            large_rate(10_000, "grid"),
-            large_rate(10_000, "hybrid"),
-            large_rate(10_000, "hybrid+par"),
+            large_rate(10_000, Schedule::Churn, "grid"),
+            large_rate(10_000, Schedule::Churn, "hybrid"),
+            large_rate(10_000, Schedule::Churn, "hybrid+par"),
         );
         println!(
             "n=100000 uniform: dense table ({} bytes) over the {}-byte cap, refused; hybrid {:.1}/s, hybrid+par {:.1}/s",
             dense_table_bytes(100_000),
             max_table_bytes(),
-            large_rate(100_000, "hybrid"),
-            large_rate(100_000, "hybrid+par"),
+            large_rate(100_000, Schedule::Churn, "hybrid"),
+            large_rate(100_000, Schedule::Churn, "hybrid+par"),
+        );
+        println!(
+            "turnover (every slot refreshes): n=10000 hybrid:{CITY_CUTOFF} {:.1}/s, hybrid+par {:.1}/s; n=100000 hybrid {:.1}/s",
+            large_rate(10_000, Schedule::Turnover, "hybrid"),
+            large_rate(10_000, Schedule::Turnover, "hybrid+par"),
+            large_rate(100_000, Schedule::Turnover, "hybrid"),
         );
     }
 }
@@ -768,6 +905,6 @@ mod tests {
     fn validator_accepts_the_committed_bench_file() {
         let backends = ["exact", "grid", "cached", "hybrid"];
         let backends: Vec<String> = backends.map(String::from).to_vec();
-        validate_json(COMMITTED, &backends, 6, 3, 5);
+        validate_json(COMMITTED, &backends, (6, 3), 3, 8);
     }
 }

@@ -88,9 +88,9 @@ fn listener_chunks<'a>(
 }
 
 /// The transmitter set a sweep works against, in both shapes a row
-/// source may read: the sorted index list (dense row sums) and the
-/// per-node flags (sparse row filters). The two always describe the same
-/// set.
+/// source may read: the sorted index list (sweeps by sender) and the
+/// per-node flags (row scans by listener). The two always describe the
+/// same set.
 #[derive(Clone, Copy)]
 pub struct Senders<'a> {
     pub(super) list: &'a [usize],
@@ -584,7 +584,9 @@ impl<S: RowSource> InterferenceBackend for IncrementalBackend<S> {
         );
         let interval = REFRESH_OPS.max(S::REFRESH_PER_NODE * positions.len() as u64);
         // A delta as large as the set itself makes the rebuild the
-        // cheaper path; the periodic refresh bounds float drift.
+        // cheaper path for either row source, since a rebuild reads one
+        // row per sender and a delta one per changed sender; the
+        // periodic refresh bounds float drift.
         let refresh = delta >= senders.len().max(1) || state.ops_since_refresh >= interval;
         if refresh {
             state.ops_since_refresh = 0;

@@ -42,8 +42,8 @@ struct CellSlot {
 /// a link at 16 bytes.
 #[derive(Debug, Clone, Copy)]
 pub(super) struct NearLink {
-    node: u32,
-    gain: f64,
+    pub(super) node: u32,
+    pub(super) gain: f64,
 }
 
 /// Squared lower bound on the distance between any point of the cell at
@@ -74,7 +74,7 @@ fn hybrid_key(p: Point, cell_size: f64) -> (i64, i64) {
 /// which depends only on the absolute key offset `(|Δi|, |Δj|)` — so
 /// all O(cells²) far pair gains collapse into one small offset-indexed
 /// table and the far sweeps become multiply-adds instead of `powf`
-/// storms. Near offsets store 0 (their value is never read).
+/// storms. Near offsets store `+0.0`, so adding one is a no-op.
 #[derive(Debug, Clone, Default)]
 struct PairGain {
     dj_max: i64,
@@ -109,6 +109,13 @@ impl PairGain {
     #[inline]
     fn get(&self, di: i64, dj: i64) -> f64 {
         self.vals[(di * (self.dj_max + 1) + dj) as usize]
+    }
+
+    /// The gains at row offset `di`, indexed by `dj`.
+    #[inline]
+    fn row(&self, di: i64) -> &[f64] {
+        let w = (self.dj_max + 1) as usize;
+        &self.vals[di as usize * w..(di as usize + 1) * w]
     }
 }
 
@@ -335,18 +342,10 @@ impl HybridTable {
             + self.pair_gain.vals.len() * std::mem::size_of::<f64>()
     }
 
-    /// The exact link gain between `u` and its near neighbor `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the pair is not near — callers only ask for links
-    /// they discovered in a row scan.
-    fn near_gain(&self, u: usize, v: usize) -> f64 {
-        let row = &self.rows[u];
-        let i = row
-            .binary_search_by_key(&(v as u32), |l| l.node)
-            .expect("near_gain queried for a non-near pair");
-        row[i].gain
+    /// Node `u`'s near row: its links in ascending node order.
+    #[cfg(test)]
+    pub(super) fn near_row(&self, u: usize) -> &[NearLink] {
+        &self.rows[u]
     }
 
     /// The far-field gain from source cell `src` to destination cell
@@ -369,7 +368,7 @@ impl HybridTable {
     /// scanned in ascending node order: the ordered gain sum, its number
     /// of terms, and the nearest transmitter with its squared distance
     /// (first minimum, the exact backend's tie-break).
-    fn scan_near(&self, u: usize, sending: &[bool]) -> (f64, u32, f64, usize) {
+    pub(super) fn scan_near(&self, u: usize, sending: &[bool]) -> (f64, u32, f64, usize) {
         let pu = self.positions[u];
         let mut total = 0.0;
         let mut terms = 0u32;
@@ -402,7 +401,7 @@ impl HybridTable {
     /// Destination cell `dest`'s far-field aggregate recomputed from the
     /// per-cell transmitter counts in slot order, with its number of
     /// terms.
-    fn far_from_counts(&self, dest: u32, counts: &[u32]) -> (f64, u32) {
+    pub(super) fn far_from_counts(&self, dest: u32, counts: &[u32]) -> (f64, u32) {
         let mut sum = 0.0;
         let mut terms = 0u32;
         for (src, &cnt) in counts.iter().enumerate() {
@@ -415,6 +414,56 @@ impl HybridTable {
             }
         }
         (sum, terms)
+    }
+
+    /// [`HybridTable::far_from_counts`] over the transmitting cells
+    /// `sources` alone: the same terms in the same slot order, hence the
+    /// same bits. A near pair adds its stored `+0.0`, which leaves a sum
+    /// that starts at `+0.0` and only grows bitwise unchanged, and counts
+    /// no term. A run of sources more than [`hybrid_reach`] key rows from
+    /// `dest` is far throughout (the bound [`build_row`]'s window rests
+    /// on), so only runs inside that band test pairs one by one.
+    fn far_sum(&self, dest: u32, sources: &FarSources) -> (f64, u32) {
+        let kd = self.cells[dest as usize].key;
+        let reach = hybrid_reach(self.cutoff, self.cell_size);
+        let cutoff_sq = self.cutoff * self.cutoff;
+        let mut sum = 0.0;
+        let mut terms = 0u32;
+        for &(k0, lo, hi) in &sources.runs {
+            let di = (kd.0 - k0).abs();
+            let gains = self.pair_gain.row(di);
+            let cells = sources.k1[lo..hi].iter().zip(&sources.count[lo..hi]);
+            if di > reach {
+                for (&k1, &cnt) in cells {
+                    sum += cnt * gains[(kd.1 - k1).unsigned_abs() as usize];
+                }
+                terms += (hi - lo) as u32;
+            } else {
+                for (&k1, &cnt) in cells {
+                    let dj = (kd.1 - k1).abs();
+                    sum += cnt * gains[dj as usize];
+                    terms += u32::from(box_dist_sq(di, dj, self.cell_size) > cutoff_sq);
+                }
+            }
+        }
+        (sum, terms)
+    }
+
+    /// Per-cell transmitter counts of the sender set `senders`, counted
+    /// from scratch.
+    #[cfg(test)]
+    pub(super) fn cell_counts(&self, senders: &[usize]) -> Vec<u32> {
+        let mut counts = vec![0u32; self.cells.len()];
+        for &s in senders {
+            counts[self.cell_of[s] as usize] += 1;
+        }
+        counts
+    }
+
+    /// Node `u`'s cell slot.
+    #[cfg(test)]
+    pub(super) fn cell_of(&self, u: usize) -> u32 {
+        self.cell_of[u]
     }
 
     /// Grows the pair-gain table when `key` falls outside the occupied
@@ -515,13 +564,59 @@ fn hybrid_reach(cutoff: f64, cell_size: f64) -> i64 {
 /// identical bits for the near-field portion — and nearest **near**
 /// senders re-selected with the exact backend's first-minimum
 /// tie-break.
-fn hybrid_refresh_range(ls: ListenerState<'_>, table: &HybridTable, sending: &[bool]) {
+///
+/// The range is rebuilt sender-major ([`refresh_by_senders`]), reading
+/// only the senders' rows, unless it holds no more listeners than there
+/// are senders (a mover's one-listener refresh): then scanning the
+/// listeners' own rows ([`refresh_by_listeners`]) reads less. Both give
+/// the same bits.
+fn hybrid_refresh_range(ls: ListenerState<'_>, table: &HybridTable, senders: Senders<'_>) {
+    if ls.total.len() <= senders.list.len() {
+        refresh_by_listeners(ls, table, senders.sending);
+    } else {
+        refresh_by_senders(ls, table, senders.list);
+    }
+}
+
+/// [`hybrid_refresh_range`] by scanning each listener's row against the
+/// sending flags.
+fn refresh_by_listeners(ls: ListenerState<'_>, table: &HybridTable, sending: &[bool]) {
     for i in 0..ls.total.len() {
         let (total, terms, bd, bs) = table.scan_near(ls.base + i, sending);
         ls.total[i] = total;
         ls.err[i] = (f64::from(terms) + 1.0) * f64::EPSILON * total.abs();
         ls.best_d2[i] = bd;
         ls.best_s[i] = bs;
+    }
+}
+
+/// [`hybrid_refresh_range`] by adding each sender's links into the range
+/// in ascending sender order. Rows are symmetric with bitwise-equal
+/// gains and `dist_sq` is bitwise symmetric, so every listener receives
+/// the gains, distances and (first-minimum) nearest sender of its own
+/// row scan, in the same order. `err` counts each listener's terms
+/// until the final pass turns the count into the drift bound.
+pub(super) fn refresh_by_senders(ls: ListenerState<'_>, table: &HybridTable, list: &[usize]) {
+    let (lo, hi) = (ls.base, ls.base + ls.total.len());
+    ls.total.fill(0.0);
+    ls.err.fill(0.0);
+    ls.best_d2.fill(f64::INFINITY);
+    ls.best_s.fill(NO_SENDER);
+    for &s in list {
+        let ps = table.positions[s];
+        for link in table.row_within(s, lo, hi) {
+            let i = link.node as usize - lo;
+            ls.total[i] += link.gain;
+            ls.err[i] += 1.0;
+            let d = table.positions[link.node as usize].dist_sq(ps);
+            if d < ls.best_d2[i] {
+                ls.best_d2[i] = d;
+                ls.best_s[i] = s;
+            }
+        }
+    }
+    for (err, total) in ls.err.iter_mut().zip(ls.total.iter()) {
+        *err = (*err + 1.0) * f64::EPSILON * total.abs();
     }
 }
 
@@ -626,14 +721,50 @@ fn for_each_cell(
 #[derive(Debug, Default)]
 pub struct FarField {
     /// Per-cell current transmitter count.
-    count: Vec<u32>,
+    pub(super) count: Vec<u32>,
     /// Per-cell aggregated far-field interference at any listener in the
     /// cell (destination-keyed).
-    sum: Vec<f64>,
+    pub(super) sum: Vec<f64>,
     /// Per-cell conservative drift bound on `sum`.
-    err: Vec<f64>,
+    pub(super) err: Vec<f64>,
     /// Scratch: net `(cell, count delta)` pairs for the current update.
     delta: Vec<(u32, i32)>,
+    /// Scratch: the transmitting cells a refresh sums over.
+    sources: FarSources,
+}
+
+/// The transmitting cells of one far refresh, listed once in slot order
+/// and cut into runs of equal first key component, so that a
+/// destination reads one pair-gain row per run.
+#[derive(Debug, Default)]
+struct FarSources {
+    /// `(first key component, start, end)` of each run in `k1`/`count`.
+    runs: Vec<(i64, usize, usize)>,
+    /// Second key component of each transmitting cell.
+    k1: Vec<i64>,
+    /// Transmitter count of each transmitting cell.
+    count: Vec<f64>,
+}
+
+impl FarSources {
+    /// Lists the cells whose entry in `counts` is nonzero.
+    fn collect(&mut self, cells: &[CellSlot], counts: &[u32]) {
+        self.runs.clear();
+        self.k1.clear();
+        self.count.clear();
+        for (cell, &cnt) in cells.iter().zip(counts) {
+            if cnt == 0 {
+                continue;
+            }
+            let at = self.k1.len();
+            match self.runs.last_mut() {
+                Some(run) if run.0 == cell.key.0 => run.2 = at + 1,
+                _ => self.runs.push((cell.key.0, at, at + 1)),
+            }
+            self.k1.push(cell.key.1);
+            self.count.push(f64::from(cnt));
+        }
+    }
 }
 
 impl RowSource for HybridTable {
@@ -666,7 +797,7 @@ impl RowSource for HybridTable {
     }
 
     fn refresh(&self, ls: ListenerState<'_>, senders: Senders<'_>) {
-        hybrid_refresh_range(ls, self, senders.sending);
+        hybrid_refresh_range(ls, self, senders);
     }
 
     fn delta(
@@ -679,8 +810,13 @@ impl RowSource for HybridTable {
         hybrid_delta_range(ls, self, senders.sending, enters, leaves);
     }
 
+    /// Recomputed from the table's positions with the expression
+    /// [`build_row`] stored, so it equals the near link's gain bit for
+    /// bit (the skeleton only asks for a listener's nearest near
+    /// sender).
     fn signal(&self, u: usize, s: usize) -> f64 {
-        self.near_gain(u, s)
+        let d2 = self.positions[s].dist_sq(self.positions[u]);
+        self.params.received_power(d2.sqrt())
     }
 
     fn replay_near(&self, senders: Senders<'_>, u: usize) -> (f64, usize) {
@@ -718,6 +854,7 @@ impl RowSource for HybridTable {
             sum: vec![0.0; cells],
             err: vec![0.0; cells],
             delta: Vec::new(),
+            sources: FarSources::default(),
         };
     }
 
@@ -738,6 +875,7 @@ impl RowSource for HybridTable {
             sum,
             err,
             delta,
+            sources,
         } = far;
         delta.clear();
         delta.extend(leaves.iter().map(|&s| (self.cell_of[s], -1)));
@@ -748,9 +886,12 @@ impl RowSource for HybridTable {
             *cnt = (i64::from(*cnt) + i64::from(d)) as u32;
         }
         if refresh {
-            let counts: &[u32] = count;
+            // The transmitting cells are listed once, so each
+            // destination visits only them, not every cell.
+            sources.collect(&self.cells, count);
+            let sources: &FarSources = sources;
             for_each_cell(sum, err, threads, |dest, fv, ev| {
-                let (s, terms) = self.far_from_counts(dest, counts);
+                let (s, terms) = self.far_sum(dest, sources);
                 *fv = s;
                 *ev = (f64::from(terms) + 1.0) * f64::EPSILON * s.abs();
             });
@@ -802,8 +943,9 @@ impl RowSource for HybridTable {
 /// mobility). Results are bit-reproducible across thread counts and
 /// shared-vs-private tables.
 ///
-/// Per-slot cost is O(|Δ senders| × near listeners + Δcells × cells);
-/// memory is O(n · near_degree + cells).
+/// Per-slot cost is O(senders × near row + cells × transmitting cells)
+/// on a refresh and O(|Δ senders| × near row + cells × changed cells)
+/// on a delta; memory is O(n · near_degree + cells).
 pub type HybridBackend = IncrementalBackend<HybridTable>;
 
 impl HybridBackend {

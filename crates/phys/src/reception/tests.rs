@@ -1,5 +1,8 @@
-use super::incremental::REFRESH_OPS;
-use super::sparse::NearLink;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+
+use super::incremental::{ListenerState, RowSource, Senders, NO_SENDER, REFRESH_OPS};
+use super::sparse::{refresh_by_senders, FarField, NearLink};
 use super::*;
 
 fn params() -> SinrParams {
@@ -977,4 +980,301 @@ fn build_with_tables_routes_by_model() {
     // A hybrid table built for one cutoff must not serve another.
     let wrong_cutoff = tables.matching(BackendSpec::hybrid(4.0), &p, &pos);
     assert!(wrong_cutoff.hybrid().is_none());
+}
+
+/// A uniform deployment past the parallel crossover at the city bench
+/// density (side 2.2·√n).
+fn crossover_deployment(n: usize, seed: u64) -> Vec<Point> {
+    assert!(n >= PAR_CROSSOVER_LISTENERS);
+    sinr_geom::deploy::uniform(n, (n as f64).sqrt() * 2.2, seed).unwrap()
+}
+
+/// Sixteen seeded sender sets in which each node sends with probability
+/// 1/12: consecutive sets differ in more nodes than either holds, so
+/// every slot takes the refresh path.
+fn turnover_schedule(n: usize, seed: u64) -> Vec<Vec<usize>> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    (0..16)
+        .map(|_| (0..n).filter(|_| rng.random_bool(1.0 / 12.0)).collect())
+        .collect()
+}
+
+/// Half the nodes always send and an odd cohort of n/32 rotates, so
+/// consecutive sets differ in ~n/16 nodes: the delta path.
+fn churn_schedule(n: usize) -> Vec<Vec<usize>> {
+    (0..16)
+        .map(|v| {
+            (0..n)
+                .filter(|i| i % 2 == 0 || i % 32 == 2 * v + 1)
+                .collect()
+        })
+        .collect()
+}
+
+/// Sender sets from empty to everyone: none, one node, ~1/12, ~1/2, all.
+fn refresh_sender_sets(n: usize) -> Vec<Vec<usize>> {
+    vec![
+        Vec::new(),
+        vec![n / 3],
+        turnover_schedule(n, 12).swap_remove(0),
+        (0..n).filter(|i| i % 2 == 1).collect(),
+        (0..n).collect(),
+    ]
+}
+
+fn sending_flags(n: usize, senders: &[usize]) -> Vec<bool> {
+    let mut sending = vec![false; n];
+    for &s in senders {
+        sending[s] = true;
+    }
+    sending
+}
+
+fn bits(xs: &[f64]) -> Vec<u64> {
+    xs.iter().map(|x| x.to_bits()).collect()
+}
+
+/// One listener range's refreshed state: total, err, best_d2, best_s.
+type RangeState = (Vec<f64>, Vec<f64>, Vec<f64>, Vec<usize>);
+
+/// Runs `refresh` over the listener range `[lo, hi)`, starting from
+/// garbage so every entry must be written.
+fn refreshed_range(lo: usize, hi: usize, refresh: impl FnOnce(ListenerState<'_>)) -> RangeState {
+    let len = hi - lo;
+    let (mut total, mut err, mut best_d2) = (vec![f64::NAN; len], vec![-1.0; len], vec![0.5; len]);
+    let mut best_s = vec![7usize; len];
+    refresh(ListenerState {
+        base: lo,
+        total: &mut total,
+        err: &mut err,
+        best_d2: &mut best_d2,
+        best_s: &mut best_s,
+    });
+    (total, err, best_d2, best_s)
+}
+
+#[test]
+fn hybrid_sender_major_refresh_matches_the_listener_scan() {
+    // The lattice adds exact distance ties, which pin the tie-break.
+    let p = params();
+    let n = 1024;
+    let deployments = [
+        crossover_deployment(n, 4),
+        sinr_geom::deploy::lattice(32, 32, 2.0).unwrap(),
+    ];
+    for (pos, cutoff) in deployments.iter().flat_map(|pos| [(pos, 8.0), (pos, 0.0)]) {
+        let table = HybridTable::build(&p, pos, cutoff, 1);
+        for senders in refresh_sender_sets(n) {
+            let sending = sending_flags(n, &senders);
+            let mut want: RangeState = Default::default();
+            for u in 0..n {
+                let (total, terms, bd, bs) = table.scan_near(u, &sending);
+                want.0.push(total);
+                want.1
+                    .push((f64::from(terms) + 1.0) * f64::EPSILON * total.abs());
+                want.2.push(bd);
+                want.3.push(bs);
+            }
+            let list = senders.as_slice();
+            let ranges = [
+                (0, n),
+                (0, n / 2),
+                (n / 2, n),
+                (0, 1),
+                (n / 3, n / 3 + 1),
+                (n - 1, n),
+            ];
+            for (lo, hi) in ranges {
+                let by_senders = refreshed_range(lo, hi, |ls| refresh_by_senders(ls, &table, list));
+                let via_trait = refreshed_range(lo, hi, |ls| {
+                    table.refresh(
+                        ls,
+                        Senders {
+                            list,
+                            sending: &sending,
+                        },
+                    );
+                });
+                for (label, got) in [("sender-major", by_senders), ("refresh", via_trait)] {
+                    let at = format!(
+                        "{label}, cutoff {cutoff}, {} senders, [{lo}, {hi})",
+                        list.len()
+                    );
+                    assert_eq!(bits(&got.0), bits(&want.0[lo..hi]), "total: {at}");
+                    assert_eq!(bits(&got.1), bits(&want.1[lo..hi]), "err: {at}");
+                    assert_eq!(bits(&got.2), bits(&want.2[lo..hi]), "best_d2: {at}");
+                    assert_eq!(got.3, want.3[lo..hi], "best_s: {at}");
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn hybrid_far_refresh_matches_far_from_counts() {
+    // Walking through the sender sets in turn also moves the per-cell
+    // counts by deltas before each refresh, as the kernel does.
+    let p = params();
+    let n = 1024;
+    let pos = crossover_deployment(n, 5);
+    for cutoff in [8.0, 0.0] {
+        let table = HybridTable::build(&p, &pos, cutoff, 1);
+        for threads in [1, 2] {
+            let mut far = FarField::default();
+            table.reset_far(&mut far);
+            let mut prev: Vec<usize> = Vec::new();
+            for senders in refresh_sender_sets(n) {
+                let enters: Vec<usize> = senders
+                    .iter()
+                    .copied()
+                    .filter(|s| prev.binary_search(s).is_err())
+                    .collect();
+                let leaves: Vec<usize> = prev
+                    .iter()
+                    .copied()
+                    .filter(|s| senders.binary_search(s).is_err())
+                    .collect();
+                table.far_update(&mut far, &enters, &leaves, true, threads);
+                let counts = table.cell_counts(&senders);
+                assert_eq!(far.count, counts);
+                for dest in 0..counts.len() {
+                    let (sum, terms) = table.far_from_counts(dest as u32, &counts);
+                    let err = (f64::from(terms) + 1.0) * f64::EPSILON * sum.abs();
+                    let at = format!(
+                        "cutoff {cutoff}, {threads} threads, {} senders, cell {dest}",
+                        senders.len()
+                    );
+                    assert_eq!(far.sum[dest].to_bits(), sum.to_bits(), "sum: {at}");
+                    assert_eq!(far.err[dest].to_bits(), err.to_bits(), "err: {at}");
+                }
+                prev = senders;
+            }
+        }
+    }
+}
+
+/// Asserts `signal(u, s)` equals the stored gain of every near link.
+fn assert_signal_is_the_stored_gain(table: &HybridTable, label: &str) {
+    let mut links = 0;
+    for u in 0..table.n() {
+        for link in table.near_row(u) {
+            let s = link.node as usize;
+            assert_eq!(
+                table.signal(u, s).to_bits(),
+                link.gain.to_bits(),
+                "{label}: link {s} -> {u}"
+            );
+            links += 1;
+        }
+    }
+    assert!(links > 0, "{label}: no near links");
+}
+
+/// Moves `count` nodes: the first half to a row below the deployment
+/// (fresh cells), the rest to free spots inside it (occupied cells),
+/// keeping every pair at least 1.5 apart. Returns the ascending moves
+/// and applies them to `pos`.
+fn move_some(pos: &mut [Point], count: usize) -> Vec<(usize, Point)> {
+    let n = pos.len();
+    let movers: Vec<usize> = (0..count).map(|k| 7 + k * (n / count)).collect();
+    let mut moved = Vec::new();
+    for (k, &m) in movers.iter().enumerate() {
+        let to = if k < count / 2 {
+            Point::new(2.0 * k as f64, -10.0)
+        } else {
+            (0..)
+                .map(|c| Point::new(1.0 + 0.75 * (c % 80) as f64, 1.0 + 0.75 * (c / 80) as f64))
+                .find(|q| pos.iter().all(|o| o.dist_sq(*q) >= 1.5 * 1.5))
+                .unwrap()
+        };
+        pos[m] = to;
+        moved.push((m, to));
+    }
+    moved
+}
+
+#[test]
+fn hybrid_signal_equals_the_stored_link_gain() {
+    let p = params();
+    let n = 1024;
+    for cutoff in [8.0, 0.0] {
+        let mut pos = crossover_deployment(n, 6);
+        let mut hybrid = HybridBackend::new(cutoff);
+        hybrid.prepare(&p, &pos).unwrap();
+        assert_signal_is_the_stored_gain(hybrid.table().unwrap(), &format!("cutoff {cutoff}"));
+        let moved = move_some(&mut pos, 16);
+        hybrid.update_positions(&p, &pos, &moved);
+        let table = hybrid.table().unwrap();
+        assert!(
+            table.matches(&p, &pos, cutoff),
+            "the moves must be repaired, not rebuilt"
+        );
+        assert_signal_is_the_stored_gain(table, &format!("cutoff {cutoff}, after moves"));
+    }
+}
+
+/// The hybrid model evaluated from scratch for one slot: per listener,
+/// the nearest near sender by (d², index), the ordered near sum of
+/// `scan_near` and the far sum `far_from_counts` gives over freshly
+/// counted cells, decided by `SinrParams::decodes` with the stored gain
+/// as the signal.
+fn hybrid_oracle(p: &SinrParams, table: &HybridTable, senders: &[usize]) -> Vec<Option<usize>> {
+    let n = table.n();
+    let sending = sending_flags(n, senders);
+    let counts = table.cell_counts(senders);
+    (0..n)
+        .map(|u| {
+            if sending[u] {
+                return None;
+            }
+            let (near, _, _, best) = table.scan_near(u, &sending);
+            if best == NO_SENDER {
+                return None;
+            }
+            let row = table.near_row(u);
+            let signal = row[row
+                .binary_search_by_key(&(best as u32), |l| l.node)
+                .unwrap()]
+            .gain;
+            let far = table.far_from_counts(table.cell_of(u), &counts).0;
+            p.decodes(signal, (near + far) - signal).then_some(best)
+        })
+        .collect()
+}
+
+#[test]
+fn hybrid_decisions_match_a_from_scratch_oracle() {
+    let p = params();
+    let n = 1024;
+    for cutoff in [8.0, 0.0] {
+        for (name, schedule) in [
+            ("turnover", turnover_schedule(n, 3)),
+            ("churn", churn_schedule(n)),
+        ] {
+            for threads in [1, 2] {
+                let mut pos = crossover_deployment(n, 7);
+                let mut hybrid = HybridBackend::with_threads(cutoff, threads);
+                hybrid.prepare(&p, &pos).unwrap();
+                let mut grants = 0;
+                for (slot, senders) in schedule.iter().enumerate() {
+                    if slot == schedule.len() / 2 {
+                        let moved = move_some(&mut pos, 16);
+                        hybrid.update_positions(&p, &pos, &moved);
+                    }
+                    let mut got = vec![None; n];
+                    hybrid.decide_slot(&p, &pos, senders, &mut got);
+                    let at = format!("{name}, cutoff {cutoff}, {threads} threads, slot {slot}");
+                    // The turnover schedule refreshes every slot; the
+                    // churn schedule takes the delta path after slot 0.
+                    let refreshed = hybrid.state.ops_since_refresh == 0;
+                    assert_eq!(refreshed, name == "turnover" || slot == 0, "{at}");
+                    let table = hybrid.table().unwrap();
+                    assert!(table.matches(&p, &pos, cutoff), "{at}");
+                    assert_eq!(got, hybrid_oracle(&p, table, senders), "{at}");
+                    grants += got.iter().flatten().count();
+                }
+                assert!(grants > 0, "{name}: nothing decoded");
+            }
+        }
+    }
 }
