@@ -1,10 +1,10 @@
-//! A3 — exact vs grid-aggregated interference: reception agreement and
-//! wall-clock speedup of the kernel.
+//! A3 — exact vs the hybrid near/far kernel: reception agreement and
+//! wall-clock speedup over the churn schedule.
 //!
 //! Thin wrapper over `sinr-lab legacy ablation_interference`.
 //!
 //! Run with: `cargo run --release -p sinr-bench --bin ablation_interference`
 
 fn main() {
-    sinr_bench::lab::legacy("ablation_interference", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "ablation_interference"]);
 }

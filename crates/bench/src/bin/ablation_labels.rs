@@ -8,5 +8,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin ablation_labels`
 
 fn main() {
-    sinr_bench::lab::legacy("ablation_labels", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "ablation_labels"]);
 }

@@ -7,5 +7,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin ablation_t`
 
 fn main() {
-    sinr_bench::lab::legacy("ablation_t", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "ablation_t"]);
 }

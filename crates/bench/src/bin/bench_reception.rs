@@ -7,6 +7,5 @@
 //! `cargo run --release -p sinr-bench --bin bench_reception [OUT.json]`
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    sinr_bench::lab::legacy("bench_reception", &args).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "bench_reception"]);
 }

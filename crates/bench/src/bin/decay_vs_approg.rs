@@ -7,5 +7,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin decay_vs_approg`
 
 fn main() {
-    sinr_bench::lab::legacy("decay_vs_approg", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "decay_vs_approg"]);
 }

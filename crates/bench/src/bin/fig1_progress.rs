@@ -7,5 +7,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin fig1_progress`
 
 fn main() {
-    sinr_bench::lab::legacy("fig1_progress", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "fig1_progress"]);
 }

@@ -5,9 +5,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin sinr_lab -- help`
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    if let Err(msg) = sinr_bench::lab::cli_main(&args) {
-        eprintln!("sinr-lab: {msg}");
-        std::process::exit(2);
-    }
+    sinr_bench::lab::process_main(&[]);
 }

@@ -7,5 +7,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin table1_global`
 
 fn main() {
-    sinr_bench::lab::legacy("table1_global", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "table1_global"]);
 }

@@ -7,5 +7,5 @@
 //! Run with: `cargo run --release -p sinr-bench --bin table2_smb`
 
 fn main() {
-    sinr_bench::lab::legacy("table2_smb", &[]).expect("known legacy name");
+    sinr_bench::lab::process_main(&["legacy", "table2_smb"]);
 }

@@ -15,8 +15,8 @@ pub use sinr_scenario::clients::Repeater;
 
 /// Reception backend for code paths that predate spec-carried backends,
 /// parsed from the `SINR_BACKEND` environment variable (`exact`,
-/// `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `cached:par:THREADS`;
-/// threads reach only `cached` and `hybrid`).
+/// `cached`, `hybrid[:CUTOFF]`, `cached:par:THREADS`; threads reach only
+/// `cached` and `hybrid`).
 ///
 /// **This is a legacy override layer.** Scenario-driven runs carry their
 /// backend in the spec's `backend=` field, which is what published

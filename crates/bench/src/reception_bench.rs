@@ -3,8 +3,8 @@
 //! trajectory to compare against.
 //!
 //! For every deployment shape (lattice, uniform) and size
-//! `n ∈ {64, 256, 1024}`, each backend (`exact`, `grid`, `cached`,
-//! `hybrid`) repeatedly resolves whole slots against a
+//! `n ∈ {64, 256, 1024}`, each backend (`exact`, `cached`, `hybrid`)
+//! repeatedly resolves whole slots against a
 //! **churning transmitter schedule**: roughly half the nodes always
 //! transmit and an extra cohort of `n/32` rotates every slot, so
 //! consecutive slots differ in ~n/16 transmitters — the access pattern
@@ -41,10 +41,9 @@
 //! n = 10⁴ and n = 10⁵ — sizes where the dense n×n gain table is
 //! respectively marginal (1.6 GB) and refused outright (160 GB, over
 //! the `SINR_MAX_TABLE_BYTES` cap; the refusal is asserted before
-//! measuring). Serial `grid` is the reference at n = 10⁴ and the row
-//! set pins the headline ratio (target ≥10x hybrid over grid); the
-//! hybrid rows run serial and threaded (`hybrid+par`) on the churn
-//! schedule, and on the turnover schedule (serial only at n = 10⁵).
+//! measuring). The hybrid rows run serial and threaded (`hybrid+par`)
+//! on the churn schedule, and on the turnover schedule (serial only at
+//! n = 10⁵).
 //! Every city-scale row records its table build time (`prepare_ms`).
 //! The hybrid rows run at an explicit near-field cutoff tuned for the
 //! bench density (see [`CITY_CUTOFF`]).
@@ -82,19 +81,19 @@ struct Sample {
     backend: String,
     slots_per_sec: f64,
     /// Receptions in the cycle's first slot, as a sanity anchor: backends
-    /// on the same deployment must broadly agree (grid and hybrid are
-    /// conservative, cached is bit-identical to exact).
+    /// on the same deployment must broadly agree (hybrid is conservative,
+    /// cached is bit-identical to exact).
     receptions: usize,
     /// Wall-clock milliseconds of the one-time `prepare` call, so
     /// table-fill speedups stay visible separately from slot-loop
-    /// speedups (stateless backends report ~0).
+    /// speedups (`exact` reports ~0).
     prepare_ms: f64,
 }
 
 /// The rotating transmitter schedule: even nodes always send, plus the
 /// odd-node cohort `2·(slot % 16) + 1 (mod 32)` — so each slot churns
 /// about `2 · n/32` transmitters against the previous one.
-fn churn_schedule(n: usize) -> Vec<Vec<usize>> {
+pub(crate) fn churn_schedule(n: usize) -> Vec<Vec<usize>> {
     (0..CYCLE)
         .map(|v| {
             (0..n)
@@ -138,7 +137,11 @@ impl Schedule {
     }
 }
 
-fn measure(
+/// Times `spec` over `schedule` on a backend that persists across slots:
+/// one untimed `prepare` and warm-up cycle, then ~`target_secs` of whole
+/// cycles. Returns slots per second, the receptions of the schedule's
+/// first slot and the `prepare` time in milliseconds.
+pub(crate) fn measure(
     sinr: &SinrParams,
     positions: &[Point],
     schedule: &[Vec<usize>],
@@ -516,10 +519,8 @@ pub fn run(args: &[String]) {
         .map(|p| p.get())
         .unwrap_or(4)
         .clamp(2, 8);
-    let cell = sinr.range() / 2.0;
     let backends = [
         BackendSpec::exact(),
-        BackendSpec::grid_far_field(cell),
         BackendSpec::cached(),
         BackendSpec::hybrid(0.0),
     ];
@@ -631,7 +632,6 @@ pub fn run(args: &[String]) {
     // stops being an option (see the module docs). Skipped in smoke
     // mode — deployment generation alone is seconds at n = 10⁵.
     let mut large_samples: Vec<LargeSample> = Vec::new();
-    let mut hybrid_over_grid = 0.0f64;
     if !smoke {
         let mut large_table = Table::new(
             "city-scale uniform: sparse hybrid kernel (churn: ~n/2 transmitters, ~n/16 change; turnover: ~n/12, every slot refreshes)",
@@ -646,12 +646,7 @@ pub fn run(args: &[String]) {
         );
         let hybrid = BackendSpec::hybrid(CITY_CUTOFF);
         let rows = [
-            (
-                10_000usize,
-                Schedule::Churn,
-                BackendSpec::grid_far_field(cell),
-            ),
-            (10_000, Schedule::Churn, hybrid),
+            (10_000usize, Schedule::Churn, hybrid),
             (10_000, Schedule::Churn, hybrid.with_threads(threads)),
             (10_000, Schedule::Turnover, hybrid),
             (10_000, Schedule::Turnover, hybrid.with_threads(threads)),
@@ -694,15 +689,6 @@ pub fn run(args: &[String]) {
             }
         }
         large_table.print();
-        let rate = |n: usize, kernel: &str| {
-            large_samples
-                .iter()
-                .find(|s| s.n == n && s.schedule == Schedule::Churn && s.kernel == kernel)
-                .map(|s| s.slots_per_sec)
-                .unwrap_or(0.0)
-        };
-        hybrid_over_grid =
-            rate(10_000, "hybrid").max(rate(10_000, "hybrid+par")) / rate(10_000, "grid").max(1e-9);
     }
 
     let mut fields = vec![
@@ -757,16 +743,12 @@ pub fn run(args: &[String]) {
                 large_samples
                     .iter()
                     .map(|s| {
-                        let mut row = vec![
+                        Json::Obj(vec![
                             ("deployment".into(), Json::str("uniform-large")),
                             ("n".into(), Json::int(s.n as u64)),
                             ("schedule".into(), Json::str(s.schedule.name())),
                             ("kernel".into(), Json::str(&s.kernel)),
-                        ];
-                        if s.kernel.starts_with("hybrid") {
-                            row.push(("cutoff".into(), Json::Num(CITY_CUTOFF)));
-                        }
-                        row.extend([
+                            ("cutoff".into(), Json::Num(CITY_CUTOFF)),
                             ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
                             ("receptions".into(), Json::int(s.receptions as u64)),
                             ("prepare_ms".into(), Json::Num(s.prepare_ms)),
@@ -774,8 +756,7 @@ pub fn run(args: &[String]) {
                                 "dense_table_bytes".into(),
                                 Json::int(dense_table_bytes(s.n)),
                             ),
-                        ]);
-                        Json::Obj(row)
+                        ])
                     })
                     .collect(),
             ),
@@ -799,12 +780,6 @@ pub fn run(args: &[String]) {
         fields.push(("cached_vs_previous".into(), Json::Arr(vs_previous)));
     }
     fields.push(("dense_table_cap".into(), Json::int(max_table_bytes())));
-    if !smoke {
-        fields.push((
-            "hybrid_over_grid_n10000".into(),
-            Json::Num(hybrid_over_grid),
-        ));
-    }
     let json = format!("{}\n", Json::Obj(fields));
     std::fs::write(&out_path, &json).expect("write BENCH_reception.json");
     let written = std::fs::read_to_string(&out_path).expect("read back BENCH_reception.json");
@@ -855,9 +830,8 @@ pub fn run(args: &[String]) {
                 s.exact
             );
         }
-        // The city-scale claims: hybrid beats grid by ≥10x at n = 10⁴,
-        // and still decides slots at n = 10⁵ where the dense table
-        // refuses to build at all.
+        // The city-scale claim: hybrid decides slots at n = 10⁵, where
+        // the dense table refuses to build at all.
         let large_rate = |n: usize, schedule: Schedule, kernel: &str| {
             large_samples
                 .iter()
@@ -866,8 +840,7 @@ pub fn run(args: &[String]) {
                 .unwrap_or(0.0)
         };
         println!(
-            "n=10000 uniform: grid {:.1}/s, hybrid:{CITY_CUTOFF} {:.1}/s, hybrid+par {:.1}/s — hybrid/grid {hybrid_over_grid:.1}x (target >=10x)",
-            large_rate(10_000, Schedule::Churn, "grid"),
+            "n=10000 uniform: hybrid:{CITY_CUTOFF} {:.1}/s, hybrid+par {:.1}/s",
             large_rate(10_000, Schedule::Churn, "hybrid"),
             large_rate(10_000, Schedule::Churn, "hybrid+par"),
         );
@@ -903,8 +876,8 @@ mod tests {
 
     #[test]
     fn validator_accepts_the_committed_bench_file() {
-        let backends = ["exact", "grid", "cached", "hybrid"];
+        let backends = ["exact", "cached", "hybrid"];
         let backends: Vec<String> = backends.map(String::from).to_vec();
-        validate_json(COMMITTED, &backends, (6, 3), 3, 8);
+        validate_json(COMMITTED, &backends, (6, 3), 3, 7);
     }
 }

@@ -11,11 +11,8 @@ use crate::Point;
 ///
 /// 1. **Range queries** during deployment generation and graph induction
 ///    (`neighbors_within`), replacing O(n²) scans.
-/// 2. **Far-field interference aggregation** in `sinr-phys`: interference
-///    from transmitters in far cells can be upper/lower bounded using the
-///    distance from a listener to the cell's nearest corner
-///    ([`HashGrid::cell_min_dist`]), mirroring the ring decomposition used
-///    in the proof of Lemma 10.3 of the paper.
+/// 2. **Cell bucketing** for the `hybrid` reception kernel in `sinr-phys`,
+///    which aggregates far-field interference per cell ([`HashGrid::cells`]).
 ///
 /// The grid is immutable after construction; rebuilding is cheap (linear).
 ///
@@ -92,34 +89,6 @@ impl HashGrid {
         self.cells.get(&cell).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// Minimum possible distance from `p` to any point inside `cell`.
-    ///
-    /// Returns `0` when `p` lies inside the cell. This is the quantity used
-    /// to upper-bound per-cell interference contributions: a transmitter in
-    /// `cell` is at distance at least `cell_min_dist(cell, p)` from `p`.
-    pub fn cell_min_dist(&self, cell: (i64, i64), p: Point) -> f64 {
-        let (cx, cy) = cell;
-        let x0 = cx as f64 * self.cell_size;
-        let y0 = cy as f64 * self.cell_size;
-        let x1 = x0 + self.cell_size;
-        let y1 = y0 + self.cell_size;
-        let dx = if p.x < x0 {
-            x0 - p.x
-        } else if p.x > x1 {
-            p.x - x1
-        } else {
-            0.0
-        };
-        let dy = if p.y < y0 {
-            y0 - p.y
-        } else if p.y > y1 {
-            p.y - y1
-        } else {
-            0.0
-        };
-        (dx * dx + dy * dy).sqrt()
-    }
-
     /// Indices of all points within Euclidean distance `r` of `p`.
     ///
     /// `points` must be the same slice the grid was built from (same order);
@@ -175,30 +144,6 @@ mod tests {
                 let got = grid.neighbors_within_sorted(&pts, q, r);
                 let want: Vec<usize> = (0..pts.len()).filter(|&i| pts[i].dist(q) <= r).collect();
                 assert_eq!(got, want, "r={r} q={q}");
-            }
-        }
-    }
-
-    #[test]
-    fn cell_min_dist_is_zero_inside() {
-        let pts = sample_points();
-        let grid = HashGrid::build(&pts, 2.0);
-        let p = Point::new(0.5, 0.5);
-        assert_eq!(grid.cell_min_dist(grid.cell_of(p), p), 0.0);
-    }
-
-    #[test]
-    fn cell_min_dist_lower_bounds_member_distances() {
-        let pts = sample_points();
-        let grid = HashGrid::build(&pts, 1.5);
-        let q = Point::new(10.0, -4.0);
-        for (cell, members) in grid.cells() {
-            let lb = grid.cell_min_dist(cell, q);
-            for &i in members {
-                assert!(
-                    pts[i].dist(q) >= lb - 1e-12,
-                    "member {i} closer than cell bound"
-                );
             }
         }
     }

@@ -6,8 +6,8 @@
 //!
 //! * [`Point`] — plane points with exact distance helpers,
 //! * [`HashGrid`] — a uniform spatial hash used both for fast range queries
-//!   and for the grid-aggregated far-field interference approximation in
-//!   `sinr-phys`,
+//!   and for the cell buckets of the `hybrid` far-field interference
+//!   kernel in `sinr-phys`,
 //! * [`deploy`] — deployment generators for every workload in the paper's
 //!   evaluation, including the Figure 1 lower-bound gadget
 //!   ([`deploy::two_lines`]) and the Theorem 8.1 Decay gadget

@@ -167,9 +167,9 @@ impl<P: Protocol> Engine<P> {
     /// path sweep executors use to amortize one preparation across many
     /// runs over a fixed deployment. A non-matching table is ignored
     /// (the backend builds its own, so this constructor is never less
-    /// correct than [`Engine::with_backend`]); stateless backends
-    /// ignore the carrier entirely. The execution is bit-identical
-    /// either way — the table entries equal what the backend would have
+    /// correct than [`Engine::with_backend`]); `exact` ignores the
+    /// carrier entirely. The execution is bit-identical either way —
+    /// the table entries equal what the backend would have
     /// computed itself.
     ///
     /// # Errors
@@ -261,7 +261,7 @@ impl<P: Protocol> Engine<P> {
         self.spec
     }
 
-    /// Short identifier of the active backend (`"exact"`, `"grid"`, …).
+    /// Short identifier of the active backend (`"exact"`, `"cached"`, …).
     pub fn backend_name(&self) -> &'static str {
         self.backend.name()
     }

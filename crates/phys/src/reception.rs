@@ -11,27 +11,12 @@
 //!
 //! Every slot of every simulation funnels through one reception decision
 //! per listener, so this is the hot path of the whole workspace. The
-//! computation is pluggable through [`InterferenceBackend`], with four
+//! computation is pluggable through [`InterferenceBackend`], with three
 //! implementations offering different accuracy/throughput trade-offs:
 //!
 //! * [`ExactBackend`] sums `P/d^α` over every transmitter — the ground
 //!   truth, O(listeners × senders) per slot. Use it for small networks and
 //!   as the reference the other backends are validated against.
-//!
-//! * [`GridFarFieldBackend`] handles transmitters near the listener
-//!   exactly and aggregates each far grid cell as
-//!   `|cell| · P / dist(cell)^α` using the cell's nearest point to the
-//!   listener. Far distances are under-estimated, so interference is
-//!   over-estimated: the approximation is **conservative** — it never
-//!   grants a reception the exact model would deny (verified by unit
-//!   tests, the `tests/backend_equivalence.rs` proptests and the
-//!   `interference` bench). This mirrors the ring decomposition used in
-//!   the proof of Lemma 10.3 of the paper: there, interference from
-//!   transmitters in concentric distance ring `i` is bounded by
-//!   `|ring_i| · P / r_i^α` with `r_i` the ring's inner radius; here each
-//!   grid cell plays the role of one ring segment, with
-//!   [`HashGrid::cell_min_dist`](sinr_geom::HashGrid::cell_min_dist) as its inner radius. Cost per listener is
-//!   O(near transmitters + occupied cells) instead of O(senders).
 //!
 //! * [`CachedBackend`] precomputes every pairwise link gain `P/d^α` once
 //!   per deployment into an immutable [`GainTable`] (flat row-major
@@ -49,21 +34,22 @@
 //!   simulations whose transmitter set evolves gradually (every MAC layer
 //!   in this workspace).
 //!
-//! * [`HybridBackend`] fuses the two approximable halves for city-scale
+//! * [`HybridBackend`] is the approximate kernel for city-scale
 //!   deployments (n = 10⁴–10⁵, where the dense table would need 1.6 GB
 //!   to 160 GB): pairs within a spatial-hash cutoff radius get the
 //!   cached treatment — exact gains in CSR-style sparse rows
 //!   ([`HybridTable`], O(n·near_degree) memory), driven incrementally by
 //!   transmitter deltas — while each far cell is aggregated as
 //!   `count · P/box^α` with `box` the cell-pair lower-bound distance,
-//!   maintained incrementally from per-cell transmitter counts. Far
-//!   distances are under-estimated, so like the grid model the kernel is
-//!   **conservative**: it never decodes a message [`ExactBackend`] would
-//!   reject (and since `β > 1` forces any granted sender to strictly
-//!   dominate, a granted message always names the sender exact would
-//!   name). The near-field half of the arithmetic is bit-identical to
-//!   the dense kernel's. [`BackendSpec::tuned`] auto-selects this model
-//!   when a requested dense table would exceed [`max_table_bytes`].
+//!   maintained incrementally from per-cell transmitter counts — the
+//!   ring bound of the paper's Lemma 10.3. Far distances are
+//!   under-estimated, so the kernel is **conservative**: it never
+//!   decodes a message [`ExactBackend`] would reject (and since `β > 1`
+//!   forces any granted sender to strictly dominate, a granted message
+//!   always names the sender exact would name). The near-field half of
+//!   the arithmetic is bit-identical to the dense kernel's.
+//!   [`BackendSpec::tuned`] auto-selects this model when a requested
+//!   dense table would exceed [`max_table_bytes`].
 //!
 //! The two table kernels are one algorithm: [`IncrementalBackend`] owns
 //! the sender diff, the refresh-or-delta cadence, the threaded listener
@@ -82,21 +68,19 @@
 //! thread count (verified by proptest) — threading is purely a
 //! wall-clock lever. Below [`PAR_CROSSOVER_LISTENERS`] listeners the
 //! fan-out costs more than it saves, so the sweeps run serial (see
-//! [`effective_threads`]). `exact` and `grid` always run serial: `cached`
-//! decides what `exact` decides and `hybrid` keeps `grid`'s conservative
-//! guarantee, and each is several times faster than its stateless
-//! counterpart on any thread count.
+//! [`effective_threads`]). `exact` always runs serial: `cached` decides
+//! what `exact` decides, several times faster on any thread count.
 //!
 //! # Lifecycle: `prepare` once, `decide_slot` every slot
 //!
 //! Backends are stateful. [`InterferenceBackend::prepare`] is called once
 //! per run with the deployment (the `Engine` does this at construction)
 //! and front-loads whatever the backend can precompute — the gain matrix
-//! for [`CachedBackend`], nothing for the stateless models.
+//! for [`CachedBackend`], nothing for [`ExactBackend`].
 //! [`decide_slot`](InterferenceBackend::decide_slot) then runs every slot
 //! against the prepared deployment; scratch
-//! allocations (sender position buffers, flattened cell lists, delta
-//! sets) are reused across slots. Calling `decide_slot` without `prepare`
+//! allocations (sender position buffers, delta sets) are reused across
+//! slots. Calling `decide_slot` without `prepare`
 //! (or with a different deployment) stays correct — backends detect the
 //! mismatch and re-prepare lazily — so the [`decide_receptions`]
 //! convenience wrapper keeps working, it just pays the preparation cost
@@ -104,8 +88,8 @@
 //!
 //! Moving deployments add a third lifecycle hook:
 //! [`update_positions`](InterferenceBackend::update_positions), called by
-//! the engine between slots with the nodes that moved. Stateless
-//! backends ignore it; the cached kernel repairs only the touched gain
+//! the engine between slots with the nodes that moved. [`ExactBackend`]
+//! ignores it; the cached kernel repairs only the touched gain
 //! rows/columns and the affected incremental totals — O(movers × n)
 //! instead of the O(n²) re-`prepare` a position change would otherwise
 //! force (measured ≥5x per slot at n = 1024 with n/32 movers; see
@@ -134,7 +118,7 @@ mod stateless;
 pub use dense::{dense_table_bytes, max_table_bytes, CachedBackend, GainTable};
 pub use incremental::IncrementalBackend;
 pub use sparse::{HybridBackend, HybridTable};
-pub use stateless::{ExactBackend, GridFarFieldBackend};
+pub use stateless::ExactBackend;
 
 /// How interference sums are computed: the [`BackendSpec::model`] half of
 /// a backend choice. Backends are chosen through [`BackendSpec`] alone.
@@ -145,12 +129,6 @@ pub enum InterferenceModel {
     /// Exact summation over all transmitters.
     #[default]
     Exact,
-    /// Exact within the weak range (plus one cell diagonal); per-cell
-    /// aggregation beyond. Conservative (see module docs).
-    GridFarField {
-        /// Grid cell side; a good default is half the weak range.
-        cell_size: f64,
-    },
     /// Cached-gain kernel: pairwise gains precomputed once per deployment,
     /// per-listener interference maintained incrementally from transmitter
     /// deltas. Receptions are bit-identical to [`Exact`](Self::Exact) at
@@ -159,10 +137,10 @@ pub enum InterferenceModel {
     /// Sparse near-field / aggregated far-field kernel: exact cached gains
     /// only for pairs within a spatial-hash cutoff radius (sparse
     /// CSR-style rows), per-cell far-field interference maintained
-    /// incrementally from transmitter deltas. Conservative like
-    /// [`GridFarField`](Self::GridFarField), O(n · near_degree) memory —
-    /// the city-scale kernel for n = 10⁴–10⁵ where the dense table cannot
-    /// exist (see module docs).
+    /// incrementally from transmitter deltas. Conservative (it never
+    /// decodes what [`Exact`](Self::Exact) denies), O(n · near_degree)
+    /// memory — the city-scale kernel for n = 10⁴–10⁵ where the dense
+    /// table cannot exist (see module docs).
     Hybrid {
         /// Near-field cutoff radius; `0.0` means auto (the weak range R).
         cutoff: f64,
@@ -175,7 +153,7 @@ pub enum InterferenceModel {
 /// `BackendSpec` is the value that travels through constructor APIs; the
 /// actual worker state is built once at the edge with
 /// [`BackendSpec::build`]. Threads reach only the table kernels
-/// (`cached`, `hybrid`); `exact` and `grid` always run serial.
+/// (`cached`, `hybrid`); `exact` always runs serial.
 ///
 /// # Examples
 ///
@@ -184,10 +162,10 @@ pub enum InterferenceModel {
 ///
 /// let spec = BackendSpec::cached().with_threads(4);
 /// assert_eq!(spec.build().name(), "cached+par");
-/// // A thread request on a stateless model parses but runs serial.
-/// let grid = BackendSpec::grid_far_field(8.0).with_threads(4);
-/// assert_eq!(grid.build().name(), "grid");
-/// assert_eq!(grid.tuned(4096).to_string(), "grid:8");
+/// // A thread request on `exact` parses but runs serial.
+/// let exact = BackendSpec::exact().with_threads(4);
+/// assert_eq!(exact.build().name(), "exact");
+/// assert_eq!(exact.tuned(4096).to_string(), "exact");
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct BackendSpec {
@@ -213,19 +191,6 @@ impl BackendSpec {
         BackendSpec::default()
     }
 
-    /// Serial grid-aggregated far field with the given cell side.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless `cell_size` is positive and finite.
-    pub fn grid_far_field(cell_size: f64) -> Self {
-        assert!(
-            cell_size.is_finite() && cell_size > 0.0,
-            "cell_size must be positive"
-        );
-        BackendSpec::serial(InterferenceModel::GridFarField { cell_size })
-    }
-
     /// The cached-gain delta kernel (bit-identical to exact, fastest for
     /// long runs; see module docs).
     pub fn cached() -> Self {
@@ -249,7 +214,7 @@ impl BackendSpec {
 
     /// The same model with `threads` OS threads requested for its
     /// listener sweeps. Only the table kernels use them; [`build`] runs
-    /// `exact` and `grid` serial and [`tuned`] resolves their count to 1.
+    /// `exact` serial and [`tuned`] resolves its count to 1.
     ///
     /// [`build`]: Self::build
     /// [`tuned`]: Self::tuned
@@ -263,9 +228,9 @@ impl BackendSpec {
     }
 
     /// Resolves the thread count against a concrete deployment size.
-    /// `exact` and `grid` always resolve to 1, the serial form they run
-    /// in, so the resolved spec names the backend that runs. The table
-    /// kernels go through the serial/parallel crossover
+    /// `exact` always resolves to 1, the serial form it runs in, so the
+    /// resolved spec names the backend that runs. The table kernels go
+    /// through the serial/parallel crossover
     /// ([`effective_threads`]): below [`PAR_CROSSOVER_LISTENERS`]
     /// listeners the returned spec is serial, so small scenarios never pay
     /// thread fan-out that costs more than it saves. Thread tuning never
@@ -290,7 +255,7 @@ impl BackendSpec {
             m => m,
         };
         let threads = match model {
-            InterferenceModel::Exact | InterferenceModel::GridFarField { .. } => 1,
+            InterferenceModel::Exact => 1,
             InterferenceModel::Cached | InterferenceModel::Hybrid { .. } => {
                 effective_threads(self.threads, listeners)
             }
@@ -299,13 +264,10 @@ impl BackendSpec {
     }
 
     /// Builds the worker for this spec. The table kernels chunk their own
-    /// listener sweeps across `threads`; `exact` and `grid` ignore it.
+    /// listener sweeps across `threads`; `exact` ignores it.
     pub fn build(self) -> Box<dyn InterferenceBackend> {
         match self.model {
             InterferenceModel::Exact => Box::new(ExactBackend::new()),
-            InterferenceModel::GridFarField { cell_size } => {
-                Box::new(GridFarFieldBackend::new(cell_size))
-            }
             InterferenceModel::Cached => Box::new(CachedBackend::with_threads(self.threads)),
             InterferenceModel::Hybrid { cutoff } => {
                 Box::new(HybridBackend::with_threads(cutoff, self.threads))
@@ -316,8 +278,8 @@ impl BackendSpec {
     /// Builds the worker for this spec around already-built shared
     /// tables, consuming whichever member of a [`SharedTables`] carrier
     /// this spec's model can use: the dense table for the cached kernel,
-    /// the sparse table for the hybrid kernel, nothing for the stateless
-    /// models (they have nothing to precompute).
+    /// the sparse table for the hybrid kernel, nothing for `exact` (it
+    /// has nothing to precompute).
     ///
     /// A table is only adopted when it matches the deployment the
     /// backend is later prepared against — a missing or mismatching
@@ -348,7 +310,7 @@ impl BackendSpec {
     }
 
     /// Parses a spec from a compact string, for CLI/bench selection:
-    /// `exact`, `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, `par:THREADS`,
+    /// `exact`, `cached`, `hybrid[:CUTOFF]`, `par:THREADS`,
     /// or combinations like `cached:par:THREADS` and `hybrid:16:par:8`.
     /// The hybrid cutoff is optional — bare `hybrid` auto-selects the
     /// weak range R at preparation time. `par:THREADS` parses after any
@@ -382,18 +344,6 @@ impl BackendSpec {
                     }
                     spec.model = InterferenceModel::Hybrid { cutoff };
                 }
-                Some("grid") => {
-                    let cell = parts
-                        .next()
-                        .ok_or_else(|| "grid needs a cell size, e.g. grid:8".to_string())?;
-                    let cell_size: f64 = cell
-                        .parse()
-                        .map_err(|e| format!("bad grid cell size {cell:?}: {e}"))?;
-                    if !(cell_size.is_finite() && cell_size > 0.0) {
-                        return Err(format!("grid cell size must be positive, got {cell_size}"));
-                    }
-                    spec.model = InterferenceModel::GridFarField { cell_size };
-                }
                 Some("par") => {
                     let t = parts
                         .next()
@@ -408,7 +358,7 @@ impl BackendSpec {
                 }
                 Some(other) => {
                     return Err(format!(
-                    "unknown backend component {other:?}; expected exact, grid:CELL, cached, hybrid[:CUTOFF] or par:THREADS"
+                    "unknown backend component {other:?}; expected exact, cached, hybrid[:CUTOFF] or par:THREADS"
                 ))
                 }
             }
@@ -420,7 +370,6 @@ impl std::fmt::Display for BackendSpec {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self.model {
             InterferenceModel::Exact => write!(f, "exact")?,
-            InterferenceModel::GridFarField { cell_size } => write!(f, "grid:{cell_size}")?,
             InterferenceModel::Cached => write!(f, "cached")?,
             InterferenceModel::Hybrid { cutoff: 0.0 } => write!(f, "hybrid")?,
             InterferenceModel::Hybrid { cutoff } => write!(f, "hybrid:{cutoff}")?,
@@ -439,8 +388,7 @@ impl std::fmt::Display for BackendSpec {
 /// no per-slot allocations beyond what the slot's sender count forces.
 /// See the module docs for the trade-offs between the implementations.
 pub trait InterferenceBackend: Send {
-    /// Short stable identifier (`"exact"`, `"grid"`, `"cached"`,
-    /// `"hybrid"`, and `"cached+par"` / `"hybrid+par"` for a table kernel
+    /// Short stable identifier (`"exact"`, `"cached"`, `"hybrid"`, and `"cached+par"` / `"hybrid+par"` for a table kernel
     /// built with more than one thread), used by benches and diagnostics.
     fn name(&self) -> &'static str;
 
@@ -450,7 +398,7 @@ pub trait InterferenceBackend: Send {
     /// Called once per run before the first
     /// [`decide_slot`](InterferenceBackend::decide_slot), and again
     /// whenever positions or parameters change. The default is a no-op:
-    /// the exact and grid models have nothing to precompute. The cached
+    /// the exact model has nothing to precompute. The cached
     /// kernel builds its [`GainTable`] here (unless it was constructed
     /// around a matching shared table, in which case only the per-run
     /// incremental state is reset), so the O(n²) gain matrix is paid at
@@ -461,8 +409,8 @@ pub trait InterferenceBackend: Send {
     ///
     /// [`PhysError::GainTableTooLarge`] when the cached kernel's dense
     /// table would exceed [`max_table_bytes`] — a structured refusal
-    /// instead of an OOM abort inside the n×n allocation. The stateless
-    /// and hybrid backends never fail.
+    /// instead of an OOM abort inside the n×n allocation. The exact and
+    /// hybrid backends never fail.
     fn prepare(&mut self, _params: &SinrParams, _positions: &[Point]) -> Result<(), PhysError> {
         Ok(())
     }
@@ -498,7 +446,7 @@ pub trait InterferenceBackend: Send {
     /// re-preparation can hit the [`max_table_bytes`] cap — return the
     /// structured [`PhysError`] here and reserve panicking for the
     /// infallible-signature `decide_slot` edge. The default forwards to
-    /// `decide_slot`: the stateless models have no failure mode.
+    /// `decide_slot`: the exact model has no failure mode.
     ///
     /// # Errors
     ///
@@ -522,9 +470,8 @@ pub trait InterferenceBackend: Send {
     ///
     /// `positions` is the **already updated** full position slice and
     /// `moved` lists the changed nodes as `(index, new position)` pairs —
-    /// ascending indices, each node at most once. The stateless backends
-    /// (exact, grid) read positions fresh every slot, so the default is a
-    /// no-op. The table kernels override this to repair only the touched
+    /// ascending indices, each node at most once. The exact backend reads
+    /// positions fresh every slot, so the default is a no-op. The table kernels override this to repair only the touched
     /// table rows and the affected incremental interference totals —
     /// O(movers × row length) instead of the full re-`prepare` the
     /// position change would otherwise force on the next slot.

@@ -934,11 +934,16 @@ impl RowSource for HybridTable {
 /// replay for near-threshold decisions. Far pairs are aggregated per
 /// cell: each cell tracks how many of its members transmit, and every
 /// listener adds `Σ_cells count · P/box^α` with `box` the cell-pair
-/// lower-bound distance. Far distances are under-estimated, so
-/// interference is over-estimated and the kernel is **conservative**
-/// like [`GridFarFieldBackend`](super::GridFarFieldBackend): it never decodes a message
-/// [`ExactBackend`](super::ExactBackend) would reject, and a granted message always names
-/// the exact backend's sender (verified by the
+/// lower-bound distance. This is the ring decomposition in the proof of
+/// Lemma 10.3 of the paper: there, interference from the transmitters
+/// in concentric distance ring `i` is bounded by `|ring_i| · P/r_i^α`
+/// with `r_i` the ring's inner radius; here each far cell plays one
+/// ring segment, with the box distance as its inner radius.
+///
+/// Far distances are under-estimated, so interference is over-estimated
+/// and the kernel is **conservative**: it never decodes a message
+/// [`ExactBackend`](super::ExactBackend) would reject, and a granted
+/// message always names the exact backend's sender (verified by the
 /// `tests/backend_equivalence.rs` proptests, including churn and
 /// mobility). Results are bit-reproducible across thread counts and
 /// shared-vs-private tables.

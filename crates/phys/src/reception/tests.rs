@@ -81,37 +81,6 @@ fn sinr_at_matches_decode_boundary() {
 }
 
 #[test]
-fn grid_model_is_conservative() {
-    // Receptions under the grid model must be a subset of exact ones.
-    let p = params();
-    let pos = sinr_geom::deploy::uniform(60, 80.0, 11).unwrap();
-    let senders: Vec<usize> = (0..60).step_by(3).collect();
-    let exact = decide_receptions(&p, &pos, &senders, BackendSpec::exact());
-    let grid = decide_receptions(&p, &pos, &senders, BackendSpec::grid_far_field(8.0));
-    for (e, g) in exact.iter().zip(grid.iter()) {
-        if let Some(gs) = g {
-            assert_eq!(
-                e.as_ref(),
-                Some(gs),
-                "grid granted a reception exact denies"
-            );
-        }
-    }
-}
-
-#[test]
-fn grid_model_agrees_when_cells_are_large_enough() {
-    // With a generous near cutoff (huge cell size forces everything
-    // into the exact branch) grid and exact coincide.
-    let p = params();
-    let pos = sinr_geom::deploy::uniform(40, 60.0, 3).unwrap();
-    let senders: Vec<usize> = (0..40).step_by(4).collect();
-    let exact = decide_receptions(&p, &pos, &senders, BackendSpec::exact());
-    let grid = decide_receptions(&p, &pos, &senders, BackendSpec::grid_far_field(100.0));
-    assert_eq!(exact, grid);
-}
-
-#[test]
 #[should_panic(expected = "sorted")]
 fn unsorted_senders_panic() {
     let p = params();
@@ -125,12 +94,12 @@ fn backends_reuse_cleanly_across_slots() {
     // match fresh-backend results (scratch reuse is invisible).
     let p = params();
     let pos = sinr_geom::deploy::uniform(40, 50.0, 5).unwrap();
-    let mut backend = BackendSpec::grid_far_field(8.0).build();
+    let mut backend = BackendSpec::hybrid(8.0).build();
     let mut out = vec![None; pos.len()];
     for step in 0..5usize {
         let senders: Vec<usize> = (0..40).skip(step).step_by(3).collect();
         backend.decide_slot(&p, &pos, &senders, &mut out);
-        let fresh = decide_receptions(&p, &pos, &senders, BackendSpec::grid_far_field(8.0));
+        let fresh = decide_receptions(&p, &pos, &senders, BackendSpec::hybrid(8.0));
         assert_eq!(out, fresh, "slot {step}");
     }
 }
@@ -288,8 +257,8 @@ fn crossover_keeps_small_deployments_serial() {
     assert_eq!(effective_threads_for(4096, 4096, 64), 16);
 
     // The public wrapper supplies the real core count. Past the
-    // crossover only the table kernels keep their threads; exact and
-    // grid always resolve serial, the form they are built in.
+    // crossover only the table kernels keep their threads; exact always
+    // resolves serial, the form it is built in.
     assert_eq!(effective_threads(8, 64), 1);
     for spec in [BackendSpec::cached(), BackendSpec::hybrid(0.0)] {
         let spec = spec.with_threads(8);
@@ -301,24 +270,19 @@ fn crossover_keeps_small_deployments_serial() {
         );
         assert_eq!(spec.tuned(64).model, spec.model);
     }
-    for spec in [BackendSpec::exact(), BackendSpec::grid_far_field(8.0)] {
-        let spec = spec.with_threads(8);
-        assert_eq!(spec.tuned(2048).threads, 1, "{spec}");
-        assert_eq!(spec.tuned(2048).model, spec.model);
-    }
+    let exact = BackendSpec::exact().with_threads(8);
+    assert_eq!(exact.tuned(2048).threads, 1, "{exact}");
+    assert_eq!(exact.tuned(2048).model, exact.model);
 }
 
 #[test]
 fn spec_parsing_round_trips() {
     for s in [
         "exact",
-        "grid:8",
         "cached",
         "hybrid",
         "hybrid:16",
         "exact:par:4",
-        "grid:8:par:2",
-        "grid:2.5:par:8",
         "par:8",
         "cached:par:4",
         "hybrid:par:4",
@@ -329,18 +293,14 @@ fn spec_parsing_round_trips() {
         assert_eq!(BackendSpec::parse(&rendered).unwrap(), spec, "{s}");
     }
     assert_eq!(
-        BackendSpec::parse("grid:8").unwrap(),
-        BackendSpec::grid_far_field(8.0)
-    );
-    assert_eq!(
         BackendSpec::parse("par:4").unwrap(),
         BackendSpec::exact().with_threads(4)
     );
-    // A thread request on a stateless model is kept verbatim: it only
-    // resolves to serial when tuned against a deployment.
+    // A thread request on `exact` is kept verbatim: it only resolves to
+    // serial when tuned against a deployment.
     assert_eq!(
-        BackendSpec::parse("grid:8:par:2").unwrap(),
-        BackendSpec::grid_far_field(8.0).with_threads(2)
+        BackendSpec::parse("exact:par:2").unwrap(),
+        BackendSpec::exact().with_threads(2)
     );
     assert_eq!(BackendSpec::parse("cached").unwrap(), BackendSpec::cached());
     assert_eq!(
@@ -356,40 +316,33 @@ fn spec_parsing_round_trips() {
         BackendSpec::parse("hybrid:par:4").unwrap(),
         BackendSpec::hybrid(0.0).with_threads(4)
     );
-    assert!(BackendSpec::parse("grid").is_err());
     assert!(BackendSpec::parse("par:0").is_err());
     assert!(BackendSpec::parse("hybrid:-2").is_err());
     assert!(BackendSpec::parse("warp").is_err());
-    // The retired `f32` component is refused by name wherever it
-    // appears (a bare `hybrid` must not swallow it as a cutoff).
-    let retired = "f32";
-    let err = BackendSpec::parse(retired).unwrap_err();
-    assert!(err.contains("\"f32\""), "{err}");
-    for base in ["cached", "hybrid", "hybrid:16", "exact", "grid:8"] {
-        let s = format!("{base}:{retired}");
-        let err = BackendSpec::parse(&s).unwrap_err();
-        assert!(err.contains("\"f32\""), "{s}: {err}");
+    // The retired `f32` component and `grid` model are refused by name
+    // wherever they appear (a bare `hybrid` must not swallow one as a
+    // cutoff).
+    for (retired, name) in [("f32", "\"f32\""), ("grid:8", "\"grid\"")] {
+        let err = BackendSpec::parse(retired).unwrap_err();
+        assert!(err.contains(name), "{err}");
+        for base in ["cached", "hybrid", "hybrid:16", "exact"] {
+            let s = format!("{base}:{retired}");
+            let err = BackendSpec::parse(&s).unwrap_err();
+            assert!(err.contains(name), "{s}: {err}");
+        }
     }
 }
 
 #[test]
 fn backend_names_are_stable() {
     assert_eq!(BackendSpec::exact().build().name(), "exact");
-    assert_eq!(BackendSpec::grid_far_field(4.0).build().name(), "grid");
     assert_eq!(BackendSpec::cached().build().name(), "cached");
     assert_eq!(
         BackendSpec::cached().with_threads(2).build().name(),
         "cached+par"
     );
-    // Threads reach only the table kernels: exact and grid build serial.
+    // Threads reach only the table kernels: exact builds serial.
     assert_eq!(BackendSpec::exact().with_threads(2).build().name(), "exact");
-    assert_eq!(
-        BackendSpec::grid_far_field(4.0)
-            .with_threads(2)
-            .build()
-            .name(),
-        "grid"
-    );
     assert_eq!(BackendSpec::hybrid(8.0).build().name(), "hybrid");
     assert_eq!(
         BackendSpec::hybrid(8.0).with_threads(2).build().name(),
@@ -583,16 +536,12 @@ fn update_positions_before_prepare_is_a_safe_noop() {
 
 #[test]
 fn update_positions_is_a_noop_for_stateless_backends() {
-    // Exact and grid (threads requested or not) read positions fresh
-    // per slot; the hook must not disturb them.
+    // Exact (threads requested or not) reads positions fresh per slot;
+    // the hook must not disturb it.
     let p = params();
     let mut pos = sinr_geom::deploy::uniform(20, 30.0, 6).unwrap();
     let senders: Vec<usize> = (0..20).step_by(2).collect();
-    for spec in [
-        BackendSpec::exact(),
-        BackendSpec::grid_far_field(8.0),
-        BackendSpec::exact().with_threads(2),
-    ] {
+    for spec in [BackendSpec::exact(), BackendSpec::exact().with_threads(2)] {
         let mut backend = spec.build();
         backend.prepare(&p, &pos).unwrap();
         let mut out = vec![None; pos.len()];
@@ -920,14 +869,14 @@ fn tuned_falls_back_to_hybrid_over_the_memory_cap() {
         "hybrid"
     };
     assert_eq!(big.build().name(), expected);
-    // Non-cached models never switch, and the stateless ones never
-    // keep a thread request.
+    // Non-cached models never switch, and exact never keeps a thread
+    // request.
     let exact = BackendSpec::exact().with_threads(8).tuned(100_000);
     assert_eq!(exact.model, InterferenceModel::Exact);
     assert_eq!(exact.threads, 1);
     assert_eq!(exact.build().name(), "exact");
-    let grid = BackendSpec::grid_far_field(8.0).with_threads(8);
-    assert_eq!(grid.tuned(2048), BackendSpec::grid_far_field(8.0));
+    let hybrid = BackendSpec::hybrid(8.0).with_threads(8).tuned(100_000);
+    assert_eq!(hybrid.model, InterferenceModel::Hybrid { cutoff: 8.0 });
 }
 
 #[test]

@@ -1032,6 +1032,11 @@ fn build_layer<P: Clone + 'static>(
         MacSpec::Ideal(policy) => {
             let policy = match *policy {
                 IdealPolicy::Eager => absmac::SchedulerPolicy::Eager,
+                IdealPolicy::Random { fack, fprog } | IdealPolicy::Adversarial { fack, fprog }
+                    if fprog == 0 || fprog > fack =>
+                {
+                    return Err(unsupported(format!("{mac} needs 1 <= fprog <= fack")));
+                }
                 IdealPolicy::Random { fack, fprog } => {
                     absmac::SchedulerPolicy::Random { fack, fprog }
                 }
@@ -1317,6 +1322,26 @@ mod tests {
         let built = spec.build().unwrap();
         let epoch = built.ctx.mac_params.as_ref().unwrap().layout().epoch_len();
         assert_eq!(built.ctx.max_slots, 2 * 2 * epoch);
+    }
+
+    #[test]
+    fn ideal_policies_outside_one_to_fack_are_rejected() {
+        for policy in [
+            IdealPolicy::Random { fack: 2, fprog: 5 },
+            IdealPolicy::Random { fack: 1, fprog: 0 },
+            IdealPolicy::Adversarial { fack: 0, fprog: 0 },
+        ] {
+            let spec = base(
+                MacSpec::Ideal(policy),
+                WorkloadSpec::Repeat(SourceSet::All),
+                StopSpec::Slots(10),
+            );
+            assert!(
+                matches!(spec.build(), Err(ScenarioError::Unsupported(_))),
+                "{} must be rejected at build time",
+                spec.mac
+            );
+        }
     }
 
     #[test]

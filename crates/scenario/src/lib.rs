@@ -14,7 +14,7 @@
 //! |------------|--------------|
 //! | `deploy`   | evaluation workloads: uniform/cluster deployments, the two-lines gadget of Fig. 1/Thm 6.1, the two-balls gadget of Thm 8.1 |
 //! | `sinr`     | the SINR model parameters `α, β, N, ε, R` of §4.2 |
-//! | `backend`  | reception computation (exact / grid far-field / cached / hybrid, threads for the last two) — an implementation choice, not a model choice |
+//! | `backend`  | reception computation (exact / cached / hybrid, threads for the last two) — an implementation choice, not a model choice |
 //! | `mac`      | the plug-and-play axis: Algorithm 11.1 (`sinr`), the ideal reference layer, Decay (Thm 8.1 baseline), or the self-contained SMB baselines (TDMA schedule of Thm 6.1, DGKN \[14\], Decay/\[32\] proxy) |
 //! | `workload` | §4.5 problems: continuous/one-shot local broadcast (Defs. 5.1/7.1 measurement workloads), SMB/MMB (Thms 12.1/12.7), consensus (Cor. 5.5) |
 //! | `mobility` | beyond-the-paper movement: random-waypoint / drift trajectories evolved deterministically per slot (physical-engine MACs) |
@@ -195,7 +195,7 @@ mod tests {
         if std::env::var("SINR_BACKEND").is_ok() {
             return;
         }
-        let spec = sinr_phys::BackendSpec::grid_far_field(8.0);
+        let spec = sinr_phys::BackendSpec::hybrid(8.0);
         assert_eq!(env_backend_override(spec), spec);
     }
 }

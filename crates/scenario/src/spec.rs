@@ -871,9 +871,8 @@ pub struct ScenarioSpec {
     /// SINR physical model.
     pub sinr: SinrSpec,
     /// Reception backend (interference model + threads): `exact`,
-    /// `grid:CELL`, `cached`, `hybrid[:CUTOFF]`, with `:par:T` threading
-    /// the last two. The
-    /// `SINR_BACKEND` environment variable can override this at run time
+    /// `cached`, `hybrid[:CUTOFF]`, with `:par:T` threading the last two.
+    /// The `SINR_BACKEND` environment variable can override this at run time
     /// (with a warning); published runs should rely on the spec field.
     /// At build time the thread count is resolved against the realized
     /// deployment size ([`BackendSpec::tuned`]), so requesting threads on

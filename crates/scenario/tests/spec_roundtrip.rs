@@ -162,7 +162,7 @@ proptest! {
                 // Every backend family must survive the spec round trip.
                 match backend_kind {
                     0 => sinr_phys::BackendSpec::exact(),
-                    1 => sinr_phys::BackendSpec::grid_far_field(range / 2.0),
+                    1 => sinr_phys::BackendSpec::hybrid(0.0),
                     2 => sinr_phys::BackendSpec::cached(),
                     _ => sinr_phys::BackendSpec::hybrid(range / 2.0),
                 }

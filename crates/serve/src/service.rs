@@ -961,14 +961,19 @@ mod tests {
 
     #[test]
     fn malformed_and_unknown_requests_get_error_records_not_crashes() {
-        let input = "not json at all\n\
-                     {\"id\":1}\n\
-                     {\"run\":\"x\"}\n\
-                     {\"cancel\":\"x\"}\n\
-                     {\"id\":2,\"run\":\"deploy=bogus\\n\"}\n";
-        let (summary, records) = serve(input, ServeConfig::default());
+        // The last request parses but names an ideal policy with
+        // fprog > fack, which the layer constructor would assert on.
+        let input = format!(
+            "not json at all\n\
+             {{\"id\":1}}\n\
+             {{\"run\":\"x\"}}\n\
+             {{\"cancel\":\"x\"}}\n\
+             {{\"id\":2,\"run\":\"deploy=bogus\\n\"}}\n\
+             {{\"id\":3,\"run\":\"{SPEC}mac=ideal:random:2:5\\n\"}}\n"
+        );
+        let (summary, records) = serve(&input, ServeConfig::default());
         assert_eq!(summary.completed, 0);
-        assert_eq!(summary.errors, 5, "records: {records:?}");
+        assert_eq!(summary.errors, 6, "records: {records:?}");
         assert_eq!(
             records.last().unwrap().get("event").and_then(Json::as_str),
             Some("drained")
@@ -977,24 +982,33 @@ mod tests {
 
     #[test]
     fn retired_backend_component_is_an_error_record_and_serving_continues() {
-        // A request naming the retired `f32` backend component is refused
-        // with a structured error naming the component, and the next
-        // request on the connection is served as usual.
-        let component = "f32";
-        let retired = SPEC.replace("backend=cached", &format!("backend=cached:{component}"));
-        let input =
-            format!("{{\"id\":1,\"run\":\"{retired}\"}}\n{{\"id\":2,\"run\":\"{SPEC}\"}}\n");
+        // Requests naming the retired `f32` backend component or the
+        // retired `grid` model are refused with a structured error naming
+        // the component, and the next request on the connection is
+        // served as usual.
+        let retired = [("cached:f32", "\"f32\""), ("grid:8", "\"grid\"")];
+        let mut input = String::new();
+        for (id, (backend, _)) in (1..).zip(retired) {
+            let spec = SPEC.replace("backend=cached", &format!("backend={backend}"));
+            input += &format!("{{\"id\":{id},\"run\":\"{spec}\"}}\n");
+        }
+        input += &format!("{{\"id\":3,\"run\":\"{SPEC}\"}}\n");
         let (summary, records) = serve(&input, ServeConfig::default());
-        assert_eq!(summary.errors, 1, "records: {records:?}");
+        assert_eq!(summary.errors, 2, "records: {records:?}");
         assert_eq!(summary.completed, 1);
-        let error = records
-            .iter()
-            .find(|r| r.get("event").and_then(Json::as_str) == Some("error"))
-            .and_then(|r| r.get("error"))
-            .and_then(Json::as_str)
-            .expect("error record emitted");
-        assert!(error.contains("\"f32\""), "{error}");
-        assert_eq!(events(&records, Some(2)), ["accepted", "report", "done"]);
+        for (id, (_, name)) in (1..).zip(retired) {
+            let error = records
+                .iter()
+                .find(|r| {
+                    r.get("id").and_then(Json::as_u64) == Some(id)
+                        && r.get("event").and_then(Json::as_str) == Some("error")
+                })
+                .and_then(|r| r.get("error"))
+                .and_then(Json::as_str)
+                .expect("error record emitted");
+            assert!(error.contains(name), "{error}");
+        }
+        assert_eq!(events(&records, Some(3)), ["accepted", "report", "done"]);
     }
 
     #[test]

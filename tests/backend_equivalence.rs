@@ -7,14 +7,10 @@
 //!    `hybrid`) are bit-identical to their own serial execution at any
 //!    thread count (listeners are independent, so chunking their sweeps
 //!    cannot change any decision); checked past the serial/parallel
-//!    crossover, where threads actually spawn. `exact` and `grid` always
-//!    run serial, so they have no thread count to vary.
-//! 2. **Grid conservativeness** — `GridFarField` over-estimates far-field
-//!    interference (each aggregated cell contributes
-//!    `|cell| · P / cell_min_dist^α`, a lower bound on distances hence an
-//!    upper bound on interference, mirroring Lemma 10.3's ring
-//!    decomposition), so it never grants a reception `Exact` denies, and
-//!    any reception it does grant names the same sender.
+//!    crossover, where threads actually spawn. `exact` always runs
+//!    serial, so it has no thread count to vary.
+//! 2. *Retired* — it covered the deleted stateless `grid` model. Claim
+//!    numbers are stable IDs; Claim 6 is the conservativeness claim.
 //! 3. **Cached-kernel exactness** — the delta-driven `CachedBackend`
 //!    produces receptions bit-identical to `Exact` on lattice-like and
 //!    uniform deployments, across churn (transmitters entering and
@@ -30,10 +26,10 @@
 //!    `backend=cached` (modulo the backend name itself).
 //! 6. **Hybrid conservativeness** — the sparse near/far kernel
 //!    over-estimates far-field interference (per-cell aggregates at
-//!    box-distance lower bounds), so like the grid it never grants a
-//!    reception `Exact` denies and any grant names the same sender —
-//!    across churn, at any cutoff, and under mobility repair
-//!    (`update_positions` patching sparse rows and cell sums).
+//!    box-distance lower bounds, Lemma 10.3's ring decomposition), so it
+//!    never grants a reception `Exact` denies and any grant names the
+//!    same sender — across churn, at any cutoff, and under mobility
+//!    repair (`update_positions` patching sparse rows and cell sums).
 
 use proptest::prelude::*;
 
@@ -57,32 +53,6 @@ fn near_field_points(max_n: usize, extent: i32) -> impl Strategy<Value = Vec<Poi
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
-
-    /// Claim 2: `GridFarField` never grants a reception `Exact` denies,
-    /// at any cell size, and agreements name the same sender.
-    #[test]
-    fn grid_never_grants_what_exact_denies(
-        pts in near_field_points(48, 32),
-        range in 6.0f64..24.0,
-        cell in 1.0f64..24.0,
-        stride in 1usize..5,
-    ) {
-        let sinr = SinrParams::builder().range(range).build().unwrap();
-        let senders: Vec<usize> = (0..pts.len()).step_by(stride).collect();
-        let exact = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
-        let grid = decide_receptions(
-            &sinr, &pts, &senders,
-            BackendSpec::grid_far_field(cell),
-        );
-        for (u, (e, g)) in exact.iter().zip(grid.iter()).enumerate() {
-            if let Some(gs) = g {
-                prop_assert_eq!(
-                    e.as_ref(), Some(gs),
-                    "listener {}: grid granted {:?}, exact {:?}", u, g, e
-                );
-            }
-        }
-    }
 
     /// Claim 3, lattice-like deployments: a persistent cached backend
     /// fed an evolving transmitter schedule equals fresh exact
@@ -331,18 +301,18 @@ proptest! {
         }
     }
 
-    /// A long-lived backend fed varying sender sets (the Engine's usage
-    /// pattern) matches fresh per-call computation: scratch-buffer reuse
-    /// across slots is observationally invisible.
+    /// A long-lived hybrid backend fed varying sender sets (the Engine's
+    /// usage pattern) matches fresh per-call computation: the state it
+    /// carries across slots is observationally invisible.
     #[test]
     fn stateful_backend_reuse_matches_fresh_calls(
         pts in near_field_points(40, 24),
         range in 4.0f64..24.0,
-        cell in 2.0f64..12.0,
+        cutoff in 2.0f64..12.0,
         threads in 1usize..5,
     ) {
         let sinr = SinrParams::builder().range(range).build().unwrap();
-        let spec = BackendSpec::grid_far_field(cell).with_threads(threads);
+        let spec = BackendSpec::hybrid(cutoff).with_threads(threads);
         let mut backend = spec.build();
         let mut out = vec![None; pts.len()];
         for step in 0..4usize {

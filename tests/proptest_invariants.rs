@@ -52,29 +52,6 @@ proptest! {
         }
     }
 
-    /// The grid far-field model never grants a reception exact denies,
-    /// and any reception it grants matches the exact sender.
-    #[test]
-    fn grid_interference_is_conservative(
-        pts in near_field_points(40, 30),
-        range in 6.0f64..24.0,
-        cell in 2.0f64..20.0,
-        stride in 1usize..4,
-    ) {
-        let sinr = SinrParams::builder().range(range).build().unwrap();
-        let senders: Vec<usize> = (0..pts.len()).step_by(stride).collect();
-        let exact = decide_receptions(&sinr, &pts, &senders, BackendSpec::exact());
-        let grid = decide_receptions(
-            &sinr, &pts, &senders,
-            BackendSpec::grid_far_field(cell),
-        );
-        for (e, g) in exact.iter().zip(grid.iter()) {
-            if let Some(gs) = g {
-                prop_assert_eq!(e.as_ref(), Some(gs));
-            }
-        }
-    }
-
     /// BFS distances satisfy the triangle inequality through any edge.
     #[test]
     fn bfs_triangle_inequality(
