@@ -11,6 +11,7 @@
 //!   MIS progress (ties keep competing), hurting sparsification.
 
 use absmac::measure::{self, LatencyStats, ProgressOutcome};
+use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MacKnob, MeasureSpec, ScenarioSet, ScenarioSpec, SeedSpec, SinrSpec, SourceSet,
     StopSpec, WorkloadSpec,
@@ -19,10 +20,14 @@ use sinr_scenario::{
 /// One ablation measurement.
 #[derive(Debug, Clone)]
 pub struct AblationPoint {
+    /// The sweep cell's spec, as it ran.
+    pub spec: ScenarioSpec,
     /// The swept multiplier value.
     pub value: f64,
     /// Epoch length (slots) under this configuration.
     pub epoch_len: u64,
+    /// Temporary labels are drawn from `[1, label_range]`.
+    pub label_range: u64,
     /// Approximate-progress latencies (satisfied obligations).
     pub approg: LatencyStats,
     /// Obligations unsatisfied at the horizon.
@@ -46,6 +51,7 @@ pub fn ablation_base(
         StopSpec::Epochs(epochs),
     )
     .with_sinr(sinr)
+    .with_backend(BackendSpec::cached())
     .with_seed(seed)
     .with_measure(MeasureSpec {
         trace: true,
@@ -83,8 +89,10 @@ pub fn sweep_knob(base: ScenarioSpec, knob: MacKnob, values: &[f64]) -> Vec<Abla
                 .count();
             let params = run.ctx.mac_params.as_ref().expect("sinr mac");
             AblationPoint {
+                spec: run.ctx.spec.clone(),
                 value,
                 epoch_len: 2 * params.layout().epoch_len(),
+                label_range: params.label_range,
                 approg: LatencyStats::from_samples(satisfied),
                 pending,
                 max_dropped: run.outcome.max_dropped.unwrap_or(0),

@@ -12,6 +12,7 @@
 
 use absmac::measure::{self, LatencyStats, ProgressOutcome};
 use sinr_geom::DeploySpec;
+use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MacSpec, ScenarioSpec, SeedSpec, SinrSpec, SourceSet, StopSpec, WorkloadSpec,
 };
@@ -42,6 +43,7 @@ pub fn decay_pair(delta: usize, range: f64, horizon: u64, seed: u64) -> [Scenari
             StopSpec::Slots(horizon),
         )
         .with_sinr(decay_sinr(range))
+        .with_backend(BackendSpec::cached())
         .with_mac(mac)
         .with_seed(SeedSpec::Fixed(seed))
     };

@@ -17,6 +17,7 @@
 
 use absmac::measure::{self, LatencyStats, ProgressOutcome};
 use sinr_geom::DeploySpec;
+use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MacSpec, ScenarioSpec, SeedSpec, SinrSpec, SourceSet, StopSpec, WorkloadSpec,
 };
@@ -62,6 +63,7 @@ pub fn tdma_spec(delta: usize, seed: u64) -> ScenarioSpec {
         StopSpec::Slots(2 * delta as u64),
     )
     .with_sinr(fig1_sinr(delta))
+    .with_backend(BackendSpec::cached())
     .with_mac(MacSpec::Tdma)
     .with_seed(SeedSpec::Fixed(seed))
 }
@@ -76,6 +78,7 @@ pub fn mac_spec(delta: usize, epochs: u64, seed: u64) -> ScenarioSpec {
         StopSpec::Epochs(epochs),
     )
     .with_sinr(fig1_sinr(delta))
+    .with_backend(BackendSpec::cached())
     .with_seed(SeedSpec::Fixed(seed))
 }
 

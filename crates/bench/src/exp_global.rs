@@ -2,6 +2,7 @@
 //! absMAC (Theorems 12.7 and Corollary 5.5), each expressed as a
 //! [`ScenarioSpec`] plus a theory-shape post-processor.
 
+use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MeasureSpec, ScenarioRun, ScenarioSpec, SeedSpec, SinrSpec, StopSpec,
     WorkloadSpec,
@@ -21,6 +22,7 @@ pub fn smb_spec(
         StopSpec::Done(horizon),
     )
     .with_sinr(sinr)
+    .with_backend(BackendSpec::cached())
     .with_seed(seed)
     .with_measure(MeasureSpec::none())
 }
@@ -40,6 +42,7 @@ pub fn mmb_spec(
         StopSpec::Done(horizon),
     )
     .with_sinr(sinr)
+    .with_backend(BackendSpec::cached())
     .with_seed(seed)
     .with_measure(MeasureSpec::none())
 }
@@ -72,6 +75,7 @@ pub fn consensus_spec(deploy: DeploymentSpec, sinr: SinrSpec, seed: SeedSpec) ->
         StopSpec::Done(deadline + 1000),
     )
     .with_sinr(sinr)
+    .with_backend(BackendSpec::cached())
     .with_seed(seed)
     .with_measure(MeasureSpec::none())
 }

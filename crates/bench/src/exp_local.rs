@@ -13,6 +13,7 @@
 
 use absmac::measure::{self, LatencyStats, ProgressOutcome};
 use absmac::TraceKind;
+use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MacKnob, MacSpec, ScenarioSpec, SeedSpec, SinrSpec, SourceSet, StopSpec,
     WorkloadSpec,
@@ -43,6 +44,7 @@ pub fn fack_spec(
         StopSpec::Done(horizon),
     )
     .with_sinr(sinr)
+    .with_backend(BackendSpec::cached())
     .with_seed(seed)
 }
 
@@ -64,6 +66,7 @@ pub fn progress_spec(
         StopSpec::Epochs(epochs),
     )
     .with_sinr(sinr)
+    .with_backend(BackendSpec::cached())
     .with_mac(MacSpec::Sinr { overrides })
     .with_seed(seed)
 }

@@ -11,6 +11,7 @@
 //! The three-way comparison is literally one scenario run three times
 //! with a different `mac=` line — the plug-and-play axis doing the work.
 
+use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MacSpec, MeasureSpec, ScenarioSpec, SeedSpec, SinrSpec, StopSpec, WorkloadSpec,
 };
@@ -31,6 +32,7 @@ pub fn table2_specs(
             StopSpec::Done(horizon),
         )
         .with_sinr(sinr)
+        .with_backend(BackendSpec::cached())
         .with_mac(mac)
         .with_seed(seed)
         .with_measure(MeasureSpec::none())
@@ -61,25 +63,6 @@ pub struct Table2Point {
     pub crossover_lhs: f64,
     /// The paper's crossover quantity `min(D·log₂ n, log₂² n)`.
     pub crossover_rhs: f64,
-}
-
-impl Table2Point {
-    /// Label of the fastest measured algorithm.
-    pub fn winner(&self) -> &'static str {
-        let mut best = ("none", u64::MAX);
-        for (name, v) in [
-            ("ours", self.ours),
-            ("dgkn", self.dgkn),
-            ("decay", self.decay_proxy),
-        ] {
-            if let Some(t) = v {
-                if t < best.1 {
-                    best = (name, t);
-                }
-            }
-        }
-        best.0
-    }
 }
 
 /// Runs all three algorithms on one deployment.
@@ -130,7 +113,6 @@ mod tests {
         assert!(p.ours.is_some(), "ours timed out");
         assert!(p.dgkn.is_some(), "dgkn timed out");
         assert!(p.decay_proxy.is_some(), "decay timed out");
-        assert_ne!(p.winner(), "none");
     }
 
     #[test]

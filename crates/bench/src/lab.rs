@@ -1,28 +1,23 @@
-//! `sinr-lab` — the single spec-driven experiment driver.
-//!
-//! Everything the nine legacy regenerator binaries did is reachable from
-//! here: `list` the named scenario presets, `show` a spec's text, `run`
+//! `sinr-lab` — the single spec-driven experiment driver: `list` the
+//! named scenario presets and paper tables, `show` a spec's text, `run`
 //! one spec (emitting a machine-readable JSON report), `sweep` a spec
-//! grid in a thread batch, `bench` the sweep runner's throughput, and
-//! `legacy NAME` to reprint any legacy binary's full tables (the legacy
-//! binaries themselves run `sinr-lab legacy NAME` through
-//! [`process_main`]).
+//! grid in a thread batch, `serve` specs over NDJSON, write the paper's
+//! tables to `PAPER_RESULTS.json` and check their claims (`paper`), and
+//! time the sweep runner, the service and the reception kernels (`bench`,
+//! `bench-service`, `bench-reception`).
 
 use std::collections::BTreeSet;
 use std::path::Path;
 use std::sync::Mutex;
 use std::time::Instant;
 
-use sinr_mac::MacParams;
-use sinr_phys::SinrParams;
 use sinr_scenario::{
     json, merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec, Report,
     ScenarioSet, ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec,
     WorkloadSpec,
 };
 
-use crate::common::Table;
-use crate::{exp_ablation, exp_decay, exp_fig1, exp_global, exp_local, exp_table2};
+use crate::{exp_fig1, exp_local, paper, reception_bench, service_bench};
 
 /// A named scenario preset: a spec constructor plus provenance notes.
 pub struct Preset {
@@ -167,34 +162,6 @@ pub fn resolve_spec(name: &str) -> Result<ScenarioSpec, String> {
     }
 }
 
-/// The legacy binaries and the experiment each regenerates.
-pub const LEGACY: [(&str, &str); 9] = [
-    (
-        "fig1_progress",
-        "E4: Figure 1 / Thm 6.1 progress lower bound",
-    ),
-    (
-        "table1_local",
-        "E1: Table 1 local rows (f_ack, f_prog, f_approg)",
-    ),
-    (
-        "table1_global",
-        "E2: Table 1 global rows (SMB, MMB, consensus)",
-    ),
-    ("table2_smb", "E3: Table 2 three-way SMB comparison"),
-    ("decay_vs_approg", "E5: Thm 8.1 Decay vs Algorithm 9.1"),
-    ("ablation_t", "A1: estimation-window multiplier sweep"),
-    ("ablation_labels", "A2: label-range exponent sweep"),
-    (
-        "ablation_interference",
-        "A3: interference-model agreement/speed",
-    ),
-    (
-        "bench_reception",
-        "reception-kernel throughput (BENCH_reception.json)",
-    ),
-];
-
 /// Checks the `SINR_*` variables the library reads lazily, so a
 /// malformed value is refused before any command runs instead of
 /// panicking mid-run: `SINR_BACKEND` must parse as a
@@ -212,17 +179,11 @@ fn check_env() -> Result<(), String> {
     Ok(())
 }
 
-/// The `main` of the `sinr_lab` binary and of the nine legacy wrapper
-/// binaries: runs [`cli_main`] on `prefix` followed by the process
-/// arguments and exits 2 with `sinr-lab: MSG` on stderr when it fails.
-/// A wrapper passes `["legacy", NAME]`, so it gets the same start-up
-/// check of the `SINR_*` variables and the same error path.
-pub fn process_main(prefix: &[&str]) {
-    let args: Vec<String> = prefix
-        .iter()
-        .map(|s| s.to_string())
-        .chain(std::env::args().skip(1))
-        .collect();
+/// The `main` of the `sinr_lab` binary: runs [`cli_main`] on the
+/// process arguments and exits 2 with `sinr-lab: MSG` on stderr when it
+/// fails.
+pub fn process_main() {
+    let args: Vec<String> = std::env::args().skip(1).collect();
     if let Err(msg) = cli_main(&args) {
         eprintln!("sinr-lab: {msg}");
         std::process::exit(2);
@@ -244,9 +205,9 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
             for p in presets() {
                 println!("  {:16} {}", p.name, p.about);
             }
-            println!("\nlegacy regenerators (`sinr-lab legacy NAME`):");
-            for (name, about) in LEGACY {
-                println!("  {name:22} {about}");
+            println!("\npaper tables (`sinr-lab paper`):");
+            for t in &paper::TABLES {
+                println!("  {:13} {:19} {}", t.id, t.theorem, t.title);
             }
             Ok(())
         }
@@ -391,35 +352,30 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
                 &format!("[{}]", merged.reports.join(",")),
             )
         }
+        Some("paper") => match &args[1..] {
+            [] => paper::run("PAPER_RESULTS.json"),
+            [out] if !out.starts_with("--") => paper::run(out),
+            _ => Err("usage: sinr-lab paper [OUT]".into()),
+        },
         Some("bench") => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let out = args[1..]
-                .iter()
-                .find(|a| !a.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "BENCH_scenario.json".to_string());
+            let (out, smoke) = bench_args(&args[1..], "BENCH_scenario.json");
             bench_scenario(&out, smoke)
         }
-        Some("serve") => crate::service_bench::serve_cmd(&args[1..]),
+        Some("serve") => service_bench::serve_cmd(&args[1..]),
         Some("bench-service") => {
-            let smoke = args.iter().any(|a| a == "--smoke");
-            let out = args[1..]
-                .iter()
-                .find(|a| !a.starts_with("--"))
-                .cloned()
-                .unwrap_or_else(|| "BENCH_service.json".to_string());
-            crate::service_bench::bench_service(&out, smoke)
+            let (out, smoke) = bench_args(&args[1..], "BENCH_service.json");
+            service_bench::bench_service(&out, smoke)
         }
-        Some("legacy") => {
-            let name = args.get(1).ok_or("usage: sinr-lab legacy NAME")?;
-            legacy(name, &args[2..])
+        Some("bench-reception") => {
+            let (out, smoke) = bench_args(&args[1..], "BENCH_reception.json");
+            reception_bench::run(&out, smoke)
         }
         _ => {
             println!(
                 "sinr-lab — spec-driven experiment driver\n\
                  \n\
                  usage:\n\
-                 \x20 sinr-lab list                               named presets + legacy regenerators\n\
+                 \x20 sinr-lab list                               named presets + paper tables\n\
                  \x20 sinr-lab show NAME|FILE                     print a spec's text form\n\
                  \x20 sinr-lab run NAME|FILE [--json PATH]        run one scenario, emit a JSON report\n\
                  \x20 sinr-lab sweep NAME|FILE KEY=V1,V2,… \n\
@@ -430,13 +386,16 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
                  \x20                                             i%N==K; --resume skips recorded cells after a kill)\n\
                  \x20 sinr-lab sweep-merge DIR [--json PATH]      validate + merge a sharded sweep's output directory\n\
                  \x20                                             (byte-identical to the single-process --json array)\n\
+                 \x20 sinr-lab paper [OUT.json]                   run the paper's 13 tables, write PAPER_RESULTS.json,\n\
+                 \x20                                             exit 2 if a table's claim fails\n\
                  \x20 sinr-lab bench [OUT.json] [--smoke]         sweep throughput + shared-prepare speedups (BENCH_scenario.json)\n\
                  \x20 sinr-lab serve [--socket PATH] [--once] [--workers N] [--queue N]\n\
                  \x20          [--cache-bytes N] [--replay-log N] [--no-cache]\n\
                  \x20                                             persistent scenario service: NDJSON requests on stdin or a\n\
                  \x20                                             Unix socket, streamed reports, LRU-cached prepared tables\n\
                  \x20 sinr-lab bench-service [OUT.json] [--smoke] request-storm service benchmark (BENCH_service.json)\n\
-                 \x20 sinr-lab legacy NAME [ARGS…]                reprint a legacy binary's tables\n\
+                 \x20 sinr-lab bench-reception [OUT.json] [--smoke]\n\
+                 \x20                                             reception-kernel throughput (BENCH_reception.json)\n\
                  \n\
                  spec files are key=value text; see `sinr-lab show fig1` for an example\n\
                  and the README's \"Running experiments\" section for the grammar."
@@ -505,6 +464,18 @@ fn sweep_in_memory(
             .join(",")
     );
     write_json(json_path, &joined)
+}
+
+/// The `[OUT] [--smoke]` arguments of the bench commands: the output
+/// path (`default` when absent) and the smoke flag.
+fn bench_args(args: &[String], default: &str) -> (String, bool) {
+    let smoke = args.iter().any(|a| a == "--smoke");
+    let out = args
+        .iter()
+        .find(|a| !a.starts_with("--"))
+        .cloned()
+        .unwrap_or_else(|| default.to_string());
+    (out, smoke)
 }
 
 fn print_summary(report: &Report) {
@@ -904,526 +875,6 @@ pub fn bench_scenario(out: &str, smoke: bool) -> Result<(), String> {
     validate_scenario_json(&written, rows.len());
     println!("wrote {out} (validated)");
     Ok(())
-}
-
-/// Reprints the full table output of one legacy regenerator binary.
-///
-/// # Errors
-///
-/// A message for an unknown name.
-pub fn legacy(name: &str, args: &[String]) -> Result<(), String> {
-    match name {
-        "fig1_progress" => legacy_fig1_progress(),
-        "table1_local" => legacy_table1_local(),
-        "table1_global" => legacy_table1_global(),
-        "table2_smb" => legacy_table2_smb(),
-        "decay_vs_approg" => legacy_decay_vs_approg(),
-        "ablation_t" => legacy_ablation_t(),
-        "ablation_labels" => legacy_ablation_labels(),
-        "ablation_interference" => legacy_ablation_interference(),
-        "bench_reception" => legacy_bench_reception(args),
-        other => {
-            return Err(format!(
-                "unknown legacy regenerator {other:?}; one of {:?}",
-                LEGACY.map(|(n, _)| n)
-            ))
-        }
-    }
-    Ok(())
-}
-
-fn legacy_fig1_progress() {
-    let mut t = Table::new(
-        "Figure 1 / Thm 6.1: two-parallel-lines gadget, sweep delta",
-        &[
-            "delta",
-            "tdma_worst(=D-1?)",
-            "mac_prog_u_p50",
-            "u_pending",
-            "mac_approg_v_p50",
-            "mac_approg_v_max",
-            "v_pending",
-            "horizon",
-        ],
-    );
-    for delta in [4usize, 8, 16, 32] {
-        let p = exp_fig1::run_fig1(delta, 6, 11);
-        t.row(vec![
-            p.delta.to_string(),
-            p.tdma_worst.to_string(),
-            p.mac_prog_u
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            p.mac_prog_u_pending.to_string(),
-            p.mac_approg_v
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            p.mac_approg_v.max().map_or("-".into(), |v| v.to_string()),
-            p.mac_approg_v_pending.to_string(),
-            p.horizon.to_string(),
-        ]);
-    }
-    t.print();
-    println!("reading: tdma_worst grows linearly in delta (the f_prog >= Delta bound);");
-    println!("V-side approximate progress stays flat/polylog — Definition 7.1's payoff.");
-}
-
-fn legacy_table1_local() {
-    // ---- f_ack vs contention (degree) ----
-    let mut t = Table::new(
-        "Table 1 / f_ack: sweep broadcasters (contention) on one deployment",
-        &[
-            "n",
-            "max_deg",
-            "lambda",
-            "bcasters",
-            "fack_mean",
-            "fack_max",
-            "deliv_rate",
-            "theory_shape",
-        ],
-    );
-    let deploy = DeploymentSpec::uniform_connected(96, 60.0, 1);
-    let sinr = SinrSpec::with_range(16.0);
-    for bcasters in [1usize, 4, 16, 48, 96] {
-        let r = exp_local::measure_fack(&exp_local::fack_spec(
-            deploy,
-            sinr,
-            bcasters,
-            SeedSpec::FromDeploy,
-        ));
-        t.row(vec![
-            r.n.to_string(),
-            r.max_degree.to_string(),
-            format!("{:.1}", r.lambda),
-            bcasters.to_string(),
-            format!("{:.0}", r.latencies.mean().unwrap_or(0.0)),
-            r.latencies.max().unwrap_or(0).to_string(),
-            format!("{:.3}", r.delivery_rate),
-            format!("{:.0}", r.theory),
-        ]);
-    }
-    t.print();
-
-    // ---- f_prog / f_approg vs Λ (range sweep, fixed arena) ----
-    // The arena is fixed so the measured minimum distance stays put and
-    // Λ genuinely grows with the range.
-    let mut t = Table::new(
-        "Table 1 / f_prog & f_approg: sweep lambda (transmission range)",
-        &[
-            "n",
-            "lambda",
-            "deg",
-            "prog_p50",
-            "prog_pend",
-            "approg_p50",
-            "approg_max",
-            "approg_pend",
-            "theory_approg",
-        ],
-    );
-    for range in [8.0f64, 16.0, 32.0, 64.0] {
-        let r = exp_local::measure_progress(&exp_local::progress_spec(
-            DeploymentSpec::uniform_connected(64, 40.0, 2),
-            SinrSpec::with_range(range),
-            vec![],
-            2,
-            8,
-            SeedSpec::FromDeploy,
-        ));
-        t.row(vec![
-            r.n.to_string(),
-            format!("{:.1}", r.lambda),
-            r.max_degree.to_string(),
-            r.prog
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            r.prog_pending.to_string(),
-            r.approg
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            r.approg.max().map_or("-".into(), |v| v.to_string()),
-            r.approg_pending.to_string(),
-            format!("{:.0}", r.theory_approg),
-        ]);
-    }
-    t.print();
-
-    // ---- f_ack under extreme contention (one dense cluster) ----
-    // Remark 5.3: Δ is a lower bound on f_ack — a listener decodes one
-    // message per slot. The fall-back mechanism must stretch the halting
-    // time as the cluster grows.
-    let mut t = Table::new(
-        "Table 1 / f_ack under clustered contention (all nodes broadcast)",
-        &[
-            "cluster_n",
-            "max_deg",
-            "fack_mean",
-            "fack_max",
-            "deliv_rate",
-        ],
-    );
-    for cluster_n in [16usize, 32, 64] {
-        let deploy = DeploymentSpec::plain(sinr_geom::DeploySpec::Clusters {
-            clusters: 1,
-            per_cluster: cluster_n,
-            side: 10.0,
-            radius: 7.0,
-            seed: 23,
-        });
-        let r = exp_local::measure_fack(&exp_local::fack_spec(
-            deploy,
-            SinrSpec::with_range(16.0),
-            cluster_n,
-            SeedSpec::Fixed(23),
-        ));
-        t.row(vec![
-            cluster_n.to_string(),
-            r.max_degree.to_string(),
-            format!("{:.0}", r.latencies.mean().unwrap_or(0.0)),
-            r.latencies.max().unwrap_or(0).to_string(),
-            format!("{:.3}", r.delivery_rate),
-        ]);
-    }
-    t.print();
-
-    // ---- f_approg vs eps_approg ----
-    let mut t = Table::new(
-        "Table 1 / f_approg: sweep eps_approg (the localized-analysis payoff)",
-        &[
-            "eps",
-            "epoch_slots",
-            "approg_p50",
-            "approg_max",
-            "approg_pend",
-        ],
-    );
-    let deploy = DeploymentSpec::uniform_connected(64, 55.0, 3);
-    for eps in [0.5f64, 0.25, 0.125, 0.03125] {
-        let r = exp_local::measure_progress(&exp_local::progress_spec(
-            deploy,
-            SinrSpec::with_range(16.0),
-            vec![(sinr_scenario::MacKnob::EpsApprog, eps)],
-            2,
-            8,
-            SeedSpec::FromDeploy,
-        ));
-        t.row(vec![
-            format!("{eps}"),
-            r.epoch_len.to_string(),
-            r.approg
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            r.approg.max().map_or("-".into(), |v| v.to_string()),
-            r.approg_pending.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-fn legacy_table1_global() {
-    let sinr = SinrSpec::with_range(16.0);
-
-    // ---- SMB vs n ----
-    let mut t = Table::new(
-        "Table 1 / global SMB: sweep n",
-        &["n", "D_approx", "lambda", "slots", "theory_shape"],
-    );
-    for (n, side) in [(32usize, 40.0), (64, 55.0), (128, 78.0), (256, 110.0)] {
-        let p = exp_global::run_smb(&exp_global::smb_spec(
-            DeploymentSpec::uniform_connected(n, side, 4),
-            sinr,
-            40_000_000,
-            SeedSpec::FromDeploy,
-        ));
-        t.row(vec![
-            p.n.to_string(),
-            p.diameter_approx.map_or("-".into(), |d| d.to_string()),
-            format!("{:.1}", p.lambda),
-            p.done.map_or("timeout".into(), |d| d.to_string()),
-            format!("{:.0}", p.theory),
-        ]);
-    }
-    t.print();
-
-    // ---- MMB vs k ----
-    let mut t = Table::new(
-        "Table 1 / global MMB: sweep k on one deployment (n=64)",
-        &["k", "slots", "theory_shape"],
-    );
-    let deploy = DeploymentSpec::uniform_connected(64, 55.0, 5);
-    for k in [1usize, 2, 4, 8, 16] {
-        let p = exp_global::run_mmb(&exp_global::mmb_spec(
-            deploy,
-            sinr,
-            k,
-            80_000_000,
-            SeedSpec::FromDeploy,
-        ));
-        t.row(vec![
-            k.to_string(),
-            p.done.map_or("timeout".into(), |d| d.to_string()),
-            format!("{:.0}", p.theory),
-        ]);
-    }
-    t.print();
-
-    // ---- CONS vs n ----
-    let mut t = Table::new(
-        "Table 1 / global consensus: sweep n",
-        &[
-            "n",
-            "D_strong",
-            "decided_at",
-            "agreement",
-            "validity",
-            "theory_shape",
-        ],
-    );
-    for (n, side) in [(16usize, 28.0), (32, 40.0), (64, 55.0)] {
-        let spec = exp_global::consensus_spec(
-            DeploymentSpec::uniform_connected(n, side, 6),
-            sinr,
-            SeedSpec::FromDeploy,
-        );
-        let r = exp_global::run_consensus(&spec);
-        t.row(vec![
-            n.to_string(),
-            r.diameter_strong.map_or("-".into(), |d| d.to_string()),
-            r.decided_at.map_or("timeout".into(), |d| d.to_string()),
-            r.agreement.to_string(),
-            r.validity.to_string(),
-            format!("{:.0}", r.theory),
-        ]);
-    }
-    t.print();
-}
-
-fn table2_headers() -> [&'static str; 10] {
-    [
-        "n",
-        "D",
-        "lambda",
-        "ours",
-        "dgkn[14]",
-        "decay[32]",
-        "winner",
-        "log^{a+1}L",
-        "min(Dlogn,log2n)",
-        "paper_predicts",
-    ]
-}
-
-fn table2_prediction(lhs: f64, rhs: f64) -> &'static str {
-    // Paper: we beat [32] iff log^{α+1}Λ ≤ min(D·log n, log² n); we beat
-    // [14] always.
-    if lhs <= rhs {
-        "ours"
-    } else {
-        "decay[32]"
-    }
-}
-
-fn table2_row(t: &mut Table, p: &exp_table2::Table2Point) {
-    t.row(vec![
-        p.n.to_string(),
-        p.diameter.to_string(),
-        format!("{:.1}", p.lambda),
-        p.ours.map_or("timeout".into(), |v| v.to_string()),
-        p.dgkn.map_or("timeout".into(), |v| v.to_string()),
-        p.decay_proxy.map_or("timeout".into(), |v| v.to_string()),
-        p.winner().to_string(),
-        format!("{:.0}", p.crossover_lhs),
-        format!("{:.0}", p.crossover_rhs),
-        table2_prediction(p.crossover_lhs, p.crossover_rhs).to_string(),
-    ]);
-}
-
-fn legacy_table2_smb() {
-    // ---- sweep n at fixed Λ ----
-    let mut t = Table::new(
-        "Table 2: sweep n (range=8, lambda fixed)",
-        &table2_headers(),
-    );
-    for (n, side) in [(32usize, 25.0), (64, 36.0), (128, 51.0), (256, 72.0)] {
-        let p = exp_table2::compare_smb(
-            DeploymentSpec::uniform_connected(n, side, 7),
-            SinrSpec::with_range(8.0),
-            40_000_000,
-            SeedSpec::FromDeploy,
-        );
-        table2_row(&mut t, &p);
-    }
-    t.print();
-
-    // ---- sweep Λ at fixed n ----
-    let mut t = Table::new("Table 2: sweep lambda (n=64)", &table2_headers());
-    for range in [4.0f64, 8.0, 16.0, 32.0] {
-        let side = (range * 3.0).max(12.0);
-        let p = exp_table2::compare_smb(
-            DeploymentSpec::uniform_connected(64, side, 8),
-            SinrSpec::with_range(range),
-            40_000_000,
-            SeedSpec::FromDeploy,
-        );
-        table2_row(&mut t, &p);
-    }
-    t.print();
-}
-
-fn legacy_decay_vs_approg() {
-    let mut t = Table::new(
-        "Thm 8.1: two-ball gadget, B1-side approximate progress, sweep delta",
-        &[
-            "delta",
-            "decay_p50",
-            "decay_max",
-            "decay_pend",
-            "approg_p50",
-            "approg_max",
-            "approg_pend",
-            "horizon",
-        ],
-    );
-    for delta in [8usize, 16, 32, 64] {
-        let p = exp_decay::run_decay_comparison(delta, 64.0, 400_000, 13);
-        t.row(vec![
-            p.delta.to_string(),
-            p.decay
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            p.decay.max().map_or("-".into(), |v| v.to_string()),
-            p.decay_pending.to_string(),
-            p.approg
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            p.approg.max().map_or("-".into(), |v| v.to_string()),
-            p.approg_pending.to_string(),
-            p.horizon.to_string(),
-        ]);
-    }
-    t.print();
-    println!("reading: Decay's B1 latency grows with delta (Thm 8.1's Omega(Delta log 1/eps));");
-    println!("Algorithm 9.1 sparsifies B2 and stays roughly flat.");
-}
-
-fn legacy_ablation_t() {
-    let deploy = DeploymentSpec::uniform_connected(64, 40.0, 17);
-    let mut t = Table::new(
-        "A1: sweep T multiplier (dense deployment, half the nodes broadcasting)",
-        &[
-            "t_mult",
-            "epoch_slots",
-            "approg_p50",
-            "approg_pend",
-            "max_dropped(W)",
-        ],
-    );
-    for p in exp_ablation::sweep_t_mult(
-        deploy,
-        SinrSpec::with_range(16.0),
-        &[0.5, 1.0, 2.0, 4.0],
-        8,
-        SeedSpec::FromDeploy,
-    ) {
-        t.row(vec![
-            format!("{}", p.value),
-            p.epoch_len.to_string(),
-            p.approg
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            p.pending.to_string(),
-            p.max_dropped.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-fn legacy_ablation_labels() {
-    let deploy = DeploymentSpec::uniform_connected(64, 40.0, 19);
-    let sinr_params = SinrSpec::with_range(16.0).to_params().expect("params");
-    let mut t = Table::new(
-        "A2: sweep label-range exponent",
-        &[
-            "label_exp",
-            "label_range",
-            "approg_p50",
-            "approg_pend",
-            "max_dropped",
-        ],
-    );
-    for p in exp_ablation::sweep_label_exp(
-        deploy,
-        SinrSpec::with_range(16.0),
-        &[0.25, 0.5, 1.0, 2.0],
-        8,
-        SeedSpec::FromDeploy,
-    ) {
-        let range = MacParams::builder()
-            .label_exp(p.value)
-            .build(&sinr_params)
-            .label_range;
-        t.row(vec![
-            format!("{}", p.value),
-            range.to_string(),
-            p.approg
-                .percentile(50.0)
-                .map_or("-".into(), |v| v.to_string()),
-            p.pending.to_string(),
-            p.max_dropped.to_string(),
-        ]);
-    }
-    t.print();
-}
-
-fn legacy_ablation_interference() {
-    use crate::reception_bench::{churn_schedule, measure};
-    use sinr_phys::reception::{decide_receptions, BackendSpec};
-
-    let sinr = SinrParams::builder().range(16.0).build().unwrap();
-    let mut t = Table::new(
-        "A3: exact vs hybrid agreement and speed (churn schedule: ≈ n/2 transmitters, ~n/16 change per slot)",
-        &[
-            "n",
-            "exact_us",
-            "hybrid_us",
-            "hybrid_speedup",
-            "agree_rate",
-            "hybrid_missed",
-        ],
-    );
-    for &n in &[128usize, 256, 512, 1024] {
-        let side = (n as f64).sqrt() * 2.2;
-        let positions = sinr_geom::deploy::uniform(n, side, 5).unwrap();
-        let schedule = churn_schedule(n);
-        let slot_us = |spec| 1e6 / measure(&sinr, &positions, &schedule, spec, 0.2).0;
-        let exact_us = slot_us(BackendSpec::exact());
-        let hybrid_us = slot_us(BackendSpec::hybrid(0.0));
-
-        let senders = &schedule[0];
-        let exact = decide_receptions(&sinr, &positions, senders, BackendSpec::exact());
-        let hybrid = decide_receptions(&sinr, &positions, senders, BackendSpec::hybrid(0.0));
-        let agree = exact.iter().zip(&hybrid).filter(|(e, h)| e == h).count();
-        let missed = exact
-            .iter()
-            .zip(&hybrid)
-            .filter(|(e, h)| e.is_some() && h.is_none())
-            .count();
-        t.row(vec![
-            n.to_string(),
-            format!("{exact_us:.1}"),
-            format!("{hybrid_us:.1}"),
-            format!("{:.2}x", exact_us / hybrid_us),
-            format!("{:.4}", agree as f64 / n as f64),
-            missed.to_string(),
-        ]);
-    }
-    t.print();
-    println!("hybrid receptions are a subset of exact ones (conservative; property-tested).");
-}
-
-fn legacy_bench_reception(args: &[String]) {
-    crate::reception_bench::run(args);
 }
 
 #[cfg(test)]

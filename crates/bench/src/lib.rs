@@ -1,18 +1,18 @@
-//! Experiment harness regenerating the paper's tables and figures (the
-//! README's "Legacy regenerators" table indexes them), built on the
-//! declarative scenario API of `sinr-scenario`.
+//! Experiment harness regenerating the paper's tables (the README's
+//! "Paper results" table indexes them), built on the declarative
+//! scenario API of `sinr-scenario`.
 //!
 //! Each experiment module exposes **spec constructors** (a
-//! `ScenarioSpec` per measurement leg) plus a post-processor that runs
-//! the spec and extracts the paper's quantities. They are called by
+//! `ScenarioSpec` per measurement leg, on the `cached` backend) plus a
+//! post-processor that runs the spec and extracts the paper's
+//! quantities. The [`paper`] module runs them into the thirteen tables of
+//! the committed `PAPER_RESULTS.json` and checks each table's claim; the
+//! [`lab`] driver (`sinr-lab` binary) exposes that as `sinr-lab paper`
+//! next to `list`/`show`/`run`/`sweep`/`serve` over specs and the three
+//! benches.
 //!
-//! * the [`lab`] driver (`sinr-lab` binary: `list`/`show`/`run`/`sweep`
-//!   over specs, JSON reports, plus `legacy` reprints of every table), and
-//! * the legacy binaries in `src/bin/` — thin wrappers over
-//!   [`lab::legacy`], kept so published invocations stay valid.
-//!
-//! All measurements are **slot counts** of the simulated network — the
-//! unit the paper's bounds are stated in — not wall-clock time.
+//! The paper tables measure **slot counts** of the simulated network —
+//! the unit the paper's bounds are stated in — not wall-clock time.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -25,5 +25,6 @@ pub mod exp_global;
 pub mod exp_local;
 pub mod exp_table2;
 pub mod lab;
+pub mod paper;
 pub mod reception_bench;
 pub mod service_bench;

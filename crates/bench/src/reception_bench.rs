@@ -53,10 +53,9 @@
 //! refactor cannot silently rot the BENCH file; CI runs the same binary in
 //! `--smoke` mode (n = 64 only, short measurements) on every push.
 //!
-//! Entry points: the `bench_reception` binary and
-//! `sinr-lab legacy bench_reception`, both of which call [`run`]. The
-//! output path defaults to `BENCH_reception.json` in the current
-//! directory.
+//! Entry point: `sinr-lab bench-reception [OUT] [--smoke]`, which calls
+//! [`run`]. The output path defaults to `BENCH_reception.json` in the
+//! current directory.
 
 use std::time::Instant;
 
@@ -93,7 +92,7 @@ struct Sample {
 /// The rotating transmitter schedule: even nodes always send, plus the
 /// odd-node cohort `2·(slot % 16) + 1 (mod 32)` — so each slot churns
 /// about `2 · n/32` transmitters against the previous one.
-pub(crate) fn churn_schedule(n: usize) -> Vec<Vec<usize>> {
+fn churn_schedule(n: usize) -> Vec<Vec<usize>> {
     (0..CYCLE)
         .map(|v| {
             (0..n)
@@ -141,7 +140,7 @@ impl Schedule {
 /// one untimed `prepare` and warm-up cycle, then ~`target_secs` of whole
 /// cycles. Returns slots per second, the receptions of the schedule's
 /// first slot and the `prepare` time in milliseconds.
-pub(crate) fn measure(
+fn measure(
     sinr: &SinrParams,
     positions: &[Point],
     schedule: &[Vec<usize>],
@@ -483,29 +482,25 @@ fn machine() -> Json {
     ])
 }
 
-/// Runs the benchmark. `args` may contain `--smoke` (tiny mode: n = 64
-/// only, short measurements — the CI configuration) and/or an output
-/// path (default `BENCH_reception.json`).
+/// Runs the benchmark and writes `out_path`; `smoke` is the tiny mode
+/// (n = 64 only, short measurements — the CI configuration).
+///
+/// # Errors
+///
+/// A message if the output file cannot be written or read back.
 ///
 /// # Panics
 ///
-/// Panics if a deployment cannot be generated, the output file cannot be
-/// written, or the emitted JSON fails validation — all are bugs a
-/// benchmark must not mask.
-pub fn run(args: &[String]) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out_path = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| "BENCH_reception.json".to_string());
+/// Panics if a deployment cannot be generated or the emitted JSON fails
+/// validation — bugs a benchmark must not mask.
+pub fn run(out_path: &str, smoke: bool) -> Result<(), String> {
     let sizes: &[usize] = if smoke { &[64] } else { &[64, 256, 1024] };
     let target_secs = if smoke { 0.01 } else { 0.2 };
 
     // Snapshot the previous report (if any) before overwriting it, so
     // the new JSON can record before/after rows for the cached kernel —
     // the artifact carries its own regression history.
-    let prev = std::fs::read_to_string(&out_path)
+    let prev = std::fs::read_to_string(out_path)
         .ok()
         .and_then(|text| json::parse(&text).ok());
 
@@ -781,8 +776,9 @@ pub fn run(args: &[String]) {
     }
     fields.push(("dense_table_cap".into(), Json::int(max_table_bytes())));
     let json = format!("{}\n", Json::Obj(fields));
-    std::fs::write(&out_path, &json).expect("write BENCH_reception.json");
-    let written = std::fs::read_to_string(&out_path).expect("read back BENCH_reception.json");
+    std::fs::write(out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
+    let written =
+        std::fs::read_to_string(out_path).map_err(|e| format!("reading back {out_path}: {e}"))?;
     validate_json(
         &written,
         &backend_names,
@@ -858,6 +854,7 @@ pub fn run(args: &[String]) {
             large_rate(100_000, Schedule::Turnover, "hybrid"),
         );
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -1,5 +1,5 @@
-//! Malformed `SINR_*` variables through the real binaries: `sinr-lab`
-//! and the legacy wrappers refuse them at start-up with a structured
+//! Malformed `SINR_*` variables through the real binary: `sinr-lab`
+//! refuses them at start-up, before any command, with a structured
 //! error (exit 2) instead of panicking mid-run (exit 101), and
 //! well-formed values pass.
 
@@ -7,8 +7,8 @@ use std::process::{Command, Output};
 
 const SINR_LAB: &str = env!("CARGO_BIN_EXE_sinr_lab");
 
-fn run(bin: &str, args: &[&str], var: &str, value: &str) -> Output {
-    Command::new(bin)
+fn run(args: &[&str], var: &str, value: &str) -> Output {
+    Command::new(SINR_LAB)
         .args(args)
         .env_remove("SINR_BACKEND")
         .env_remove("SINR_MAX_TABLE_BYTES")
@@ -17,8 +17,8 @@ fn run(bin: &str, args: &[&str], var: &str, value: &str) -> Output {
         .expect("run the binary")
 }
 
-fn assert_refused_by(bin: &str, args: &[&str], var: &str, value: &str, names: &str) {
-    let out = run(bin, args, var, value);
+fn assert_refused_by(args: &[&str], var: &str, value: &str, names: &str) {
+    let out = run(args, var, value);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert_eq!(out.status.code(), Some(2), "{var}={value}: {stderr}");
     assert!(
@@ -29,7 +29,7 @@ fn assert_refused_by(bin: &str, args: &[&str], var: &str, value: &str, names: &s
 }
 
 fn assert_refused(var: &str, value: &str, names: &str) {
-    assert_refused_by(SINR_LAB, &["run", "smoke-sinr"], var, value, names);
+    assert_refused_by(&["run", "smoke-sinr"], var, value, names);
 }
 
 #[test]
@@ -37,10 +37,13 @@ fn a_malformed_backend_is_refused_at_startup() {
     assert_refused("SINR_BACKEND", "warp", "\"warp\"");
     assert_refused("SINR_BACKEND", "cached:par:0", "nonzero");
     assert_refused("SINR_BACKEND", "grid:8", "\"grid\"");
-    // A legacy wrapper takes the same start-up check and error path.
-    let wrapper = env!("CARGO_BIN_EXE_fig1_progress");
-    assert_refused_by(wrapper, &[], "SINR_BACKEND", "warp", "\"warp\"");
-    let ok = run(SINR_LAB, &["list"], "SINR_BACKEND", "hybrid:16:par:2");
+    assert_refused("SINR_BACKEND", "hybrid:0.001", "at least 1");
+    // `paper` takes the same start-up check before it runs a table (the
+    // output path is never written when the check holds).
+    let out = std::env::temp_dir().join(format!("sinr-lab-env-{}.json", std::process::id()));
+    let out = out.to_str().expect("UTF-8 temp path");
+    assert_refused_by(&["paper", out], "SINR_BACKEND", "warp", "\"warp\"");
+    let ok = run(&["list"], "SINR_BACKEND", "hybrid:16:par:2");
     assert!(ok.status.success(), "{ok:?}");
 }
 
@@ -48,6 +51,6 @@ fn a_malformed_backend_is_refused_at_startup() {
 fn a_malformed_table_cap_is_refused_at_startup() {
     assert_refused("SINR_MAX_TABLE_BYTES", "lots", "\"lots\"");
     assert_refused("SINR_MAX_TABLE_BYTES", "-1", "\"-1\"");
-    let ok = run(SINR_LAB, &["list"], "SINR_MAX_TABLE_BYTES", " 1048576 ");
+    let ok = run(&["list"], "SINR_MAX_TABLE_BYTES", " 1048576 ");
     assert!(ok.status.success(), "{ok:?}");
 }

@@ -1,24 +1,25 @@
 //! The acceptance test of the scenario redesign: running the Figure 1
 //! experiment through the declarative spec pipeline (construct →
-//! serialize → parse → build → run) reproduces the **exact trace** of
-//! the legacy hand-wired harness at the same seed, so every table the
-//! nine legacy binaries printed is byte-identical when re-expressed as
-//! specs.
+//! serialize → parse → build → run) reproduces the **exact trace** of a
+//! hand-wired harness at the same seed. The spec legs run on `cached`
+//! and the hand-wired ones on `exact` (unless `SINR_BACKEND` overrides
+//! both), so the paper tables measured through specs are the ones the
+//! pre-scenario harness measured.
 
 use absmac::Runner;
-use sinr_bench::common::{backend_spec, Repeater};
 use sinr_bench::exp_fig1;
 use sinr_graphs::SinrGraphs;
 use sinr_mac::{MacParams, SinrAbsMac};
-use sinr_phys::SinrParams;
-use sinr_scenario::ScenarioSpec;
+use sinr_phys::{BackendSpec, SinrParams};
+use sinr_scenario::clients::Repeater;
+use sinr_scenario::{env_backend_override, ScenarioSpec};
 
 const DELTA: usize = 4;
 const EPOCHS: u64 = 2;
 const SEED: u64 = 11;
 
-/// The MAC leg of the legacy `fig1_progress` binary, inlined exactly as
-/// the pre-scenario harness wired it (two_lines gadget, Repeater clients
+/// The MAC leg of the Figure 1 experiment, inlined exactly as the
+/// pre-scenario harness wired it (two_lines gadget, Repeater clients
 /// on line V, fixed-slot horizon).
 fn legacy_fig1_trace() -> (Vec<absmac::TraceEvent>, u64) {
     let gadget = sinr_geom::deploy::two_lines(DELTA, None).expect("gadget");
@@ -30,7 +31,8 @@ fn legacy_fig1_trace() -> (Vec<absmac::TraceEvent>, u64) {
         .expect("params");
     let params = MacParams::builder().build(&sinr);
     let horizon = EPOCHS * 2 * params.layout().epoch_len();
-    let mac = SinrAbsMac::with_backend(sinr, &gadget.points, params, SEED, backend_spec())
+    let backend = env_backend_override(BackendSpec::exact());
+    let mac = SinrAbsMac::with_backend(sinr, &gadget.points, params, SEED, backend)
         .expect("valid deployment");
     let in_v = |i: usize| gadget.line_v.contains(&i);
     let clients = Repeater::network(gadget.points.len(), |i| in_v(i).then_some(i as u64));
@@ -81,7 +83,7 @@ fn fig1_tdma_leg_reproduces_the_legacy_schedule() {
         &config,
         |i| i as u64,
         SEED,
-        backend_spec(),
+        env_backend_override(BackendSpec::exact()),
     )
     .expect("tdma");
     let legacy = tdma.run(2 * DELTA as u64);

@@ -139,7 +139,8 @@ impl Default for MacParamsBuilder {
             gamma_ack: 1.0,
             // Tuned so the fall-back engages early enough that the
             // 1 − ε_ack delivery guarantee holds even in Δ≈64 cliques
-            // (measured in the table1_local contention sweep).
+            // (measured in PAPER_RESULTS.json's E1-cluster table, whose
+            // delivery claim fails at rc_mult = 1).
             rc_mult: 0.1,
             ack_cap_mult: 1.0,
             phi_mult: 1.0,

@@ -147,6 +147,29 @@ pub enum InterferenceModel {
     },
 }
 
+/// Checks a hybrid near-field cutoff: `0.0` (auto) or a finite radius of
+/// at least [`MIN_NODE_DISTANCE`](sinr_geom::deploy::MIN_NODE_DISTANCE).
+/// No two nodes of a deployment are closer than that, so a smaller
+/// cutoff holds no near link, while the far-field offset table over
+/// cells of side cutoff/3 grows as (extent / cutoff)²: at `hybrid:0.001`
+/// on a 62 × 62 lattice it asked for 277 GB, and at `hybrid:1e-300` the
+/// cell keys saturate and the build never ends.
+///
+/// # Errors
+///
+/// A description naming the refused value.
+pub(crate) fn check_hybrid_cutoff(cutoff: f64) -> Result<(), String> {
+    let floor = sinr_geom::deploy::MIN_NODE_DISTANCE;
+    if cutoff == 0.0 || (cutoff.is_finite() && cutoff >= floor) {
+        Ok(())
+    } else {
+        Err(format!(
+            "hybrid cutoff must be 0 (auto) or a finite radius of at least {floor} \
+             (the minimum node distance), got {cutoff:?}"
+        ))
+    }
+}
+
 /// Complete, serializable description of a reception backend: which
 /// interference model to run and across how many threads.
 ///
@@ -203,12 +226,11 @@ impl BackendSpec {
     ///
     /// # Panics
     ///
-    /// Panics unless `cutoff` is finite and non-negative.
+    /// Panics unless `cutoff` is `0.0` or a finite radius of at least
+    /// [`MIN_NODE_DISTANCE`](sinr_geom::deploy::MIN_NODE_DISTANCE);
+    /// [`BackendSpec::parse`] refuses other values with an error.
     pub fn hybrid(cutoff: f64) -> Self {
-        assert!(
-            cutoff.is_finite() && cutoff >= 0.0,
-            "hybrid cutoff must be finite and non-negative"
-        );
+        check_hybrid_cutoff(cutoff).unwrap_or_else(|e| panic!("{e}"));
         BackendSpec::serial(InterferenceModel::Hybrid { cutoff })
     }
 
@@ -334,11 +356,7 @@ impl BackendSpec {
                     // keeps working).
                     let mut cutoff = 0.0f64;
                     if let Some(c) = parts.peek().and_then(|p| p.parse::<f64>().ok()) {
-                        if !(c.is_finite() && c >= 0.0) {
-                            return Err(format!(
-                                "hybrid cutoff must be finite and non-negative, got {c}"
-                            ));
-                        }
+                        check_hybrid_cutoff(c)?;
                         cutoff = c;
                         parts.next();
                     }

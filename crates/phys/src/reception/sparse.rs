@@ -8,7 +8,7 @@ use std::sync::Arc;
 use sinr_geom::{HashGrid, Point};
 
 use super::incremental::{IncrementalBackend, ListenerState, RowSource, Senders, NO_SENDER};
-use super::{chunked_scope, effective_threads};
+use super::{check_hybrid_cutoff, chunked_scope, effective_threads};
 use crate::{PhysError, SinrParams};
 
 /// How many spatial-hash cells span the hybrid near-field cutoff
@@ -205,7 +205,8 @@ impl HybridTable {
     ///
     /// # Panics
     ///
-    /// Panics if `cutoff_spec` is negative or non-finite, or if any
+    /// Panics if `cutoff_spec` fails the cutoff check of
+    /// [`BackendSpec::hybrid`](super::BackendSpec::hybrid), or if any
     /// position is non-finite.
     pub fn build(
         params: &SinrParams,
@@ -213,10 +214,7 @@ impl HybridTable {
         cutoff_spec: f64,
         threads: usize,
     ) -> Self {
-        assert!(
-            cutoff_spec.is_finite() && cutoff_spec >= 0.0,
-            "hybrid cutoff must be finite and non-negative, got {cutoff_spec}"
-        );
+        check_hybrid_cutoff(cutoff_spec).unwrap_or_else(|e| panic!("{e}"));
         let cutoff = if cutoff_spec > 0.0 {
             cutoff_spec
         } else {
@@ -959,7 +957,8 @@ impl HybridBackend {
     ///
     /// # Panics
     ///
-    /// Panics if `cutoff` is negative or non-finite.
+    /// Panics if `cutoff` fails the cutoff check of
+    /// [`BackendSpec::hybrid`](super::BackendSpec::hybrid).
     pub fn new(cutoff: f64) -> Self {
         HybridBackend::with_threads(cutoff, 1)
     }
@@ -972,10 +971,7 @@ impl HybridBackend {
     ///
     /// Panics if `threads` is zero or `cutoff` is invalid.
     pub fn with_threads(cutoff: f64, threads: usize) -> Self {
-        assert!(
-            cutoff.is_finite() && cutoff >= 0.0,
-            "hybrid cutoff must be finite and non-negative, got {cutoff}"
-        );
+        check_hybrid_cutoff(cutoff).unwrap_or_else(|e| panic!("{e}"));
         IncrementalBackend::with_key(cutoff, threads)
     }
 

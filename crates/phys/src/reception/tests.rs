@@ -318,6 +318,20 @@ fn spec_parsing_round_trips() {
     );
     assert!(BackendSpec::parse("par:0").is_err());
     assert!(BackendSpec::parse("hybrid:-2").is_err());
+    // A positive cutoff below the minimum node distance holds no near
+    // link and would size the far-field table by (extent / cutoff)².
+    for tiny in ["hybrid:0.5", "hybrid:0.001", "hybrid:1e-300"] {
+        let err = BackendSpec::parse(tiny).unwrap_err();
+        assert!(err.contains("at least 1"), "{tiny}: {err}");
+    }
+    assert_eq!(
+        BackendSpec::parse("hybrid:0").unwrap(),
+        BackendSpec::hybrid(0.0)
+    );
+    assert_eq!(
+        BackendSpec::parse("hybrid:1").unwrap(),
+        BackendSpec::hybrid(1.0)
+    );
     assert!(BackendSpec::parse("warp").is_err());
     // The retired `f32` component and `grid` model are refused by name
     // wherever they appear (a bare `hybrid` must not swallow one as a

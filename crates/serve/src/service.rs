@@ -961,19 +961,29 @@ mod tests {
 
     #[test]
     fn malformed_and_unknown_requests_get_error_records_not_crashes() {
-        // The last request parses but names an ideal policy with
-        // fprog > fack, which the layer constructor would assert on.
+        // Request 3 parses but names an ideal policy with fprog > fack,
+        // which the layer constructor would assert on. Request 4 names a
+        // hybrid cutoff below the minimum node distance, whose far-field
+        // table on this lattice would need 277 GB; request 5 is valid
+        // and must still complete.
+        let tiny_cutoff = SPEC
+            .replace("lattice:4:4:2", "lattice:32:32:2")
+            .replace("backend=cached", "backend=hybrid:0.001");
         let input = format!(
             "not json at all\n\
              {{\"id\":1}}\n\
              {{\"run\":\"x\"}}\n\
              {{\"cancel\":\"x\"}}\n\
              {{\"id\":2,\"run\":\"deploy=bogus\\n\"}}\n\
-             {{\"id\":3,\"run\":\"{SPEC}mac=ideal:random:2:5\\n\"}}\n"
+             {{\"id\":3,\"run\":\"{SPEC}mac=ideal:random:2:5\\n\"}}\n\
+             {{\"id\":4,\"run\":\"{tiny_cutoff}\"}}\n\
+             {{\"id\":5,\"run\":\"{SPEC}\"}}\n"
         );
         let (summary, records) = serve(&input, ServeConfig::default());
-        assert_eq!(summary.completed, 0);
-        assert_eq!(summary.errors, 6, "records: {records:?}");
+        assert_eq!(summary.completed, 1);
+        assert_eq!(summary.errors, 7, "records: {records:?}");
+        assert!(events(&records, Some(4)).contains(&"error"), "{records:?}");
+        assert_eq!(events(&records, Some(5)), ["accepted", "report", "done"]);
         assert_eq!(
             records.last().unwrap().get("event").and_then(Json::as_str),
             Some("drained")
