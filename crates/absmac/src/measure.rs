@@ -230,6 +230,22 @@ pub fn first_progress(
         .collect()
 }
 
+/// Summarizes [`first_progress`] outcomes: the latency stats of the
+/// satisfied nodes and the number still pending at the horizon
+/// (untriggered nodes count in neither). Pass a sub-slice to summarize
+/// one side of a gadget.
+pub fn progress_summary(outcomes: &[ProgressOutcome]) -> (LatencyStats, usize) {
+    let satisfied = outcomes
+        .iter()
+        .filter_map(ProgressOutcome::latency)
+        .collect();
+    let pending = outcomes
+        .iter()
+        .filter(|o| matches!(o, ProgressOutcome::Pending { .. }))
+        .count();
+    (LatencyStats::from_samples(satisfied), pending)
+}
+
 /// Per-node result of the interval (gap) based progress measurement.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct GapReport {
@@ -429,6 +445,20 @@ mod tests {
         let trace = vec![ev(0, 0, TraceKind::Bcast(m)), ev(2, 1, TraceKind::Rcv(m))];
         let out = first_progress(&trace, &trigger, &rcv, 10);
         assert_eq!(out[1], ProgressOutcome::Pending { waited: 10 });
+    }
+
+    #[test]
+    fn progress_summary_splits_satisfied_from_pending() {
+        let outcomes = [
+            ProgressOutcome::Satisfied { latency: 3 },
+            ProgressOutcome::Pending { waited: 7 },
+            ProgressOutcome::NotTriggered,
+            ProgressOutcome::Satisfied { latency: 1 },
+        ];
+        let (stats, pending) = progress_summary(&outcomes);
+        assert_eq!((stats.samples(), pending), (&[1, 3][..], 1));
+        let (stats, pending) = progress_summary(&outcomes[2..]);
+        assert_eq!((stats.samples(), pending), (&[1][..], 0));
     }
 
     #[test]

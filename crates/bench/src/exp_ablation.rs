@@ -10,7 +10,7 @@
 //!   `(Λ/ε)^label_exp` controls collision probability; collisions block
 //!   MIS progress (ties keep competing), hurting sparsification.
 
-use absmac::measure::{self, LatencyStats, ProgressOutcome};
+use absmac::measure::{self, LatencyStats};
 use sinr_phys::BackendSpec;
 use sinr_scenario::{
     DeploymentSpec, MacKnob, MeasureSpec, ScenarioSet, ScenarioSpec, SeedSpec, SinrSpec, SourceSet,
@@ -82,18 +82,14 @@ pub fn sweep_knob(base: ScenarioSpec, knob: MacKnob, values: &[f64]) -> Vec<Abla
                 &run.ctx.graphs.strong,
                 horizon,
             );
-            let satisfied: Vec<u64> = outcomes.iter().filter_map(|o| o.latency()).collect();
-            let pending = outcomes
-                .iter()
-                .filter(|o| matches!(o, ProgressOutcome::Pending { .. }))
-                .count();
+            let (approg, pending) = measure::progress_summary(&outcomes);
             let params = run.ctx.mac_params.as_ref().expect("sinr mac");
             AblationPoint {
                 spec: run.ctx.spec.clone(),
                 value,
                 epoch_len: 2 * params.layout().epoch_len(),
                 label_range: params.label_range,
-                approg: LatencyStats::from_samples(satisfied),
+                approg,
                 pending,
                 max_dropped: run.outcome.max_dropped.unwrap_or(0),
             }

@@ -10,7 +10,7 @@
 //!
 //! The two MACs run the *same* scenario with a different `mac=` line.
 
-use absmac::measure::{self, LatencyStats, ProgressOutcome};
+use absmac::measure::{self, LatencyStats};
 use sinr_geom::DeploySpec;
 use sinr_phys::BackendSpec;
 use sinr_scenario::{
@@ -86,7 +86,6 @@ pub struct DecayPoint {
 /// Panics if either scenario fails to build or run.
 pub fn run_decay_comparison(delta: usize, range: f64, horizon: u64, seed: u64) -> DecayPoint {
     let [decay_spec, approg_spec] = decay_pair(delta, range, horizon, seed);
-    let b1 = [0usize, 1];
     let b1_outcomes = |run: &sinr_scenario::ScenarioRun| {
         let outcomes = measure::first_progress(
             &run.outcome.trace,
@@ -94,12 +93,7 @@ pub fn run_decay_comparison(delta: usize, range: f64, horizon: u64, seed: u64) -
             &run.ctx.graphs.strong,
             horizon,
         );
-        let satisfied: Vec<u64> = b1.iter().filter_map(|&i| outcomes[i].latency()).collect();
-        let pending = b1
-            .iter()
-            .filter(|&&i| matches!(outcomes[i], ProgressOutcome::Pending { .. }))
-            .count();
-        (LatencyStats::from_samples(satisfied), pending)
+        measure::progress_summary(&outcomes[0..2])
     };
 
     let decay_run = decay_spec.run().expect("decay leg");

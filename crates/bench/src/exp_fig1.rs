@@ -15,7 +15,7 @@
 //! Both measurement legs are plain [`ScenarioSpec`]s ([`tdma_spec`] /
 //! [`mac_spec`]); `sinr-lab run fig1` executes the MAC leg directly.
 
-use absmac::measure::{self, LatencyStats, ProgressOutcome};
+use absmac::measure::{self, LatencyStats};
 use sinr_geom::DeploySpec;
 use sinr_phys::BackendSpec;
 use sinr_scenario::{
@@ -123,17 +123,10 @@ pub fn run_fig1(delta: usize, epochs: u64, seed: u64) -> Fig1Point {
     let graphs = &run.ctx.graphs;
     let horizon = run.outcome.horizon;
     let trace = &run.outcome.trace;
-    let pick = |outcomes: &[ProgressOutcome], side: std::ops::Range<usize>| {
-        let satisfied: Vec<u64> = side.clone().filter_map(|i| outcomes[i].latency()).collect();
-        let pending = side
-            .filter(|&i| matches!(outcomes[i], ProgressOutcome::Pending { .. }))
-            .count();
-        (LatencyStats::from_samples(satisfied), pending)
-    };
     let prog = measure::first_progress(trace, &graphs.strong, &graphs.strong, horizon);
-    let (mac_prog_u, mac_prog_u_pending) = pick(&prog, line_u(delta));
+    let (mac_prog_u, mac_prog_u_pending) = measure::progress_summary(&prog[line_u(delta)]);
     let approg = measure::first_progress(trace, &graphs.approx, &graphs.strong, horizon);
-    let (mac_approg_v, mac_approg_v_pending) = pick(&approg, line_v(delta));
+    let (mac_approg_v, mac_approg_v_pending) = measure::progress_summary(&approg[line_v(delta)]);
 
     Fig1Point {
         delta,

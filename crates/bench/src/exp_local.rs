@@ -11,7 +11,7 @@
 //! [`progress_spec`]); the measurement functions run the spec and
 //! post-process its trace.
 
-use absmac::measure::{self, LatencyStats, ProgressOutcome};
+use absmac::measure::{self, LatencyStats};
 use absmac::TraceKind;
 use sinr_phys::BackendSpec;
 use sinr_scenario::{
@@ -182,13 +182,12 @@ pub fn measure_progress(spec: &ScenarioSpec) -> ProgressResult {
     let horizon = run.outcome.horizon;
     let eps = params.eps_approg;
     let collect = |trigger, rcv| {
-        let outcomes = measure::first_progress(&run.outcome.trace, trigger, rcv, horizon);
-        let satisfied: Vec<u64> = outcomes.iter().filter_map(|o| o.latency()).collect();
-        let pending = outcomes
-            .iter()
-            .filter(|o| matches!(o, ProgressOutcome::Pending { .. }))
-            .count();
-        (LatencyStats::from_samples(satisfied), pending)
+        measure::progress_summary(&measure::first_progress(
+            &run.outcome.trace,
+            trigger,
+            rcv,
+            horizon,
+        ))
     };
     let (prog, prog_pending) = collect(&graphs.strong, &graphs.strong);
     let (approg, approg_pending) = collect(&graphs.approx, &graphs.strong);

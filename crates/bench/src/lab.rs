@@ -3,8 +3,8 @@
 //! one spec (emitting a machine-readable JSON report), `sweep` a spec
 //! grid in a thread batch, `serve` specs over NDJSON, write the paper's
 //! tables to `PAPER_RESULTS.json` and check their claims (`paper`), and
-//! time the sweep runner, the service and the reception kernels (`bench`,
-//! `bench-service`, `bench-reception`).
+//! time the reception kernels, the sweep runner and the service into the
+//! three `BENCH_*.json` files (`bench`, see [`crate::harness`]).
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -12,12 +12,12 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use sinr_scenario::{
-    json, merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec, Report,
-    ScenarioSet, ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec,
-    WorkloadSpec,
+    merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec, Report, ScenarioSet,
+    ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec, WorkloadSpec,
 };
 
-use crate::{exp_fig1, exp_local, paper, reception_bench, service_bench};
+use crate::harness::{self, field, legs, median, obj, positive, row, timed, Body};
+use crate::{exp_fig1, exp_local, paper, service_bench};
 
 /// A named scenario preset: a spec constructor plus provenance notes.
 pub struct Preset {
@@ -358,19 +358,16 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
             _ => Err("usage: sinr-lab paper [OUT]".into()),
         },
         Some("bench") => {
-            let (out, smoke) = bench_args(&args[1..], "BENCH_scenario.json");
-            bench_scenario(&out, smoke)
+            let (flags, rest): (Vec<_>, Vec<_>) = args[1..].iter().partition(|a| *a == "--smoke");
+            let smoke = !flags.is_empty();
+            match rest[..] {
+                [] => harness::run(Path::new("."), smoke),
+                [dir] if !dir.starts_with("--") => harness::run(Path::new(dir), smoke),
+                _ => Err("usage: sinr-lab bench [DIR] [--smoke]".into()),
+            }
         }
         Some("serve") => service_bench::serve_cmd(&args[1..]),
-        Some("bench-service") => {
-            let (out, smoke) = bench_args(&args[1..], "BENCH_service.json");
-            service_bench::bench_service(&out, smoke)
-        }
-        Some("bench-reception") => {
-            let (out, smoke) = bench_args(&args[1..], "BENCH_reception.json");
-            reception_bench::run(&out, smoke)
-        }
-        _ => {
+        None | Some("help" | "--help" | "-h") => {
             println!(
                 "sinr-lab — spec-driven experiment driver\n\
                  \n\
@@ -388,20 +385,19 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
                  \x20                                             (byte-identical to the single-process --json array)\n\
                  \x20 sinr-lab paper [OUT.json]                   run the paper's 13 tables, write PAPER_RESULTS.json,\n\
                  \x20                                             exit 2 if a table's claim fails\n\
-                 \x20 sinr-lab bench [OUT.json] [--smoke]         sweep throughput + shared-prepare speedups (BENCH_scenario.json)\n\
+                 \x20 sinr-lab bench [DIR] [--smoke]              time the reception kernels, the sweep runner and the\n\
+                 \x20                                             service into DIR/BENCH_{{reception,scenario,service}}.json\n\
                  \x20 sinr-lab serve [--socket PATH] [--once] [--workers N] [--queue N]\n\
                  \x20          [--cache-bytes N] [--replay-log N] [--no-cache]\n\
                  \x20                                             persistent scenario service: NDJSON requests on stdin or a\n\
                  \x20                                             Unix socket, streamed reports, LRU-cached prepared tables\n\
-                 \x20 sinr-lab bench-service [OUT.json] [--smoke] request-storm service benchmark (BENCH_service.json)\n\
-                 \x20 sinr-lab bench-reception [OUT.json] [--smoke]\n\
-                 \x20                                             reception-kernel throughput (BENCH_reception.json)\n\
                  \n\
                  spec files are key=value text; see `sinr-lab show fig1` for an example\n\
                  and the README's \"Running experiments\" section for the grammar."
             );
             Ok(())
         }
+        Some(other) => Err(format!("unknown command {other:?} (see `sinr-lab help`)")),
     }
 }
 
@@ -466,18 +462,6 @@ fn sweep_in_memory(
     write_json(json_path, &joined)
 }
 
-/// The `[OUT] [--smoke]` arguments of the bench commands: the output
-/// path (`default` when absent) and the smoke flag.
-fn bench_args(args: &[String], default: &str) -> (String, bool) {
-    let smoke = args.iter().any(|a| a == "--smoke");
-    let out = args
-        .iter()
-        .find(|a| !a.starts_with("--"))
-        .cloned()
-        .unwrap_or_else(|| default.to_string());
-    (out, smoke)
-}
-
 fn print_summary(report: &Report) {
     println!("== {} ==", report.name);
     for (k, v) in report.realized.iter().chain(&report.metrics) {
@@ -501,40 +485,17 @@ fn write_json(path: Option<&str>, json: &str) -> Result<(), String> {
     }
 }
 
-/// One prepare-heavy measurement: an 8-cell `mac.t_mult` sweep on a
-/// fixed cached-backend uniform deployment, timed with shared
-/// preparation (the planner's one-table-per-group path) and with the
-/// legacy per-cell preparation.
-struct PrepareHeavyRow {
-    n: usize,
-    cells: usize,
-    slots_per_cell: u64,
-    shared_secs: f64,
-    percell_secs: f64,
-}
-
-impl PrepareHeavyRow {
-    fn speedup(&self) -> f64 {
-        self.percell_secs / self.shared_secs.max(1e-9)
-    }
-}
-
-/// The 8 `mac.t_mult` values of the prepare-heavy sweep.
-fn t_mult_axis() -> Vec<String> {
-    ["0.5", "0.75", "1", "1.25", "1.5", "2", "3", "4"]
-        .iter()
-        .map(|s| s.to_string())
-        .collect()
-}
-
-/// Times the prepare-heavy sweep at one deployment size (short
+/// The prepare-heavy row at one deployment size: an 8-cell `mac.t_mult`
+/// sweep over one fixed cached-backend uniform deployment with a short
 /// horizon, so the O(n²) preparation dominates each cell — the regime
-/// the sweep planner exists for).
-fn measure_prepare_heavy(
+/// the sweep planner exists for — timed with shared preparation (one
+/// table per group) and with per-cell preparation.
+fn prepare_heavy_row(
+    smoke: bool,
     n: usize,
     slots_per_cell: u64,
     threads: usize,
-) -> Result<PrepareHeavyRow, String> {
+) -> Result<Json, String> {
     let side = (n as f64).sqrt() * 2.2;
     let base = ScenarioSpec::new(
         format!("prep-heavy-n{n}"),
@@ -545,98 +506,86 @@ fn measure_prepare_heavy(
     .with_sinr(SinrSpec::with_range(16.0))
     .with_backend(sinr_phys::BackendSpec::cached())
     .with_measure(MeasureSpec::none());
-    let set = ScenarioSet::new(base).axis("mac.t_mult", t_mult_axis());
+    let t_mult = ["0.5", "0.75", "1", "1.25", "1.5", "2", "3", "4"].map(String::from);
+    let set = ScenarioSet::new(base).axis("mac.t_mult", t_mult.to_vec());
     let cells = set.cells().map_err(|e| e.to_string())?.len();
-    // Per-cell first, shared second: both orders warm the allocator for
-    // the other, and the pinned ratio is far above plausible
-    // ordering noise (the per-cell leg repeats the O(n²) preparation
-    // `cells` times).
-    let t0 = Instant::now();
-    set.clone()
-        .without_shared_prepare()
-        .run(threads)
-        .map_err(|e| e.to_string())?;
-    let percell_secs = t0.elapsed().as_secs_f64();
-    let t0 = Instant::now();
-    let runs = set.run(threads).map_err(|e| e.to_string())?;
-    let shared_secs = t0.elapsed().as_secs_f64();
-    if runs.len() != cells {
-        return Err(format!(
-            "prepare-heavy n={n}: expected {cells} runs, got {}",
-            runs.len()
-        ));
-    }
-    Ok(PrepareHeavyRow {
-        n,
-        cells,
-        slots_per_cell,
-        shared_secs,
-        percell_secs,
-    })
+    let per_cell = set.clone().without_shared_prepare();
+    let measured = harness::trials(smoke, |i| {
+        let ((shared, shared_secs), (percell, percell_secs)) = legs(
+            i,
+            || timed(|| set.run(threads)),
+            || timed(|| per_cell.run(threads)),
+        );
+        for runs in [
+            shared.map_err(|e| e.to_string())?,
+            percell.map_err(|e| e.to_string())?,
+        ] {
+            if runs.len() != cells {
+                return Err(format!(
+                    "prepare-heavy n={n}: expected {cells} runs, got {}",
+                    runs.len()
+                ));
+            }
+        }
+        Ok(obj(vec![
+            ("shared_secs", Json::Num(shared_secs)),
+            ("percell_secs", Json::Num(percell_secs)),
+            ("shared_speedup", Json::Num(percell_secs / shared_secs)),
+        ]))
+    })?;
+    Ok(row(
+        vec![
+            ("n", Json::int(n as u64)),
+            ("cells", Json::int(cells as u64)),
+            ("slots_per_cell", Json::int(slots_per_cell)),
+        ],
+        measured,
+    ))
 }
 
-/// One sharded-executor measurement: the same seed sweep run once in a
-/// single process and once as 4 sequential in-process shards (each
-/// streaming crash-safe NDJSON), plus a resume pass over the completed
-/// shard 0 to price the manifest/output scan.
-struct ShardedRow {
-    cells: usize,
+/// One trial of the sharded streaming executor against the
+/// single-process run on `set`, a seed sweep of tiny scenarios (the
+/// per-cell work is small on purpose: this prices the executor and
+/// output machinery, not the MAC): the sweep once in a single process
+/// and once as `shards` sequential in-process shards, each streaming
+/// crash-safe NDJSON, then a resume pass over the completed shard 0 to
+/// price the manifest and output scan.
+fn sharded_trial(
+    set: &ScenarioSet,
     shards: usize,
-    single_secs: f64,
-    sharded_secs: f64,
-    merged_identical: bool,
-    resume_scan_secs: f64,
-    resume_reexecuted: usize,
-}
-
-/// Times the sharded streaming executor against the single-process run
-/// on a `cells`-cell seed sweep of tiny scenarios (the per-cell work is
-/// small on purpose: this row prices the executor + output machinery,
-/// not the MAC).
-fn measure_sharded(cells: usize, threads: usize) -> Result<ShardedRow, String> {
-    let base = ScenarioSpec::new(
-        "bench-shard",
-        DeploymentSpec::plain(sinr_geom::DeploySpec::Lattice {
-            rows: 4,
-            cols: 4,
-            spacing: 2.0,
-        }),
-        WorkloadSpec::Repeat(SourceSet::Stride(2)),
-        StopSpec::Slots(60),
-    )
-    .with_sinr(SinrSpec::with_range(8.0))
-    .with_measure(MeasureSpec::none());
-    let seeds: Vec<String> = (1..=cells as u64).map(|s| s.to_string()).collect();
-    let set = ScenarioSet::new(base).axis("seed", seeds);
+    threads: usize,
+    trial: usize,
+) -> Result<Json, String> {
     let plan = set.execution_plan().map_err(|e| e.to_string())?;
-    let tmp = std::env::temp_dir().join(format!("sinr-lab-bench-shard-{}", std::process::id()));
+    let tmp = std::env::temp_dir().join(format!(
+        "sinr-lab-bench-shard-{}-{trial}",
+        std::process::id()
+    ));
     let _ = std::fs::remove_dir_all(&tmp);
     let run_shard = |dir: &Path, shard: Shard| -> Result<(), String> {
         let out =
-            ShardOutput::create(dir, &set, plan.cells.len(), shard).map_err(|e| e.to_string())?;
+            ShardOutput::create(dir, set, plan.cells.len(), shard).map_err(|e| e.to_string())?;
         set.run_sharded(&plan, threads, shard, &BTreeSet::new(), &|i, run| {
             out.record(i, &report_for(&run))
         })
         .map_err(|e| e.to_string())?;
         Ok(())
     };
-    let single_dir = tmp.join("single");
-    let shard_dir = tmp.join("sharded");
-    let t0 = Instant::now();
-    run_shard(&single_dir, Shard::full())?;
-    let single_secs = t0.elapsed().as_secs_f64();
-    let shards = 4usize;
-    let t0 = Instant::now();
-    for index in 0..shards {
-        run_shard(
-            &shard_dir,
-            Shard {
-                index,
-                count: shards,
-            },
-        )?;
-    }
-    let sharded_secs = t0.elapsed().as_secs_f64();
+    let (single_dir, shard_dir) = (tmp.join("single"), tmp.join("sharded"));
+    let (single, single_secs) = timed(|| run_shard(&single_dir, Shard::full()));
+    single?;
+    let (sharded, sharded_secs) = timed(|| {
+        (0..shards).try_for_each(|index| {
+            run_shard(
+                &shard_dir,
+                Shard {
+                    index,
+                    count: shards,
+                },
+            )
+        })
+    });
+    sharded?;
     let merged_identical = merge_shards(&single_dir)
         .map_err(|e| e.to_string())?
         .reports
@@ -647,87 +596,60 @@ fn measure_sharded(cells: usize, threads: usize) -> Result<ShardedRow, String> {
         index: 0,
         count: shards,
     };
-    let t0 = Instant::now();
-    let (out, completed) =
-        ShardOutput::resume(&shard_dir, &set, &plan.cells, shard0).map_err(|e| e.to_string())?;
-    let summary = set
-        .run_sharded(&plan, threads, shard0, &completed, &|i, run| {
-            out.record(i, &report_for(&run))
-        })
-        .map_err(|e| e.to_string())?;
-    let resume_scan_secs = t0.elapsed().as_secs_f64();
+    let (resumed, scan_secs) = timed(|| -> Result<usize, String> {
+        let (out, completed) =
+            ShardOutput::resume(&shard_dir, set, &plan.cells, shard0).map_err(|e| e.to_string())?;
+        let summary = set
+            .run_sharded(&plan, threads, shard0, &completed, &|i, run| {
+                out.record(i, &report_for(&run))
+            })
+            .map_err(|e| e.to_string())?;
+        Ok(summary.executed)
+    });
+    let reexecuted = resumed?;
     let _ = std::fs::remove_dir_all(&tmp);
-    Ok(ShardedRow {
-        cells,
-        shards,
-        single_secs,
-        sharded_secs,
-        merged_identical,
-        resume_scan_secs,
-        resume_reexecuted: summary.executed,
-    })
+    Ok(obj(vec![
+        (
+            "sharded",
+            obj(vec![
+                ("single_secs", Json::Num(single_secs)),
+                ("sharded_secs", Json::Num(sharded_secs)),
+                (
+                    "cells_per_sec",
+                    Json::Num(plan.cells.len() as f64 / sharded_secs),
+                ),
+                ("merged_identical", Json::Bool(merged_identical)),
+            ]),
+        ),
+        (
+            "resume",
+            obj(vec![
+                ("scan_secs", Json::Num(scan_secs)),
+                ("reexecuted", Json::int(reexecuted as u64)),
+            ]),
+        ),
+    ]))
 }
 
-/// Validation of the emitted `BENCH_scenario.json`: expected shape, one
-/// prepare-heavy row per size, strictly positive speedups.
+/// Measures the sweep executor, the body of `BENCH_scenario.json`:
 ///
-/// # Panics
+/// * **throughput** — a batch of 8 seeds at n = 64, 500 slots each,
+///   reception via the cached-gain kernel.
+/// * **prepare_heavy** — for n ∈ {64, 256, 512, 1024}, an 8-cell
+///   `mac.t_mult` sweep timed with shared vs per-cell preparation
+///   (see [`prepare_heavy_row`]); the n = 512 row is the headline
+///   (target ≥3x).
+/// * **sharded** and **resume** — the sharded streaming executor on a
+///   10,240-cell seed sweep (see [`sharded_trial`]).
 ///
-/// Panics with a description when the file does not meet the contract —
-/// CI fails loudly instead of committing a rotten BENCH file.
-fn validate_scenario_json(text: &str, prepare_heavy_rows: usize) {
-    let doc =
-        json::parse(text).unwrap_or_else(|e| panic!("BENCH_scenario json does not parse: {e}"));
-    let at = |path: &[&str]| {
-        path.iter()
-            .try_fold(&doc, |v, key| v.get(key))
-            .unwrap_or_else(|| panic!("BENCH_scenario json is missing {}", path.join(".")))
-    };
-    assert_eq!(at(&["bench"]).as_str(), Some("scenario_sweep"));
-    for path in [&["threads"][..], &["throughput", "scenarios_per_sec"]] {
-        assert!(at(path).as_f64().is_some(), "{path:?} is not a number");
-    }
-    assert_eq!(at(&["sharded", "merged_identical"]).as_bool(), Some(true));
-    assert_eq!(at(&["resume", "reexecuted"]).as_u64(), Some(0));
-    let speedups: Vec<Option<f64>> = at(&["prepare_heavy"])
-        .as_arr()
-        .unwrap_or_default()
-        .iter()
-        .map(|row| row.get("shared_speedup").and_then(Json::as_f64))
-        .collect();
-    assert_eq!(
-        speedups.len(),
-        prepare_heavy_rows,
-        "expected one prepare-heavy row per size"
-    );
-    assert!(
-        speedups.iter().all(|s| s.is_some_and(|s| s > 0.0)),
-        "speedups must be positive: {speedups:?}"
-    );
-}
-
-/// Measures the sweep executor and writes `BENCH_scenario.json`:
-///
-/// * **throughput** — the historical metric: a batch of 8 seeds at
-///   n = 64, 500 slots each, reception via the cached-gain kernel.
-/// * **prepare_heavy** — the sweep-planner metric this PR pins: for
-///   n ∈ {64, 256, 512, 1024}, an 8-cell `mac.t_mult` sweep over one
-///   fixed uniform deployment with a short horizon, timed with shared
-///   preparation vs per-cell preparation. The n = 512 row is the
-///   headline (target ≥3x).
-///
-/// `--smoke` (the CI mode) shrinks everything to n = 32 and validates
-/// the JSON without claiming performance numbers. After writing, the
-/// emitted JSON is read back and validated so a refactor cannot
-/// silently rot the BENCH file.
+/// `--smoke` (the CI mode) shrinks everything to n = 32 and 64 cells.
 ///
 /// # Errors
 ///
-/// A message if a sweep fails or the file cannot be written.
-pub fn bench_scenario(out: &str, smoke: bool) -> Result<(), String> {
+/// A message if a sweep fails.
+pub(crate) fn bench_scenario(smoke: bool) -> Result<Body, String> {
     let threads = pool_threads(None, None);
 
-    // ---- historical throughput row ----
     let batch = 8usize;
     let throughput_slots = if smoke { 100u64 } else { 500 };
     let base = ScenarioSpec::new(
@@ -747,139 +669,131 @@ pub fn bench_scenario(out: &str, smoke: bool) -> Result<(), String> {
     let set = ScenarioSet::new(base).axis("seed", seeds);
     // Warm-up pass so thread start-up is off the measured path.
     set.run(threads).map_err(|e| e.to_string())?;
-    let t0 = Instant::now();
-    let runs = set.run(threads).map_err(|e| e.to_string())?;
-    let secs = t0.elapsed().as_secs_f64();
-    let per_sec = batch as f64 / secs.max(1e-9);
-    println!("sweep throughput: {per_sec:.2} scenarios/sec (batch {batch}, {threads} threads)");
+    let measured = harness::trials(smoke, |_| {
+        let (runs, secs) = timed(|| set.run(threads));
+        let runs = runs.map_err(|e| e.to_string())?;
+        Ok(obj(vec![
+            ("seconds", Json::Num(secs)),
+            ("scenarios_per_sec", Json::Num(batch as f64 / secs)),
+            ("cells_completed", Json::int(runs.len() as u64)),
+        ]))
+    })?;
+    let throughput = row(
+        vec![
+            ("n", Json::int(64)),
+            ("slots_per_cell", Json::int(throughput_slots)),
+            ("batch", Json::int(batch as u64)),
+        ],
+        measured,
+    );
+    harness::print(
+        &format!("sweep throughput ({threads} threads)"),
+        std::slice::from_ref(&throughput),
+    );
 
-    // ---- prepare-heavy rows: shared vs per-cell preparation ----
     let sizes: &[usize] = if smoke { &[32] } else { &[64, 256, 512, 1024] };
     let slots_per_cell = if smoke { 60 } else { 20 };
-    let mut rows = Vec::new();
-    for &n in sizes {
-        let row = measure_prepare_heavy(n, slots_per_cell, threads)?;
-        println!(
-            "prepare-heavy n={:5}: shared {:.3}s vs per-cell {:.3}s ({:.2}x, {} cells x {} slots)",
-            row.n,
-            row.shared_secs,
-            row.percell_secs,
-            row.speedup(),
-            row.cells,
-            row.slots_per_cell,
-        );
-        rows.push(row);
-    }
-    if let Some(row) = rows.iter().find(|r| r.n == 512) {
-        println!(
-            "n=512 8-cell mac.t_mult sweep: shared prepare {:.2}x over per-cell (target >= 3x)",
-            row.speedup()
-        );
-    }
+    let prepare_heavy = sizes
+        .iter()
+        .map(|&n| prepare_heavy_row(smoke, n, slots_per_cell, threads))
+        .collect::<Result<Vec<_>, _>>()?;
+    harness::print(
+        "prepare-heavy 8-cell mac.t_mult sweeps: shared vs per-cell preparation",
+        &prepare_heavy,
+    );
 
-    // ---- sharded streaming executor + resume overhead ----
-    let shard_cells = if smoke { 64 } else { 10_240 };
-    let sharded = measure_sharded(shard_cells, threads)?;
-    println!(
-        "sharded: {} cells single {:.2}s vs {}x sequential shards {:.2}s \
-         ({:.0} cells/sec sharded), merged identical: {}",
-        sharded.cells,
-        sharded.single_secs,
-        sharded.shards,
-        sharded.sharded_secs,
-        sharded.cells as f64 / sharded.sharded_secs.max(1e-9),
-        sharded.merged_identical,
+    let cells = if smoke { 64 } else { 10_240 };
+    let shards = 4usize;
+    let shard_set = ScenarioSet::new(
+        ScenarioSpec::new(
+            "bench-shard",
+            smoke_deploy(),
+            WorkloadSpec::Repeat(SourceSet::Stride(2)),
+            StopSpec::Slots(60),
+        )
+        .with_sinr(SinrSpec::with_range(8.0))
+        .with_measure(MeasureSpec::none()),
+    )
+    .axis("seed", (1..=cells as u64).map(|s| s.to_string()).collect());
+    let measured = harness::trials(smoke, |i| sharded_trial(&shard_set, shards, threads, i))?;
+    let part = |key| measured.get(key).cloned().expect("every trial reports it");
+    let sharded = row(
+        vec![
+            ("cells", Json::int(cells as u64)),
+            ("shards", Json::int(shards as u64)),
+        ],
+        part("sharded"),
     );
-    println!(
-        "resume: complete-shard scan {:.3}s ({} cells, {} re-executed)",
-        sharded.resume_scan_secs,
-        sharded.cells / sharded.shards,
-        sharded.resume_reexecuted,
+    let resume = row(
+        vec![("cells_in_shard", Json::int((cells / shards) as u64))],
+        part("resume"),
     );
-    if !sharded.merged_identical {
-        return Err("sharded merge is not byte-identical to the single-process run".into());
+    harness::print(
+        &format!("sharded sweep: {shards} sequential shards"),
+        std::slice::from_ref(&sharded),
+    );
+    harness::print(
+        "resume over a complete shard",
+        std::slice::from_ref(&resume),
+    );
+
+    Ok(vec![
+        ("threads", Json::int(threads as u64)),
+        ("throughput", throughput),
+        ("prepare_heavy", Json::Arr(prepare_heavy)),
+        ("sharded", sharded),
+        ("resume", resume),
+    ])
+}
+
+/// The relations of `BENCH_scenario.json`: every timing and speedup is
+/// positive, the batch completed every cell, there is one prepare-heavy
+/// row per size, the sharded merge is byte-identical to the
+/// single-process run, and resuming a complete shard re-executes
+/// nothing.
+///
+/// # Errors
+///
+/// A message naming the first relation that fails.
+pub(crate) fn check_scenario(doc: &Json) -> Result<(), String> {
+    field(doc, &["threads"], Json::as_u64)?;
+    let throughput = field(doc, &["throughput"], Some)?;
+    positive(throughput, &["seconds", "scenarios_per_sec"])?;
+    if median(throughput, "cells_completed")? != field(throughput, &["batch"], Json::as_f64)? {
+        return Err("the throughput batch did not complete every cell".into());
     }
-    if sharded.resume_reexecuted != 0 {
+    let rows = field(doc, &["prepare_heavy"], Json::as_arr)?;
+    let want = if field(doc, &["smoke"], Json::as_bool)? {
+        1
+    } else {
+        4
+    };
+    if rows.len() != want {
         return Err(format!(
-            "resume re-executed {} completed cells",
-            sharded.resume_reexecuted
+            "expected {want} prepare-heavy rows, found {}",
+            rows.len()
         ));
     }
-
-    let json = Json::Obj(vec![
-        ("bench".into(), Json::str("scenario_sweep")),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("threads".into(), Json::int(threads as u64)),
-        (
-            "throughput".into(),
-            Json::Obj(vec![
-                ("n".into(), Json::int(64)),
-                ("slots_per_cell".into(), Json::int(throughput_slots)),
-                ("batch".into(), Json::int(batch as u64)),
-                ("seconds".into(), Json::Num(secs)),
-                ("scenarios_per_sec".into(), Json::Num(per_sec)),
-                ("cells_completed".into(), Json::int(runs.len() as u64)),
-            ]),
-        ),
-        (
-            "prepare_heavy".into(),
-            Json::Arr(
-                rows.iter()
-                    .map(|r| {
-                        Json::Obj(vec![
-                            ("n".into(), Json::int(r.n as u64)),
-                            ("cells".into(), Json::int(r.cells as u64)),
-                            ("slots_per_cell".into(), Json::int(r.slots_per_cell)),
-                            ("shared_secs".into(), Json::Num(r.shared_secs)),
-                            ("percell_secs".into(), Json::Num(r.percell_secs)),
-                            ("shared_speedup".into(), Json::Num(r.speedup())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "sharded".into(),
-            Json::Obj(vec![
-                ("cells".into(), Json::int(sharded.cells as u64)),
-                ("shards".into(), Json::int(sharded.shards as u64)),
-                ("single_secs".into(), Json::Num(sharded.single_secs)),
-                ("sharded_secs".into(), Json::Num(sharded.sharded_secs)),
-                (
-                    "cells_per_sec".into(),
-                    Json::Num(sharded.cells as f64 / sharded.sharded_secs.max(1e-9)),
-                ),
-                (
-                    "merged_identical".into(),
-                    Json::Bool(sharded.merged_identical),
-                ),
-            ]),
-        ),
-        (
-            "resume".into(),
-            Json::Obj(vec![
-                (
-                    "cells_in_shard".into(),
-                    Json::int((sharded.cells / sharded.shards) as u64),
-                ),
-                ("scan_secs".into(), Json::Num(sharded.resume_scan_secs)),
-                (
-                    "reexecuted".into(),
-                    Json::int(sharded.resume_reexecuted as u64),
-                ),
-            ]),
-        ),
-    ]);
-    std::fs::write(out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
-    let written = std::fs::read_to_string(out).map_err(|e| format!("reading back {out}: {e}"))?;
-    validate_scenario_json(&written, rows.len());
-    println!("wrote {out} (validated)");
+    for r in rows {
+        positive(r, &["shared_secs", "percell_secs", "shared_speedup"])?;
+    }
+    let sharded = field(doc, &["sharded"], Some)?;
+    positive(sharded, &["single_secs", "sharded_secs", "cells_per_sec"])?;
+    if !field(sharded, &["merged_identical"], Json::as_bool)? {
+        return Err("the sharded merge is not byte-identical to the single-process run".into());
+    }
+    let resume = field(doc, &["resume"], Some)?;
+    positive(resume, &["scan_secs"])?;
+    if median(resume, "reexecuted")? != 0.0 {
+        return Err("resume re-executed completed cells".into());
+    }
     Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sinr_scenario::json;
 
     #[test]
     fn presets_all_build() {
@@ -934,6 +848,37 @@ mod tests {
 
     #[test]
     fn validator_accepts_the_committed_bench_file() {
-        validate_scenario_json(include_str!("../../../BENCH_scenario.json"), 4);
+        use crate::harness::tests::{assert_checks, same};
+        assert_checks(
+            include_str!("../../../BENCH_scenario.json"),
+            "scenario_sweep",
+            &[
+                (&["sharded", "merged_identical"], Json::Bool(false)),
+                (&["resume", "reexecuted"], same(1.0)),
+                (&["prepare_heavy", "2", "shared_speedup"], same(0.0)),
+                (&["prepare_heavy"], Json::Arr(vec![])),
+                (&["throughput", "scenarios_per_sec"], same(-1.0)),
+                (&["throughput", "cells_completed"], same(7.0)),
+                (&["sharded", "cells_per_sec"], Json::Num(6000.0)),
+                (&["bench"], Json::str("scenario_service")),
+                (&["stamp", "cpus"], Json::str("two")),
+            ],
+        );
+    }
+
+    #[test]
+    fn bench_refuses_unknown_arguments() {
+        // Refused before anything runs: a mistyped `--smoke` must not
+        // start the full bench, and the retired per-file bench commands
+        // must not pass silently.
+        for (args, why) in [
+            (&["bench", "--smok"][..], "usage: sinr-lab bench"),
+            (&["bench", "dir", "extra"], "usage: sinr-lab bench"),
+            (&["bench-reception"], "unknown command"),
+        ] {
+            let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+            let err = cli_main(&args).expect_err("refused");
+            assert!(err.contains(why), "{err}");
+        }
     }
 }

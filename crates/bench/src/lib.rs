@@ -8,8 +8,8 @@
 //! quantities. The [`paper`] module runs them into the thirteen tables of
 //! the committed `PAPER_RESULTS.json` and checks each table's claim; the
 //! [`lab`] driver (`sinr-lab` binary) exposes that as `sinr-lab paper`
-//! next to `list`/`show`/`run`/`sweep`/`serve` over specs and the three
-//! benches.
+//! next to `list`/`show`/`run`/`sweep`/`serve` over specs and `bench`,
+//! which writes the three `BENCH_*.json` files through [`harness`].
 //!
 //! The paper tables measure **slot counts** of the simulated network —
 //! the unit the paper's bounds are stated in — not wall-clock time.
@@ -24,6 +24,7 @@ pub mod exp_fig1;
 pub mod exp_global;
 pub mod exp_local;
 pub mod exp_table2;
+pub mod harness;
 pub mod lab;
 pub mod paper;
 pub mod reception_bench;

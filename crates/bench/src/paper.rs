@@ -560,7 +560,7 @@ fn e4() -> Vec<Row> {
 }
 
 fn e5() -> Vec<Row> {
-    let (range, horizon, seed) = (64.0, 400_000, 13);
+    let (range, horizon, seed) = (64.0, 4_096, 13);
     [8, 16, 32, 64]
         .map(|delta| {
             let p = exp_decay::run_decay_comparison(delta, range, horizon, seed);

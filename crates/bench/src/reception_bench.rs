@@ -1,6 +1,5 @@
-//! Reception-kernel throughput: slots/sec per backend, emitted as
-//! machine-readable `BENCH_reception.json` so successive PRs have a perf
-//! trajectory to compare against.
+//! Reception-kernel throughput: slots/sec per backend, the rows of
+//! `BENCH_reception.json`.
 //!
 //! For every deployment shape (lattice, uniform) and size
 //! `n ∈ {64, 256, 1024}`, each backend (`exact`, `cached`, `hybrid`)
@@ -31,16 +30,16 @@
 //! `update_positions` (`repair`), the same backend forced through a full
 //! `prepare` rebuild per slot (`reprepare`, what a position change costs
 //! without the hook), and serial `exact` — and the row records the
-//! repair-over-reprepare speedup this PR pins (target ≥5x at n = 1024).
+//! repair-over-reprepare speedup (target ≥5x at n = 1024).
 //! Before timing, the repair kernel's decisions are checked against
-//! exact for a full movement cycle, so the bench cannot quietly measure
-//! a divergent kernel.
+//! exact for two full movement cycles, so the bench cannot quietly
+//! measure a divergent kernel.
 //!
 //! A third, **city-scale** section (full runs only, not `--smoke`)
 //! measures the sparse hybrid kernel on uniform deployments at
 //! n = 10⁴ and n = 10⁵ — sizes where the dense n×n gain table is
 //! respectively marginal (1.6 GB) and refused outright (160 GB, over
-//! the `SINR_MAX_TABLE_BYTES` cap; the refusal is asserted before
+//! the `SINR_MAX_TABLE_BYTES` cap; the refusal is checked before
 //! measuring). The hybrid rows run serial and threaded (`hybrid+par`)
 //! on the churn schedule, and on the turnover schedule (serial only at
 //! n = 10⁵).
@@ -48,23 +47,17 @@
 //! The hybrid rows run at an explicit near-field cutoff tuned for the
 //! bench density (see [`CITY_CUTOFF`]).
 //!
-//! After writing, the emitted JSON is read back and validated (parses
-//! shallowly, one row per backend per configuration and schedule) so a
-//! refactor cannot silently rot the BENCH file; CI runs the same binary in
-//! `--smoke` mode (n = 64 only, short measurements) on every push.
-//!
-//! Entry point: `sinr-lab bench-reception [OUT] [--smoke]`, which calls
-//! [`run`]. The output path defaults to `BENCH_reception.json` in the
-//! current directory.
+//! Each trial of a row builds a fresh backend, so every trial pays and
+//! times its own `prepare`. `--smoke` (the CI mode) runs n = 64 only,
+//! with short measurements. The file is written and checked by
+//! [`crate::harness`]; [`check`] holds its relations.
 
-use std::time::Instant;
-
-use crate::common::Table;
+use crate::harness::{self, field, legs, median, obj, positive, row, timed, Body};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use sinr_geom::{deploy, Point};
 use sinr_phys::{dense_table_bytes, max_table_bytes, BackendSpec, GainTable, SinrParams};
-use sinr_scenario::json::{self, Json};
+use sinr_scenario::json::Json;
 
 /// Slots in one churn cycle (and distinct transmitter sets).
 const CYCLE: usize = 16;
@@ -72,21 +65,13 @@ const CYCLE: usize = 16;
 /// Seed of the turnover schedule's sender sets.
 const TURNOVER_SEED: u64 = 12;
 
-/// One measured configuration.
-struct Sample {
-    deployment: &'static str,
-    n: usize,
-    schedule: Schedule,
-    backend: String,
-    slots_per_sec: f64,
-    /// Receptions in the cycle's first slot, as a sanity anchor: backends
-    /// on the same deployment must broadly agree (hybrid is conservative,
-    /// cached is bit-identical to exact).
-    receptions: usize,
-    /// Wall-clock milliseconds of the one-time `prepare` call, so
-    /// table-fill speedups stay visible separately from slot-loop
-    /// speedups (`exact` reports ~0).
-    prepare_ms: f64,
+/// The deployment sizes of the sample and moving-uniform rows.
+fn sizes(smoke: bool) -> &'static [usize] {
+    if smoke {
+        &[64]
+    } else {
+        &[64, 256, 1024]
+    }
 }
 
 /// The rotating transmitter schedule: even nodes always send, plus the
@@ -136,66 +121,36 @@ impl Schedule {
     }
 }
 
-/// Times `spec` over `schedule` on a backend that persists across slots:
-/// one untimed `prepare` and warm-up cycle, then ~`target_secs` of whole
-/// cycles. Returns slots per second, the receptions of the schedule's
-/// first slot and the `prepare` time in milliseconds.
+/// One trial of `spec` over `schedule` on a backend that persists across
+/// slots: a timed `prepare`, a window of whole cycles, then the
+/// receptions of the schedule's first slot (the window ends on a cycle
+/// boundary, so that slot follows the cycle's last, as in every cycle).
 fn measure(
     sinr: &SinrParams,
     positions: &[Point],
     schedule: &[Vec<usize>],
     spec: BackendSpec,
     target_secs: f64,
-) -> (f64, usize, f64) {
+) -> Result<Json, String> {
     let mut backend = spec.build();
-    let t_prep = Instant::now();
-    backend.prepare(sinr, positions).expect("bench prepare");
-    let prepare_ms = t_prep.elapsed().as_secs_f64() * 1e3;
+    let (prepared, prepare_secs) = timed(|| backend.prepare(sinr, positions));
+    prepared.map_err(|e| format!("{spec} prepare: {e}"))?;
     let mut out = vec![None; positions.len()];
-    // Warm up one full cycle (pays scratch allocation, thread start-up
-    // and the cached kernel's first full refresh).
-    for senders in schedule {
-        backend.decide_slot(sinr, positions, senders, &mut out);
-    }
-    let receptions = {
-        backend.decide_slot(sinr, positions, &schedule[0], &mut out);
-        out.iter().flatten().count()
-    };
-    // Calibrate the repeat count so each measurement runs ~target_secs.
-    let t0 = Instant::now();
-    for senders in schedule {
-        backend.decide_slot(sinr, positions, senders, &mut out);
-    }
-    let once = t0.elapsed().as_secs_f64().max(1e-7);
-    let cycles = ((target_secs / once) as usize).clamp(1, 20_000);
-    let t0 = Instant::now();
-    for _ in 0..cycles {
+    let slots_per_sec = harness::rate(target_secs, schedule.len(), || {
         for senders in schedule {
             backend.decide_slot(sinr, positions, senders, &mut out);
         }
-    }
-    let per_slot = t0.elapsed().as_secs_f64() / (cycles * schedule.len()) as f64;
-    (1.0 / per_slot, receptions, prepare_ms)
+    });
+    backend.decide_slot(sinr, positions, &schedule[0], &mut out);
+    Ok(obj(vec![
+        ("slots_per_sec", Json::Num(slots_per_sec)),
+        ("receptions", Json::int(out.iter().flatten().count() as u64)),
+        ("prepare_ms", Json::Num(prepare_secs * 1e3)),
+    ]))
 }
 
 /// Nodes moved per slot in the moving-uniform workload: `n / MOVERS_DIV`.
 const MOVERS_DIV: usize = 32;
-
-/// One moving-uniform configuration: the three kernel rates plus the
-/// headline ratio.
-struct MobilitySample {
-    n: usize,
-    movers: usize,
-    repair: f64,
-    reprepare: f64,
-    exact: f64,
-}
-
-impl MobilitySample {
-    fn speedup(&self) -> f64 {
-        self.repair / self.reprepare.max(1e-9)
-    }
-}
 
 /// Advances the oscillating movement schedule by one slot: cohort
 /// `slot % cohorts` toggles between home and a parking row 10 units
@@ -234,17 +189,6 @@ fn mobility_step(
 /// exact band leaves less interference to over-estimate.
 const CITY_CUTOFF: f64 = 20.0;
 
-/// One city-scale configuration: a kernel's rate at a size where the
-/// dense n×n table is marginal or refused.
-struct LargeSample {
-    n: usize,
-    schedule: Schedule,
-    kernel: String,
-    slots_per_sec: f64,
-    receptions: usize,
-    prepare_ms: f64,
-}
-
 /// Which per-slot procedure a mobility kernel runs.
 #[derive(Clone, Copy, PartialEq)]
 enum MobilityKernel {
@@ -256,6 +200,8 @@ enum MobilityKernel {
     Exact,
 }
 
+/// Slots per second of one mobility kernel over a window of whole
+/// movement cycles.
 fn measure_mobility_kernel(
     sinr: &SinrParams,
     home: &[Point],
@@ -263,7 +209,7 @@ fn measure_mobility_kernel(
     movers: usize,
     kernel: MobilityKernel,
     target_secs: f64,
-) -> f64 {
+) -> Result<f64, String> {
     let n = home.len();
     let cohorts = (n / movers).max(1);
     let spec = match kernel {
@@ -275,71 +221,46 @@ fn measure_mobility_kernel(
     let mut parked = vec![false; n];
     let mut moved: Vec<(usize, Point)> = Vec::new();
     let mut out = vec![None; n];
-    backend.prepare(sinr, &positions).expect("bench prepare");
+    backend
+        .prepare(sinr, &positions)
+        .map_err(|e| format!("{spec} prepare: {e}"))?;
     let mut slot = 0usize;
-    let mut run_slots = |backend: &mut Box<dyn sinr_phys::InterferenceBackend>,
-                         positions: &mut Vec<Point>,
-                         parked: &mut Vec<bool>,
-                         slot: &mut usize,
-                         count: usize| {
-        for _ in 0..count {
-            mobility_step(positions, home, parked, *slot, movers, &mut moved);
+    Ok(harness::rate(target_secs, cohorts, || {
+        for _ in 0..cohorts {
+            mobility_step(&mut positions, home, &mut parked, slot, movers, &mut moved);
             match kernel {
-                MobilityKernel::Repair => backend.update_positions(sinr, positions, &moved),
+                MobilityKernel::Repair => backend.update_positions(sinr, &positions, &moved),
                 MobilityKernel::Reprepare => {
-                    backend.prepare(sinr, positions).expect("bench re-prepare");
+                    // Same size as the first prepare, which succeeded.
+                    backend
+                        .prepare(sinr, &positions)
+                        .expect("re-prepare at an accepted size");
                 }
                 MobilityKernel::Exact => {}
             }
-            backend.decide_slot(sinr, positions, senders, &mut out);
-            *slot += 1;
+            backend.decide_slot(sinr, &positions, senders, &mut out);
+            slot += 1;
         }
-    };
-    // Warm up two full movement cycles (everything parks and returns).
-    run_slots(
-        &mut backend,
-        &mut positions,
-        &mut parked,
-        &mut slot,
-        2 * cohorts,
-    );
-    // Calibrate so each measurement runs ~target_secs.
-    let t0 = Instant::now();
-    run_slots(
-        &mut backend,
-        &mut positions,
-        &mut parked,
-        &mut slot,
-        cohorts,
-    );
-    let once = t0.elapsed().as_secs_f64().max(1e-7);
-    let reps = ((target_secs / once) as usize).clamp(1, 20_000);
-    let t0 = Instant::now();
-    run_slots(
-        &mut backend,
-        &mut positions,
-        &mut parked,
-        &mut slot,
-        reps * cohorts,
-    );
-    let per_slot = t0.elapsed().as_secs_f64() / (reps * cohorts) as f64;
-    1.0 / per_slot
+    }))
 }
 
 /// The repair kernel's self-check: decisions under incremental position
-/// repair must equal fresh exact computation for one full movement
-/// cycle.
-///
-/// # Panics
-///
-/// Panics on the first divergent slot — the bench must not publish
-/// numbers for a kernel that stopped being exact.
-fn check_mobility_exactness(sinr: &SinrParams, home: &[Point], senders: &[usize], movers: usize) {
+/// repair must equal fresh exact computation for two full movement
+/// cycles — the bench must not publish numbers for a kernel that
+/// stopped being exact.
+fn check_mobility_exactness(
+    sinr: &SinrParams,
+    home: &[Point],
+    senders: &[usize],
+    movers: usize,
+) -> Result<(), String> {
     let n = home.len();
     let cohorts = (n / movers).max(1);
     let mut cached = BackendSpec::cached().build();
     let mut exact = BackendSpec::exact().build();
-    cached.prepare(sinr, home).expect("bench prepare");
+    cached
+        .prepare(sinr, home)
+        .map_err(|e| format!("cached prepare: {e}"))?;
     let mut positions = home.to_vec();
     let mut parked = vec![false; n];
     let mut moved = Vec::new();
@@ -349,162 +270,31 @@ fn check_mobility_exactness(sinr: &SinrParams, home: &[Point], senders: &[usize]
         cached.update_positions(sinr, &positions, &moved);
         cached.decide_slot(sinr, &positions, senders, &mut got);
         exact.decide_slot(sinr, &positions, senders, &mut want);
-        assert_eq!(
-            got, want,
-            "mobility repair diverged from exact at slot {slot}"
-        );
-    }
-}
-
-/// Validation of the emitted JSON: it must parse as the expected shape,
-/// carry one row per backend per (deployment, n) pair of each schedule,
-/// and name every row's schedule.
-///
-/// # Panics
-///
-/// Panics with a description when the file does not meet the contract —
-/// the whole point is that CI fails loudly instead of committing a
-/// rotten BENCH file.
-fn validate_json(
-    text: &str,
-    backends: &[String],
-    (churn, turnover): (usize, usize),
-    mobility_rows: usize,
-    large_rows: usize,
-) {
-    let doc = json::parse(text).unwrap_or_else(|e| panic!("BENCH json does not parse: {e}"));
-    let rows = |key: &str| {
-        doc.get(key)
-            .and_then(Json::as_arr)
-            .unwrap_or_else(|| panic!("BENCH json is missing the {key} array"))
-    };
-    let all_numbers = |rows: &[Json], key: &str| {
-        rows.iter()
-            .all(|r| r.get(key).and_then(Json::as_f64).is_some())
-    };
-    fn schedule(row: &Json) -> Option<&str> {
-        row.get("schedule").and_then(Json::as_str)
-    }
-    assert_eq!(doc.get("bench").and_then(Json::as_str), Some("reception"));
-    assert_eq!(
-        doc.get("unit").and_then(Json::as_str),
-        Some("slots_per_sec")
-    );
-    assert!(
-        doc.get("dense_table_cap").and_then(Json::as_f64).is_some(),
-        "BENCH json is missing the dense-table cap"
-    );
-    let mobility = rows("mobility_samples");
-    assert!(
-        mobility.len() == mobility_rows && all_numbers(mobility, "repair_speedup"),
-        "expected one moving-uniform row per size"
-    );
-    let large = rows("large_samples");
-    assert!(
-        large.len() == large_rows
-            && large
-                .iter()
-                .all(|r| r.get("kernel").and_then(Json::as_str).is_some())
-            && all_numbers(large, "prepare_ms"),
-        "expected {large_rows} city-scale rows, each with its prepare time"
-    );
-    let samples = rows("samples");
-    assert!(
-        [samples, mobility, large]
-            .iter()
-            .all(|rows| rows.iter().all(|r| schedule(r).is_some())),
-        "every row must name its schedule"
-    );
-    assert_eq!(
-        samples.len(),
-        backends.len() * (churn + turnover),
-        "expected {} rows ({} backends x {churn} churn + {turnover} turnover configurations)",
-        backends.len() * (churn + turnover),
-        backends.len(),
-    );
-    for b in backends {
-        for (name, configurations) in [("churn", churn), ("turnover", turnover)] {
-            let count = samples
-                .iter()
-                .filter(|r| {
-                    r.get("backend").and_then(Json::as_str) == Some(b.as_str())
-                        && schedule(r) == Some(name)
-                })
-                .count();
-            assert_eq!(
-                count, configurations,
-                "backend {b} does not appear once per {name} configuration"
-            );
+        if got != want {
+            return Err(format!(
+                "n={n}: mobility repair diverged from exact at slot {slot}"
+            ));
         }
     }
-    assert!(
-        all_numbers(samples, "slots_per_sec") && all_numbers(samples, "prepare_ms"),
-        "every sample row must carry its rate and prepare-vs-slot breakdown"
-    );
+    Ok(())
 }
 
-/// The churn-schedule `slots_per_sec` a previous BENCH file recorded for
-/// one sample row. Files written before rows named their schedule hold
-/// churn rows only.
-fn prev_rate(prev: &Json, deployment: &str, n: usize, backend: &str) -> Option<f64> {
-    prev.get("samples")?
-        .as_arr()?
-        .iter()
-        .find(|row| {
-            row.get("deployment").and_then(Json::as_str) == Some(deployment)
-                && row.get("n").and_then(Json::as_u64) == Some(n as u64)
-                && row.get("backend").and_then(Json::as_str) == Some(backend)
-                && row
-                    .get("schedule")
-                    .and_then(Json::as_str)
-                    .unwrap_or("churn")
-                    == "churn"
-        })?
-        .get("slots_per_sec")?
-        .as_f64()
-}
-
-/// The CPU count and model of the machine the bench runs on.
-fn machine() -> Json {
-    let cpus = std::thread::available_parallelism().map_or(0, |p| p.get());
-    let model = std::fs::read_to_string("/proc/cpuinfo")
-        .ok()
-        .and_then(|s| {
-            s.lines()
-                .find(|l| l.starts_with("model name"))
-                .and_then(|l| l.split_once(':'))
-                .map(|(_, m)| m.trim().to_string())
-        })
-        .unwrap_or_else(|| "unknown".into());
-    Json::Obj(vec![
-        ("cpus".into(), Json::int(cpus as u64)),
-        ("cpu_model".into(), Json::str(model)),
-    ])
-}
-
-/// Runs the benchmark and writes `out_path`; `smoke` is the tiny mode
-/// (n = 64 only, short measurements — the CI configuration).
+/// Runs the reception benchmark: the sample rows, the moving-uniform
+/// rows and (full runs only) the city-scale rows, each printed as its
+/// section completes.
 ///
 /// # Errors
 ///
-/// A message if the output file cannot be written or read back.
-///
-/// # Panics
-///
-/// Panics if a deployment cannot be generated or the emitted JSON fails
-/// validation — bugs a benchmark must not mask.
-pub fn run(out_path: &str, smoke: bool) -> Result<(), String> {
-    let sizes: &[usize] = if smoke { &[64] } else { &[64, 256, 1024] };
+/// A message if a deployment cannot be generated, a backend refuses to
+/// prepare, the repair kernel diverges from exact, or the dense table
+/// fails to refuse a size past its cap.
+pub(crate) fn run(smoke: bool) -> Result<Body, String> {
     let target_secs = if smoke { 0.01 } else { 0.2 };
-
-    // Snapshot the previous report (if any) before overwriting it, so
-    // the new JSON can record before/after rows for the cached kernel —
-    // the artifact carries its own regression history.
-    let prev = std::fs::read_to_string(out_path)
-        .ok()
-        .and_then(|text| json::parse(&text).ok());
-
-    let sinr = SinrParams::builder().range(16.0).build().unwrap();
+    let sinr = SinrParams::builder().range(16.0).build();
+    let sinr = sinr.expect("range 16 with default SINR parameters is valid");
+    let uniform = |n: usize| {
+        deploy::uniform(n, (n as f64).sqrt() * 2.2, 5).map_err(|e| format!("uniform n={n}: {e}"))
+    };
     // Threads for the city-scale `hybrid+par` rows and the dense-table
     // refusal check: at least 2 so the threaded rows exist even on
     // single-core runners (there they measure the automatic serial
@@ -519,340 +309,265 @@ pub fn run(out_path: &str, smoke: bool) -> Result<(), String> {
         BackendSpec::cached(),
         BackendSpec::hybrid(0.0),
     ];
-    let backend_names: Vec<String> = backends
-        .iter()
-        .map(|s| s.build().name().to_string())
-        .collect();
 
-    let mut samples: Vec<Sample> = Vec::new();
-    let mut table = Table::new(
-        "reception kernel throughput (churn: ≈ n/2 transmitters, ~n/16 change per slot; turnover: ≈ n/12, every slot refreshes)",
-        &[
-            "deployment",
-            "n",
-            "schedule",
-            "backend",
-            "slots_per_sec",
-            "receptions",
-            "prepare_ms",
-        ],
-    );
-    for &n in sizes {
-        let side = (n as f64).sqrt() * 2.2;
+    let mut samples = Vec::new();
+    for &n in sizes(smoke) {
         let rows = (n as f64).sqrt().ceil() as usize;
-        let cols = n.div_ceil(rows);
-        let deployments: [(&'static str, Vec<Point>); 2] = [
+        let lattice = deploy::lattice(rows, n.div_ceil(rows), 2.0)
+            .map_err(|e| format!("lattice n={n}: {e}"))?;
+        // The turnover rows run on the uniform deployment only.
+        for (name, positions, schedules) in [
+            ("lattice", lattice[..n].to_vec(), &[Schedule::Churn][..]),
             (
-                "lattice",
-                deploy::lattice(rows, cols, 2.0).expect("lattice")[..n].to_vec(),
+                "uniform",
+                uniform(n)?,
+                &[Schedule::Churn, Schedule::Turnover],
             ),
-            ("uniform", deploy::uniform(n, side, 5).expect("uniform")),
-        ];
-        for (name, positions) in deployments {
-            for schedule in [Schedule::Churn, Schedule::Turnover] {
-                // The turnover rows run on the uniform deployment only.
-                if schedule == Schedule::Turnover && name != "uniform" {
-                    continue;
-                }
+        ] {
+            for &schedule in schedules {
                 let sets = schedule.sets(n);
-                for (spec, backend_name) in backends.iter().zip(&backend_names) {
-                    let (slots_per_sec, receptions, prepare_ms) =
-                        measure(&sinr, &positions, &sets, *spec, target_secs);
-                    table.row(vec![
-                        name.to_string(),
-                        n.to_string(),
-                        schedule.name().to_string(),
-                        backend_name.clone(),
-                        format!("{slots_per_sec:.0}"),
-                        receptions.to_string(),
-                        format!("{prepare_ms:.2}"),
-                    ]);
-                    samples.push(Sample {
-                        deployment: name,
-                        n,
-                        schedule,
-                        backend: backend_name.clone(),
-                        slots_per_sec,
-                        receptions,
-                        prepare_ms,
-                    });
+                for spec in backends {
+                    let measured = harness::trials(smoke, |_| {
+                        measure(&sinr, &positions, &sets, spec, target_secs)
+                    })?;
+                    samples.push(row(
+                        vec![
+                            ("deployment", Json::str(name)),
+                            ("n", Json::int(n as u64)),
+                            ("schedule", Json::str(schedule.name())),
+                            ("backend", Json::str(spec.build().name())),
+                        ],
+                        measured,
+                    ));
                 }
             }
         }
     }
-    table.print();
+    harness::print(
+        "reception kernel throughput (churn: ≈ n/2 transmitters, ~n/16 change per slot; turnover: ≈ n/12, every slot refreshes)",
+        &samples,
+    );
 
     // The moving-uniform workload: ~n/32 movers per slot, fixed senders,
     // three kernels (see module docs).
-    let mut mobility_samples: Vec<MobilitySample> = Vec::new();
-    let mut mobility_table = Table::new(
-        "moving-uniform: cached incremental repair vs full re-prepare (n/32 movers per slot)",
-        &[
-            "n",
-            "movers",
-            "repair/s",
-            "reprepare/s",
-            "exact/s",
-            "speedup",
-        ],
-    );
-    for &n in sizes {
-        let side = (n as f64).sqrt() * 2.2;
-        let home = deploy::uniform(n, side, 5).expect("uniform");
+    let mut mobility = Vec::new();
+    for &n in sizes(smoke) {
+        let home = uniform(n)?;
         let senders: Vec<usize> = (0..n).filter(|i| i % 2 == 0).collect();
         let movers = (n / MOVERS_DIV).max(1);
-        check_mobility_exactness(&sinr, &home, &senders, movers);
+        check_mobility_exactness(&sinr, &home, &senders, movers)?;
         let rate =
             |kernel| measure_mobility_kernel(&sinr, &home, &senders, movers, kernel, target_secs);
-        let sample = MobilitySample {
-            n,
-            movers,
-            repair: rate(MobilityKernel::Repair),
-            reprepare: rate(MobilityKernel::Reprepare),
-            exact: rate(MobilityKernel::Exact),
-        };
-        mobility_table.row(vec![
-            n.to_string(),
-            movers.to_string(),
-            format!("{:.0}", sample.repair),
-            format!("{:.0}", sample.reprepare),
-            format!("{:.0}", sample.exact),
-            format!("{:.2}x", sample.speedup()),
-        ]);
-        mobility_samples.push(sample);
+        let measured = harness::trials(smoke, |i| {
+            let (repair, reprepare) = legs(
+                i,
+                || rate(MobilityKernel::Repair),
+                || rate(MobilityKernel::Reprepare),
+            );
+            let (repair, reprepare) = (repair?, reprepare?);
+            Ok(obj(vec![
+                ("repair_slots_per_sec", Json::Num(repair)),
+                ("reprepare_slots_per_sec", Json::Num(reprepare)),
+                (
+                    "exact_slots_per_sec",
+                    Json::Num(rate(MobilityKernel::Exact)?),
+                ),
+                ("repair_speedup", Json::Num(repair / reprepare)),
+            ]))
+        })?;
+        mobility.push(row(
+            vec![
+                ("deployment", Json::str("moving-uniform")),
+                ("n", Json::int(n as u64)),
+                ("schedule", Json::str("fixed")),
+                ("movers", Json::int(movers as u64)),
+            ],
+            measured,
+        ));
     }
-    mobility_table.print();
+    harness::print(
+        "moving-uniform: cached incremental repair vs full re-prepare (n/32 movers per slot)",
+        &mobility,
+    );
 
     // City-scale rows: the sparse hybrid kernel where the dense table
     // stops being an option (see the module docs). Skipped in smoke
     // mode — deployment generation alone is seconds at n = 10⁵.
-    let mut large_samples: Vec<LargeSample> = Vec::new();
+    let mut large = Vec::new();
     if !smoke {
-        let mut large_table = Table::new(
-            "city-scale uniform: sparse hybrid kernel (churn: ~n/2 transmitters, ~n/16 change; turnover: ~n/12, every slot refreshes)",
-            &[
-                "n",
-                "schedule",
-                "kernel",
-                "slots_per_sec",
-                "receptions",
-                "prepare_ms",
-            ],
-        );
         let hybrid = BackendSpec::hybrid(CITY_CUTOFF);
-        let rows = [
+        let par = hybrid.with_threads(threads);
+        let city_rows = [
             (10_000usize, Schedule::Churn, hybrid),
-            (10_000, Schedule::Churn, hybrid.with_threads(threads)),
+            (10_000, Schedule::Churn, par),
             (10_000, Schedule::Turnover, hybrid),
-            (10_000, Schedule::Turnover, hybrid.with_threads(threads)),
+            (10_000, Schedule::Turnover, par),
             (100_000, Schedule::Churn, hybrid),
-            (100_000, Schedule::Churn, hybrid.with_threads(threads)),
+            (100_000, Schedule::Churn, par),
             (100_000, Schedule::Turnover, hybrid),
         ];
         for n in [10_000usize, 100_000] {
-            let side = (n as f64).sqrt() * 2.2;
-            let positions = deploy::uniform(n, side, 5).expect("uniform");
+            let positions = uniform(n)?;
             // Past the byte cap the dense table must refuse with a
             // structured error (not OOM) — the refusal the hybrid
             // kernel exists to answer.
-            if dense_table_bytes(n) > max_table_bytes() {
-                assert!(
-                    GainTable::try_build(&sinr, &positions, threads).is_err(),
-                    "dense table must refuse at n={n}"
-                );
+            if dense_table_bytes(n) > max_table_bytes()
+                && GainTable::try_build(&sinr, &positions, threads).is_ok()
+            {
+                return Err(format!("the dense table did not refuse n={n}"));
             }
-            for &(_, schedule, spec) in rows.iter().filter(|r| r.0 == n) {
-                let kernel = spec.build().name().to_string();
-                let (slots_per_sec, receptions, prepare_ms) =
-                    measure(&sinr, &positions, &schedule.sets(n), spec, target_secs);
-                large_table.row(vec![
-                    n.to_string(),
-                    schedule.name().to_string(),
-                    kernel.clone(),
-                    format!("{slots_per_sec:.1}"),
-                    receptions.to_string(),
-                    format!("{prepare_ms:.0}"),
-                ]);
-                large_samples.push(LargeSample {
-                    n,
-                    schedule,
-                    kernel,
-                    slots_per_sec,
-                    receptions,
-                    prepare_ms,
-                });
+            for &(_, schedule, spec) in city_rows.iter().filter(|r| r.0 == n) {
+                let sets = schedule.sets(n);
+                let measured = harness::trials(smoke, |_| {
+                    measure(&sinr, &positions, &sets, spec, target_secs)
+                })?;
+                large.push(row(
+                    vec![
+                        ("deployment", Json::str("uniform-large")),
+                        ("n", Json::int(n as u64)),
+                        ("schedule", Json::str(schedule.name())),
+                        ("kernel", Json::str(spec.build().name())),
+                        ("cutoff", Json::Num(CITY_CUTOFF)),
+                        ("dense_table_bytes", Json::int(dense_table_bytes(n))),
+                    ],
+                    measured,
+                ));
             }
         }
-        large_table.print();
+        harness::print(
+            "city-scale uniform: sparse hybrid kernel (churn: ~n/2 transmitters, ~n/16 change; turnover: ~n/12, every slot refreshes)",
+            &large,
+        );
     }
 
-    let mut fields = vec![
-        ("bench".into(), Json::str("reception")),
-        ("unit".into(), Json::str("slots_per_sec")),
-        ("threads".into(), Json::int(threads as u64)),
-        ("machine".into(), machine()),
-        ("churn_cycle".into(), Json::int(CYCLE as u64)),
-        ("movers_div".into(), Json::int(MOVERS_DIV as u64)),
-        (
-            "samples".into(),
-            Json::Arr(
-                samples
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("deployment".into(), Json::str(s.deployment)),
-                            ("n".into(), Json::int(s.n as u64)),
-                            ("schedule".into(), Json::str(s.schedule.name())),
-                            ("backend".into(), Json::str(&s.backend)),
-                            ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
-                            ("receptions".into(), Json::int(s.receptions as u64)),
-                            ("prepare_ms".into(), Json::Num(s.prepare_ms)),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "mobility_samples".into(),
-            Json::Arr(
-                mobility_samples
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("deployment".into(), Json::str("moving-uniform")),
-                            ("n".into(), Json::int(s.n as u64)),
-                            ("schedule".into(), Json::str("fixed")),
-                            ("movers".into(), Json::int(s.movers as u64)),
-                            ("repair_slots_per_sec".into(), Json::Num(s.repair)),
-                            ("reprepare_slots_per_sec".into(), Json::Num(s.reprepare)),
-                            ("exact_slots_per_sec".into(), Json::Num(s.exact)),
-                            ("repair_speedup".into(), Json::Num(s.speedup())),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-        (
-            "large_samples".into(),
-            Json::Arr(
-                large_samples
-                    .iter()
-                    .map(|s| {
-                        Json::Obj(vec![
-                            ("deployment".into(), Json::str("uniform-large")),
-                            ("n".into(), Json::int(s.n as u64)),
-                            ("schedule".into(), Json::str(s.schedule.name())),
-                            ("kernel".into(), Json::str(&s.kernel)),
-                            ("cutoff".into(), Json::Num(CITY_CUTOFF)),
-                            ("slots_per_sec".into(), Json::Num(s.slots_per_sec)),
-                            ("receptions".into(), Json::int(s.receptions as u64)),
-                            ("prepare_ms".into(), Json::Num(s.prepare_ms)),
-                            (
-                                "dense_table_bytes".into(),
-                                Json::int(dense_table_bytes(s.n)),
-                            ),
-                        ])
-                    })
-                    .collect(),
-            ),
-        ),
-    ];
-    let vs_previous: Vec<Json> = samples
+    Ok(vec![
+        ("unit", Json::str("slots_per_sec")),
+        ("threads", Json::int(threads as u64)),
+        ("churn_cycle", Json::int(CYCLE as u64)),
+        ("movers_div", Json::int(MOVERS_DIV as u64)),
+        ("dense_table_cap", Json::int(max_table_bytes())),
+        ("samples", Json::Arr(samples)),
+        ("mobility_samples", Json::Arr(mobility)),
+        ("large_samples", Json::Arr(large)),
+    ])
+}
+
+/// The relations of `BENCH_reception.json`:
+/// * the sample rows are exactly one per backend (`exact`, `cached`,
+///   `hybrid`) per (deployment, n, schedule) — lattice and uniform
+///   churn plus uniform turnover at each size — and no row names the
+///   retired `grid` model;
+/// * per group, `cached` receives exactly what `exact` receives and
+///   `hybrid` never more;
+/// * every rate and every table kernel's `prepare_ms` is positive;
+/// * one moving-uniform row per size, with positive rates and speedup;
+/// * the 7 city-scale rows of a full run, where `hybrid` and
+///   `hybrid+par` receive the same on every (n, schedule);
+/// * every row names its schedule.
+///
+/// # Errors
+///
+/// A message naming the first relation that fails.
+pub(crate) fn check(doc: &Json) -> Result<(), String> {
+    let smoke = field(doc, &["smoke"], Json::as_bool)?;
+    if field(doc, &["unit"], Json::as_str)? != "slots_per_sec" {
+        return Err("unit is not slots_per_sec".into());
+    }
+    field(doc, &["threads"], Json::as_u64)?;
+    field(doc, &["dense_table_cap"], Json::as_u64)?;
+    let samples = field(doc, &["samples"], Json::as_arr)?;
+    let sizes = sizes(smoke).len();
+    if samples.len() != 9 * sizes {
+        return Err(format!(
+            "expected {} sample rows (3 backends x 3 configurations x {sizes} sizes), found {}",
+            9 * sizes,
+            samples.len()
+        ));
+    }
+    // The sample rows per (deployment, n, schedule), in file order.
+    let mut groups: Vec<(String, Vec<(&str, f64)>)> = Vec::new();
+    for r in samples {
+        let backend = field(r, &["backend"], Json::as_str)?;
+        positive(r, &["slots_per_sec"])?;
+        if backend != "exact" {
+            positive(r, &["prepare_ms"])?;
+        }
+        let [deployment, schedule] =
+            ["deployment", "schedule"].map(|k| field(r, &[k], Json::as_str));
+        let key = format!(
+            "{} n={} {}",
+            deployment?,
+            field(r, &["n"], Json::as_u64)?,
+            schedule?
+        );
+        let entry = (backend, median(r, "receptions")?);
+        match groups.iter_mut().find(|(k, _)| *k == key) {
+            Some((_, rx)) => rx.push(entry),
+            None => groups.push((key, vec![entry])),
+        }
+    }
+    if groups
         .iter()
-        .filter(|s| s.backend == "cached" && s.schedule == Schedule::Churn)
-        .filter_map(|s| {
-            let p = prev_rate(prev.as_ref()?, s.deployment, s.n, "cached")?;
-            Some(Json::Obj(vec![
-                ("deployment".into(), Json::str(s.deployment)),
-                ("n".into(), Json::int(s.n as u64)),
-                ("prev_slots_per_sec".into(), Json::Num(p)),
-                ("now_slots_per_sec".into(), Json::Num(s.slots_per_sec)),
-                ("speedup".into(), Json::Num(s.slots_per_sec / p.max(1e-9))),
-            ]))
-        })
-        .collect();
-    if !vs_previous.is_empty() {
-        fields.push(("cached_vs_previous".into(), Json::Arr(vs_previous)));
+        .filter(|(k, _)| k.ends_with(" turnover"))
+        .count()
+        != sizes
+    {
+        return Err(format!(
+            "expected turnover rows at each of the {sizes} sizes"
+        ));
     }
-    fields.push(("dense_table_cap".into(), Json::int(max_table_bytes())));
-    let json = format!("{}\n", Json::Obj(fields));
-    std::fs::write(out_path, &json).map_err(|e| format!("writing {out_path}: {e}"))?;
-    let written =
-        std::fs::read_to_string(out_path).map_err(|e| format!("reading back {out_path}: {e}"))?;
-    validate_json(
-        &written,
-        &backend_names,
-        (sizes.len() * 2, sizes.len()),
-        sizes.len(),
-        large_samples.len(),
-    );
-    println!(
-        "wrote {out_path} ({} rows, validated)",
-        samples.len() + mobility_samples.len() + large_samples.len()
-    );
-
-    // The headline claim: at n = 1024 the cached kernel must beat serial
-    // exact by a wide margin under realistic churn.
-    if !smoke {
-        for deployment in ["lattice", "uniform"] {
-            let rate = |backend: &str| {
-                samples
-                    .iter()
-                    .find(|s| {
-                        s.deployment == deployment
-                            && s.n == 1024
-                            && s.schedule == Schedule::Churn
-                            && s.backend == backend
-                    })
-                    .map(|s| s.slots_per_sec)
-                    .unwrap_or(0.0)
-            };
-            let exact = rate("exact");
-            let cached = rate("cached");
-            println!(
-                "n=1024 {deployment}: exact {exact:.0}/s, cached {cached:.0}/s ({:.2}x)",
-                cached / exact.max(1e-9),
-            );
-        }
-        // The mobility claim: incremental repair must beat the full
-        // re-prepare by a wide margin at n = 1024 with n/32 movers.
-        if let Some(s) = mobility_samples.iter().find(|s| s.n == 1024) {
-            println!(
-                "n=1024 moving-uniform ({} movers/slot): repair {:.0}/s vs reprepare {:.0}/s ({:.2}x), exact {:.0}/s",
-                s.movers,
-                s.repair,
-                s.reprepare,
-                s.speedup(),
-                s.exact
-            );
-        }
-        // The city-scale claim: hybrid decides slots at n = 10⁵, where
-        // the dense table refuses to build at all.
-        let large_rate = |n: usize, schedule: Schedule, kernel: &str| {
-            large_samples
-                .iter()
-                .find(|s| s.n == n && s.schedule == schedule && s.kernel == kernel)
-                .map(|s| s.slots_per_sec)
-                .unwrap_or(0.0)
+    for (key, rx) in &groups {
+        let [("exact", exact), ("cached", cached), ("hybrid", hybrid)] = rx[..] else {
+            return Err(format!(
+                "{key}: expected one exact, cached and hybrid row each, found {rx:?}"
+            ));
         };
-        println!(
-            "n=10000 uniform: hybrid:{CITY_CUTOFF} {:.1}/s, hybrid+par {:.1}/s",
-            large_rate(10_000, Schedule::Churn, "hybrid"),
-            large_rate(10_000, Schedule::Churn, "hybrid+par"),
-        );
-        println!(
-            "n=100000 uniform: dense table ({} bytes) over the {}-byte cap, refused; hybrid {:.1}/s, hybrid+par {:.1}/s",
-            dense_table_bytes(100_000),
-            max_table_bytes(),
-            large_rate(100_000, Schedule::Churn, "hybrid"),
-            large_rate(100_000, Schedule::Churn, "hybrid+par"),
-        );
-        println!(
-            "turnover (every slot refreshes): n=10000 hybrid:{CITY_CUTOFF} {:.1}/s, hybrid+par {:.1}/s; n=100000 hybrid {:.1}/s",
-            large_rate(10_000, Schedule::Turnover, "hybrid"),
-            large_rate(10_000, Schedule::Turnover, "hybrid+par"),
-            large_rate(100_000, Schedule::Turnover, "hybrid"),
-        );
+        if cached != exact || hybrid > exact {
+            return Err(format!(
+                "{key}: receptions must satisfy cached == exact and hybrid <= exact: {rx:?}"
+            ));
+        }
+    }
+    let mobility = field(doc, &["mobility_samples"], Json::as_arr)?;
+    if mobility.len() != sizes {
+        return Err(format!("expected {sizes} moving-uniform rows"));
+    }
+    for r in mobility {
+        field(r, &["schedule"], Json::as_str)?;
+        positive(
+            r,
+            &[
+                "repair_slots_per_sec",
+                "reprepare_slots_per_sec",
+                "exact_slots_per_sec",
+                "repair_speedup",
+            ],
+        )?;
+    }
+    let large = field(doc, &["large_samples"], Json::as_arr)?;
+    let want = if smoke { 0 } else { 7 };
+    if large.len() != want {
+        return Err(format!(
+            "expected {want} city-scale rows, found {}",
+            large.len()
+        ));
+    }
+    for r in large {
+        field(r, &["schedule"], Json::as_str)?;
+        positive(r, &["slots_per_sec", "prepare_ms"])?;
+        if field(r, &["kernel"], Json::as_str)? == "hybrid+par" {
+            let serial = large
+                .iter()
+                .find(|s| {
+                    s.get("kernel").and_then(Json::as_str) == Some("hybrid")
+                        && s.get("n") == r.get("n")
+                        && s.get("schedule") == r.get("schedule")
+                })
+                .ok_or("a hybrid+par row has no serial hybrid row")?;
+            if median(serial, "receptions")? != median(r, "receptions")? {
+                return Err("hybrid+par must receive exactly what hybrid receives".into());
+            }
+        }
     }
     Ok(())
 }
@@ -860,21 +575,42 @@ pub fn run(out_path: &str, smoke: bool) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::tests::{assert_checks, same};
 
     const COMMITTED: &str = include_str!("../../../BENCH_reception.json");
 
     #[test]
-    fn prev_rate_reads_the_committed_bench_file() {
-        let committed = json::parse(COMMITTED).expect("the committed BENCH file parses");
-        let rate = prev_rate(&committed, "lattice", 1024, "cached");
-        assert!(rate.is_some_and(|r| r > 0.0), "{rate:?}");
-        assert_eq!(prev_rate(&committed, "lattice", 1024, "warp"), None);
-    }
-
-    #[test]
     fn validator_accepts_the_committed_bench_file() {
-        let backends = ["exact", "cached", "hybrid"];
-        let backends: Vec<String> = backends.map(String::from).to_vec();
-        validate_json(COMMITTED, &backends, (6, 3), 3, 7);
+        // Row 3 is uniform n=64 churn `exact`, rows 4 and 5 its `cached`
+        // and `hybrid` rows; large row 1 is `hybrid+par` at n = 10⁴.
+        let doc = sinr_scenario::json::parse(COMMITTED).expect("parses");
+        let samples = field(&doc, &["samples"], Json::as_arr).expect("samples");
+        let exact = median(&samples[3], "receptions").expect("receptions");
+        assert_checks(
+            COMMITTED,
+            "reception",
+            &[
+                (&["samples", "4", "receptions"], same(exact + 1.0)),
+                (&["samples", "5", "receptions"], same(exact + 1.0)),
+                (&["samples", "4", "backend"], Json::str("grid")),
+                (&["samples", "4", "prepare_ms"], same(0.0)),
+                (&["samples", "0", "slots_per_sec"], same(0.0)),
+                (&["samples", "8", "schedule"], Json::str("churn")),
+                (&["samples"], Json::Arr(vec![])),
+                (&["mobility_samples", "2", "repair_speedup"], same(0.0)),
+                (&["large_samples", "1", "receptions"], same(1.0)),
+                (&["large_samples"], Json::Arr(vec![])),
+                (&["stamp", "trials"], Json::int(3)),
+                (&["smoke"], Json::Bool(true)),
+                (
+                    &["samples", "3", "receptions"],
+                    obj(vec![
+                        ("median", Json::Num(exact)),
+                        ("min", Json::Num(exact)),
+                        ("max", Json::Num(exact + 1.0)),
+                    ]),
+                ),
+            ],
+        );
     }
 }

@@ -1,5 +1,5 @@
 //! The `sinr-lab serve` entry point and the request-storm service
-//! benchmark (`sinr-lab bench-service`, `BENCH_service.json`).
+//! benchmark (the rows of `BENCH_service.json`).
 //!
 //! The storm drives [`sinr_serve::Service`] **in-process** (requests
 //! from a `Cursor`, responses into a `Vec`), so the measurement is the
@@ -7,9 +7,9 @@
 //! with no pipe or process-spawn noise on the timed path.
 
 use std::io::Cursor;
-use std::time::Instant;
 
-use sinr_scenario::json::{self, Json};
+use crate::harness::{self, field, legs, median, obj, positive, row, timed, Body};
+use sinr_scenario::json::Json;
 use sinr_scenario::pool_threads;
 use sinr_serve::{install_sigterm_drain, ServeConfig, ServeSummary, Service};
 
@@ -138,15 +138,13 @@ fn storm_input(smoke: bool) -> (String, usize) {
 }
 
 /// One timed leg of the storm: a fresh service, the whole request
-/// stream, the connection summary.
+/// stream, the connection summary and the leg's wall-clock seconds.
 fn run_storm(config: ServeConfig, input: &str) -> Result<(ServeSummary, f64), String> {
     let service = Service::new(config);
     let mut out = Vec::new();
-    let t0 = Instant::now();
-    let summary = service
-        .serve_connection(Cursor::new(input.as_bytes().to_vec()), &mut out)
-        .map_err(|e| format!("storm connection: {e}"))?;
-    let secs = t0.elapsed().as_secs_f64();
+    let (served, secs) =
+        timed(|| service.serve_connection(Cursor::new(input.as_bytes().to_vec()), &mut out));
+    let summary = served.map_err(|e| format!("storm connection: {e}"))?;
     if summary.errors > 0 {
         return Err(format!(
             "storm leg hit {} error records — inspect: {}",
@@ -157,159 +155,147 @@ fn run_storm(config: ServeConfig, input: &str) -> Result<(ServeSummary, f64), St
     Ok((summary, secs))
 }
 
-/// Validation of the emitted `BENCH_service.json`: expected shape, a
-/// positive cached-over-cold speedup, byte-identical replays.
-///
-/// # Panics
-///
-/// Panics with a description when the file does not meet the contract —
-/// CI fails loudly instead of committing a rotten BENCH file.
-fn validate_service_json(text: &str) {
-    let doc =
-        json::parse(text).unwrap_or_else(|e| panic!("BENCH_service json does not parse: {e}"));
-    let at = |path: &[&str]| {
-        path.iter()
-            .try_fold(&doc, |v, key| v.get(key))
-            .unwrap_or_else(|| panic!("BENCH_service json is missing {}", path.join(".")))
-    };
-    assert_eq!(at(&["bench"]).as_str(), Some("scenario_service"));
-    assert!(
-        at(&["workers"]).as_u64().is_some(),
-        "workers is not a count"
-    );
-    assert_eq!(at(&["replay", "identical"]).as_bool(), Some(true));
-    assert!(
-        at(&["storm", "cache_speedup"])
-            .as_f64()
-            .is_some_and(|s| s > 0.0),
-        "cache speedup must be positive"
-    );
-    for leg in ["cached", "no_cache"] {
-        let hit_rate = at(&["storm", leg, "hit_rate"]).as_f64();
-        assert!(
-            hit_rate.is_some_and(|h| (0.0..=1.0).contains(&h)),
-            "{leg} hit rate out of range: {hit_rate:?}"
-        );
-        assert!(at(&["storm", leg, "resident_bytes"]).as_u64().is_some());
-    }
-}
-
-/// Measures the scenario service under a mixed-deployment request storm
-/// and writes `BENCH_service.json`:
+/// Measures the scenario service under a mixed-deployment request storm,
+/// the body of `BENCH_service.json`:
 ///
 /// * **cached leg** — 32 run requests (4 deployments × 8 seeds,
 ///   n ≥ 512, 10 slots each) through the LRU table cache: 4 cold
 ///   preparations, 28 O(1) adoptions. Two replay probes ride along and
-///   their byte-identity is asserted.
+///   must answer byte-identical.
 /// * **no-cache leg** — the identical stream with the cache disabled:
-///   every request pays the O(n²) preparation. The pinned
-///   `cache_speedup` is the ratio of sustained scenarios/sec
-///   (target ≥ 3x in the full bench).
+///   every request pays the O(n²) preparation. `cache_speedup` is the
+///   ratio of sustained scenarios/sec (target ≥ 3x in the full bench).
 ///
-/// `--smoke` (the CI mode) shrinks the deployments to n ≈ 48 and
-/// validates the JSON without claiming performance numbers. After
-/// writing, the JSON is read back and validated so a refactor cannot
-/// silently rot the BENCH file.
+/// `--smoke` (the CI mode) shrinks the deployments to n ≈ 48.
 ///
 /// # Errors
 ///
-/// A message if a storm leg fails, a replay mismatches, or the file
-/// cannot be written.
-pub fn bench_service(out: &str, smoke: bool) -> Result<(), String> {
+/// A message if a storm leg fails or completes fewer requests than it
+/// was sent.
+pub(crate) fn bench_service(smoke: bool) -> Result<Body, String> {
     let workers = pool_threads(None, None);
     let (input, requests) = storm_input(smoke);
-    let deployments = storm_deployments(smoke).len();
-
-    // Warm-up pass (thread start-up and allocator off the timed path),
-    // then the two timed legs.
+    let no_cache = ServeConfig {
+        cache: false,
+        ..ServeConfig::default()
+    };
+    // Warm-up pass: thread start-up and the allocator off the timed path.
     run_storm(ServeConfig::default(), &input)?;
-    let (cached, cached_secs) = run_storm(ServeConfig::default(), &input)?;
-    let (cold, cold_secs) = run_storm(
-        ServeConfig {
-            cache: false,
-            ..ServeConfig::default()
-        },
-        &input,
-    )?;
+    let measured = harness::trials(smoke, |i| {
+        let (cached, cold) = legs(
+            i,
+            || run_storm(ServeConfig::default(), &input),
+            || run_storm(no_cache.clone(), &input),
+        );
+        let ((cached, cached_secs), (cold, cold_secs)) = (cached?, cold?);
+        for (leg, summary) in [("cached", &cached), ("no-cache", &cold)] {
+            if summary.completed != requests as u64 {
+                return Err(format!(
+                    "{leg} leg: {}/{requests} requests completed",
+                    summary.completed
+                ));
+            }
+        }
+        let leg = |summary: &ServeSummary, secs: f64| {
+            obj(vec![
+                ("seconds", Json::Num(secs)),
+                ("scenarios_per_sec", Json::Num(summary.scenarios_per_sec)),
+                ("cells", Json::int(summary.cells)),
+                ("cache_hits", Json::int(summary.cache.hits)),
+                ("cache_misses", Json::int(summary.cache.misses)),
+                ("hit_rate", Json::Num(summary.cache.hit_rate())),
+                ("resident_bytes", Json::int(summary.cache.resident_bytes)),
+            ])
+        };
+        Ok(obj(vec![
+            (
+                "storm",
+                obj(vec![
+                    ("cached", leg(&cached, cached_secs)),
+                    ("no_cache", leg(&cold, cold_secs)),
+                    (
+                        "cache_speedup",
+                        Json::Num(cached.scenarios_per_sec / cold.scenarios_per_sec),
+                    ),
+                ]),
+            ),
+            (
+                "replay",
+                obj(vec![
+                    ("requests", Json::int(cached.replays)),
+                    (
+                        "identical",
+                        Json::Bool(cached.replay_mismatches == 0 && cold.replay_mismatches == 0),
+                    ),
+                ]),
+            ),
+        ]))
+    })?;
+    let part = |key| measured.get(key).cloned().expect("every trial reports it");
+    let storm = row(
+        vec![
+            (
+                "deployments",
+                Json::int(storm_deployments(smoke).len() as u64),
+            ),
+            ("requests", Json::int(requests as u64)),
+            ("slots_per_cell", Json::int(STORM_SLOTS)),
+        ],
+        part("storm"),
+    );
+    let leg_rows: Vec<Json> = ["cached", "no_cache"]
+        .map(|leg| {
+            row(
+                vec![("leg", Json::str(leg))],
+                storm.get(leg).cloned().unwrap_or(Json::Null),
+            )
+        })
+        .into();
+    harness::print(
+        &format!("service storm: {requests} requests, {workers} workers"),
+        &leg_rows,
+    );
+    Ok(vec![
+        ("workers", Json::int(workers as u64)),
+        ("storm", storm),
+        ("replay", part("replay")),
+    ])
+}
 
-    for (leg, summary) in [("cached", &cached), ("no-cache", &cold)] {
-        if summary.completed != requests as u64 || summary.replay_mismatches != 0 {
-            return Err(format!(
-                "{leg} leg: {}/{requests} requests completed, {} replay mismatches",
-                summary.completed, summary.replay_mismatches
-            ));
+/// The relations of `BENCH_service.json`: both legs served at a
+/// positive rate with a hit rate in [0, 1], the cached leg hit its
+/// cache, the cache speedup is positive, and every replay probe
+/// answered byte-identical.
+///
+/// # Errors
+///
+/// A message naming the first relation that fails.
+pub(crate) fn check(doc: &Json) -> Result<(), String> {
+    field(doc, &["workers"], Json::as_u64)?;
+    if !field(doc, &["replay", "identical"], Json::as_bool)? {
+        return Err("a replay probe was not byte-identical".into());
+    }
+    let storm = field(doc, &["storm"], Some)?;
+    positive(storm, &["cache_speedup"])?;
+    for leg in ["cached", "no_cache"] {
+        let leg_row = field(storm, &[leg], Some)?;
+        positive(leg_row, &["seconds", "scenarios_per_sec"])?;
+        for key in ["cells", "cache_hits", "cache_misses", "resident_bytes"] {
+            median(leg_row, key)?;
+        }
+        let lo = field(leg_row, &["hit_rate", "min"], Json::as_f64)?;
+        let hi = field(leg_row, &["hit_rate", "max"], Json::as_f64)?;
+        if lo < 0.0 || hi > 1.0 {
+            return Err(format!("{leg} hit rate out of [0, 1]: [{lo}, {hi}]"));
         }
     }
-    let speedup = cached.scenarios_per_sec / cold.scenarios_per_sec.max(1e-9);
-    println!(
-        "service storm: {requests} requests over {deployments} deployments, {workers} workers"
-    );
-    println!(
-        "  cached:   {:.2} scenarios/sec ({:.3}s, hit rate {:.3}, {} B resident)",
-        cached.scenarios_per_sec,
-        cached_secs,
-        cached.cache.hit_rate(),
-        cached.cache.resident_bytes,
-    );
-    println!(
-        "  no-cache: {:.2} scenarios/sec ({:.3}s)",
-        cold.scenarios_per_sec, cold_secs
-    );
-    println!("  cache speedup: {speedup:.2}x (target >= 3x in the full bench)");
-
-    let leg = |summary: &ServeSummary, secs: f64| {
-        Json::Obj(vec![
-            ("seconds".into(), Json::Num(secs)),
-            (
-                "scenarios_per_sec".into(),
-                Json::Num(summary.scenarios_per_sec),
-            ),
-            ("cells".into(), Json::int(summary.cells)),
-            ("cache_hits".into(), Json::int(summary.cache.hits)),
-            ("cache_misses".into(), Json::int(summary.cache.misses)),
-            ("hit_rate".into(), Json::Num(summary.cache.hit_rate())),
-            (
-                "resident_bytes".into(),
-                Json::int(summary.cache.resident_bytes),
-            ),
-        ])
-    };
-    let json = Json::Obj(vec![
-        ("bench".into(), Json::str("scenario_service")),
-        ("smoke".into(), Json::Bool(smoke)),
-        ("workers".into(), Json::int(workers as u64)),
-        (
-            "storm".into(),
-            Json::Obj(vec![
-                ("deployments".into(), Json::int(deployments as u64)),
-                ("requests".into(), Json::int(requests as u64)),
-                ("slots_per_cell".into(), Json::int(STORM_SLOTS)),
-                ("cached".into(), leg(&cached, cached_secs)),
-                ("no_cache".into(), leg(&cold, cold_secs)),
-                ("cache_speedup".into(), Json::Num(speedup)),
-            ]),
-        ),
-        (
-            "replay".into(),
-            Json::Obj(vec![
-                ("requests".into(), Json::int(cached.replays)),
-                (
-                    "identical".into(),
-                    Json::Bool(cached.replay_mismatches == 0 && cold.replay_mismatches == 0),
-                ),
-            ]),
-        ),
-    ]);
-    std::fs::write(out, format!("{json}\n")).map_err(|e| format!("writing {out}: {e}"))?;
-    let written = std::fs::read_to_string(out).map_err(|e| format!("reading back {out}: {e}"))?;
-    validate_service_json(&written);
-    println!("wrote {out} (validated)");
-    Ok(())
+    positive(field(storm, &["cached"], Some)?, &["cache_hits"])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::harness::tests::{assert_checks, same};
 
     #[test]
     fn storm_input_covers_the_contracted_mix() {
@@ -328,7 +314,28 @@ mod tests {
 
     #[test]
     fn validator_accepts_the_committed_bench_file() {
-        validate_service_json(include_str!("../../../BENCH_service.json"));
+        assert_checks(
+            include_str!("../../../BENCH_service.json"),
+            "scenario_service",
+            &[
+                (&["replay", "identical"], Json::Bool(false)),
+                (&["storm", "cached", "hit_rate"], same(1.5)),
+                (&["storm", "no_cache", "hit_rate"], same(-0.5)),
+                (&["storm", "cache_speedup"], same(0.0)),
+                (&["storm", "cached", "cache_hits"], same(0.0)),
+                (&["storm", "cached", "scenarios_per_sec"], Json::Num(100.0)),
+                (&["storm", "no_cache"], Json::Null),
+                (&["workers"], Json::str("two")),
+                (
+                    &["storm", "cached", "cache_misses"],
+                    obj(vec![
+                        ("median", Json::Num(4.0)),
+                        ("min", Json::Num(4.0)),
+                        ("max", Json::Num(5.0)),
+                    ]),
+                ),
+            ],
+        );
     }
 
     #[test]

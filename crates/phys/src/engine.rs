@@ -165,12 +165,12 @@ impl<P: Protocol> Engine<P> {
     /// spec's cutoff), backend preparation only resets per-run slot
     /// state instead of rebuilding the gain table — the construction
     /// path sweep executors use to amortize one preparation across many
-    /// runs over a fixed deployment. A non-matching table is ignored
-    /// (the backend builds its own, so this constructor is never less
-    /// correct than [`Engine::with_backend`]); `exact` ignores the
-    /// carrier entirely. The execution is bit-identical either way —
-    /// the table entries equal what the backend would have
-    /// computed itself.
+    /// runs over a fixed deployment. A non-matching table is replaced
+    /// by `prepare` (the backend builds its own, so this constructor
+    /// is never less correct than [`Engine::with_backend`]); `exact`
+    /// ignores the carrier entirely. The execution is bit-identical
+    /// either way — the table entries equal what the backend would
+    /// have computed itself.
     ///
     /// # Errors
     ///
@@ -201,16 +201,13 @@ impl<P: Protocol> Engine<P> {
             .map(|i| StdRng::seed_from_u64(seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)))
             .collect();
         let n = positions.len();
-        // A table for a different deployment would just be rebuilt by
-        // prepare; drop it here so the cost profile is predictable.
-        let tables = tables.map(|t| t.matching(spec, &params, &positions));
         let mut engine = Engine {
             params,
             positions,
             protocols,
             rngs,
             spec,
-            backend: spec.build_with_tables(tables.as_ref()),
+            backend: spec.build_with_tables(tables),
             decisions: vec![None; n],
             mobility: None,
             slot: 0,
@@ -678,15 +675,18 @@ mod tests {
             "mismatched table ignored"
         );
         // Same contract for the sparse kernel: a shared hybrid table
-        // changes nothing about the execution.
+        // changes nothing about the execution, and one built at another
+        // cutoff is not trusted.
         let hybrid_cold = run(BackendSpec::hybrid(8.0), None);
-        let sparse =
-            SharedTables::new().with_hybrid(Arc::new(HybridTable::build(&p, &pos, 8.0, 1)));
-        assert_eq!(
-            hybrid_cold,
-            run(BackendSpec::hybrid(8.0), Some(&sparse)),
-            "shared hybrid table"
-        );
+        for (cutoff, why) in [(8.0, "shared hybrid table"), (4.0, "other cutoff ignored")] {
+            let sparse =
+                SharedTables::new().with_hybrid(Arc::new(HybridTable::build(&p, &pos, cutoff, 1)));
+            assert_eq!(
+                hybrid_cold,
+                run(BackendSpec::hybrid(8.0), Some(&sparse)),
+                "{why}"
+            );
+        }
     }
 
     #[test]

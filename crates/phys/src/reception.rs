@@ -642,40 +642,12 @@ impl SharedTables {
         self.hybrid.as_ref()
     }
 
-    /// Whether the carrier holds nothing at all.
-    pub fn is_empty(&self) -> bool {
-        self.dense.is_none() && self.hybrid.is_none()
-    }
-
     /// Combined resident bytes of the held tables
     /// ([`GainTable::bytes`] + [`HybridTable::bytes`]) — what a
     /// byte-budgeted cache charges for keeping this carrier alive.
     pub fn bytes(&self) -> usize {
         self.dense.as_deref().map_or(0, GainTable::bytes)
             + self.hybrid.as_deref().map_or(0, HybridTable::bytes)
-    }
-
-    /// A copy keeping only the members that actually match `params` and
-    /// `positions` (the hybrid member must additionally have been built
-    /// for `spec`'s cutoff). Callers that cannot guarantee provenance —
-    /// the engine adopting caller-supplied tables — filter through this
-    /// so a stale table degrades to a rebuild instead of wrong gains.
-    pub fn matching(
-        &self,
-        spec: BackendSpec,
-        params: &SinrParams,
-        positions: &[Point],
-    ) -> SharedTables {
-        SharedTables {
-            dense: self.dense.clone().filter(|t| t.matches(params, positions)),
-            hybrid: match spec.model {
-                InterferenceModel::Hybrid { cutoff } => self
-                    .hybrid
-                    .clone()
-                    .filter(|t| t.matches(params, positions, cutoff)),
-                _ => None,
-            },
-        }
     }
 }
 

@@ -933,16 +933,21 @@ fn build_with_tables_routes_by_model() {
     backend.prepare(&p, &pos).unwrap();
     let senders: Vec<usize> = (0..10).step_by(2).collect();
     assert_matches_exact(&p, backend.as_mut(), &pos, &senders, "adopted dense table");
-    // The matching() filter drops a mismatched member instead of
-    // letting a backend adopt stale gains.
+    // A table adopted for another deployment, or a hybrid table built
+    // for another cutoff, is replaced by prepare instead of serving
+    // stale gains.
     let other = sinr_geom::deploy::uniform(10, 16.0, 5).unwrap();
-    let kept = tables.matching(BackendSpec::hybrid(8.0), &p, &pos);
-    assert!(kept.dense().is_some() && kept.hybrid().is_some());
-    let dropped = tables.matching(BackendSpec::hybrid(8.0), &p, &other);
-    assert!(dropped.is_empty());
-    // A hybrid table built for one cutoff must not serve another.
-    let wrong_cutoff = tables.matching(BackendSpec::hybrid(4.0), &p, &pos);
-    assert!(wrong_cutoff.hybrid().is_none());
+    let mut dense_backend = CachedBackend::with_shared_table(Arc::clone(&dense), 1);
+    dense_backend.prepare(&p, &other).unwrap();
+    assert!(!Arc::ptr_eq(&dense_backend.shared_table().unwrap(), &dense));
+    assert_matches_exact(&p, &mut dense_backend, &other, &senders, "wrong deployment");
+    for (cutoff, positions) in [(8.0, &other), (4.0, &pos)] {
+        let mut sparse_backend = HybridBackend::with_shared_table(cutoff, Arc::clone(&sparse), 1);
+        sparse_backend.prepare(&p, positions).unwrap();
+        let adopted = sparse_backend.shared_table().unwrap();
+        assert!(!Arc::ptr_eq(&adopted, &sparse), "cutoff {cutoff}");
+        assert!(adopted.matches(&p, positions, cutoff), "cutoff {cutoff}");
+    }
 }
 
 /// A uniform deployment past the parallel crossover at the city bench

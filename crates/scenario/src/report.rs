@@ -9,7 +9,7 @@
 //! workloads and the realized deployment facts needed to reproduce the
 //! run.
 
-use absmac::measure::{self, LatencyStats, ProgressOutcome};
+use absmac::measure::{self, LatencyStats};
 
 use crate::build::ScenarioRun;
 use crate::json::Json;
@@ -147,14 +147,13 @@ pub fn report_for(run: &ScenarioRun) -> Report {
         let ack_stats = LatencyStats::from_samples(acks.into_iter().map(|(_, l)| l).collect());
         stats_fields("ack", &ack_stats, &mut metrics);
         for (label, trigger) in [("prog", &ctx.graphs.strong), ("approg", &ctx.graphs.approx)] {
-            let outcomes =
-                measure::first_progress(&out.trace, trigger, &ctx.graphs.strong, out.horizon);
-            let satisfied: Vec<u64> = outcomes.iter().filter_map(|o| o.latency()).collect();
-            let pending = outcomes
-                .iter()
-                .filter(|o| matches!(o, ProgressOutcome::Pending { .. }))
-                .count();
-            stats_fields(label, &LatencyStats::from_samples(satisfied), &mut metrics);
+            let (stats, pending) = measure::progress_summary(&measure::first_progress(
+                &out.trace,
+                trigger,
+                &ctx.graphs.strong,
+                out.horizon,
+            ));
+            stats_fields(label, &stats, &mut metrics);
             metrics.push((format!("{label}_pending"), Json::int(pending as u64)));
         }
     }

@@ -12,12 +12,11 @@
 //!   [`ShardOutput::resume`] truncates it and re-runs that one cell.
 //!   **This file is the completion truth**: a cell is done iff its
 //!   record line is complete.
-//! * `shard-K-of-N.manifest` — the sweep identity header (sweep key,
-//!   cell count, shard assignment) followed by advisory
-//!   `{"event":"done","cell":i}` records. The header is what `--resume`
-//!   validates before trusting the output file; the done-records are
-//!   bookkeeping for humans and dashboards, never consulted for
-//!   correctness (they can lag the output by one crash window).
+//! * `shard-K-of-N.manifest` — one line, the sweep identity header
+//!   (sweep key, cell count, shard assignment), which `--resume`
+//!   validates before trusting the output file. Only the first line is
+//!   read, so manifests from older writers, which appended advisory
+//!   `{"event":"done","cell":i}` records, still resume and merge.
 //!
 //! The **sweep key** fingerprints everything that determines the
 //! expanded grid — base spec text, axes, reseeding and trace policy —
@@ -276,15 +275,14 @@ fn read_complete_lines(f: &mut File, path: &Path) -> Result<String, ScenarioErro
     Ok(buf)
 }
 
-/// The crash-safe writer for one shard's two files. `record` is safe to
-/// call from many worker threads (the executor's sink): each call
-/// writes the report line with one `write_all` + flush under a lock, so
-/// lines never interleave and a kill can tear at most the final line.
+/// The crash-safe writer for one shard's output file (the manifest is
+/// written once, at creation). `record` is safe to call from many
+/// worker threads (the executor's sink): each call writes the report
+/// line with one `write_all` + flush under a lock, so lines never
+/// interleave and a kill can tear at most the final line.
 #[derive(Debug)]
 pub struct ShardOutput {
-    /// `(output, manifest)` under one lock so done-records keep the
-    /// output's order.
-    files: Mutex<(File, File)>,
+    out: Mutex<File>,
     out_path: PathBuf,
     shard: Shard,
 }
@@ -327,7 +325,7 @@ impl ShardOutput {
         let out_path = output_path(dir, shard);
         let out = File::create(&out_path).map_err(|e| sweep_err(&out_path, e))?;
         Ok(ShardOutput {
-            files: Mutex::new((out, manifest)),
+            out: Mutex::new(out),
             out_path,
             shard,
         })
@@ -338,7 +336,7 @@ impl ShardOutput {
     /// sweep, scans the output for complete report lines — each
     /// checked for shard ownership, index range and a cell name that
     /// [`unescape_cell_name`]-decodes to the expanded grid's name at
-    /// that index — truncates torn tails in both files, and returns the
+    /// that index — truncates a torn tail of the output, and returns the
     /// writer plus the set of already-completed cells. A shard with no
     /// manifest yet starts fresh (so one `--resume` command works for
     /// mixed finished/unstarted shards).
@@ -360,12 +358,7 @@ impl ShardOutput {
             let fresh = ShardOutput::create(dir, set, cells.len(), shard)?;
             return Ok((fresh, BTreeSet::new()));
         }
-        let mut manifest = OpenOptions::new()
-            .read(true)
-            .write(true)
-            .open(&m_path)
-            .map_err(|e| sweep_err(&m_path, e))?;
-        let m_text = read_complete_lines(&mut manifest, &m_path)?;
+        let m_text = std::fs::read_to_string(&m_path).map_err(|e| sweep_err(&m_path, e))?;
         let header = m_text
             .lines()
             .next()
@@ -430,7 +423,7 @@ impl ShardOutput {
         }
         Ok((
             ShardOutput {
-                files: Mutex::new((out, manifest)),
+                out: Mutex::new(out),
                 out_path,
                 shard,
             },
@@ -439,8 +432,7 @@ impl ShardOutput {
     }
 
     /// Writes one completed cell: the report line (single `write_all`,
-    /// flushed — after this returns the cell survives any kill) and
-    /// then the advisory manifest done-record.
+    /// flushed — after this returns the cell survives any kill).
     ///
     /// # Errors
     ///
@@ -456,20 +448,9 @@ impl ShardOutput {
             report: &rendered,
         }
         .render();
-        let done = Json::Obj(vec![
-            ("event".into(), Json::str("done")),
-            ("cell".into(), Json::int(cell as u64)),
-        ]);
-        let mut files = self.files.lock().unwrap_or_else(PoisonError::into_inner);
-        files
-            .0
-            .write_all(format!("{line}\n").as_bytes())
-            .and_then(|()| files.0.flush())
-            .map_err(|e| sweep_err(&self.out_path, e))?;
-        files
-            .1
-            .write_all(format!("{done}\n").as_bytes())
-            .and_then(|()| files.1.flush())
+        let mut out = self.out.lock().unwrap_or_else(PoisonError::into_inner);
+        out.write_all(format!("{line}\n").as_bytes())
+            .and_then(|()| out.flush())
             .map_err(|e| sweep_err(&self.out_path, e))
     }
 }
@@ -795,11 +776,12 @@ mod tests {
         };
         out.record(0, &report).unwrap();
         drop(out);
-        let manifest = std::fs::read_to_string(manifest_path(&dir, shard)).unwrap();
-        assert_eq!(
-            manifest.lines().nth(1),
-            Some(r#"{"event":"done","cell":0}"#)
-        );
+        // Older writers appended advisory done-records (the last one
+        // possibly torn) after the header; resume reads only the header.
+        let m_path = manifest_path(&dir, shard);
+        let header = std::fs::read_to_string(&m_path).unwrap();
+        let old = format!("{header}{{\"event\":\"done\",\"cell\":0}}\n{{\"event\":\"do");
+        std::fs::write(&m_path, old).unwrap();
         // Resume sees the completed cell and keeps its bytes.
         let (_out, completed) = ShardOutput::resume(&dir, &set, &cells, shard).unwrap();
         assert_eq!(completed, BTreeSet::from([0]));
@@ -865,6 +847,16 @@ mod tests {
                 out.record(i, &report(i)).unwrap();
             }
         }
+        // Each manifest is its header line alone; an older writer's
+        // trailing done-record does not disturb the merge.
+        let m_path = manifest_path(&dir, Shard { index: 0, count: 2 });
+        let header = std::fs::read_to_string(&m_path).unwrap();
+        assert_eq!(header.lines().count(), 1, "{header}");
+        std::fs::write(
+            &m_path,
+            format!("{header}{{\"event\":\"done\",\"cell\":0}}\n"),
+        )
+        .unwrap();
         let merged = merge_shards(&dir).unwrap();
         assert_eq!(merged.shards, 2);
         assert_eq!(merged.reports.len(), 4);
