@@ -44,6 +44,9 @@ pub fn serve_cmd(args: &[String]) -> Result<(), String> {
             other => return Err(format!("unknown argument {other:?} for serve")),
         }
     }
+    if once && socket.is_none() {
+        return Err("--once needs --socket PATH (stdin is always one connection)".into());
+    }
     install_sigterm_drain();
     let service = Service::new(config);
     match socket {
@@ -56,7 +59,6 @@ pub fn serve_cmd(args: &[String]) -> Result<(), String> {
             "--socket {path}: Unix-domain sockets are not available on this platform"
         )),
         None => {
-            let _ = once;
             let summary = service
                 .serve_connection(std::io::stdin().lock(), std::io::stdout())
                 .map_err(|e| format!("serving stdin: {e}"))?;
@@ -336,6 +338,12 @@ mod tests {
                 ),
             ],
         );
+    }
+
+    #[test]
+    fn serve_refuses_once_without_a_socket() {
+        let err = serve_cmd(&["--once".to_string()]).expect_err("refused");
+        assert!(err.contains("--once needs --socket"), "{err}");
     }
 
     #[test]

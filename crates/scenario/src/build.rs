@@ -275,8 +275,10 @@ impl MacClient<u64> for WorkClient {
 /// table at a given cutoff (for `backend=hybrid:CUTOFF` consumers), or
 /// neither. The sweep planner merges the wants of every cell in a
 /// group; `PreparedDeployment::prepare` derives them from one spec.
+/// Together with [`ScenarioSpec::deployment_key`] they key the
+/// [`crate::TableCache`].
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub(crate) struct TableWants {
+pub struct TableWants {
     /// Build the dense [`GainTable`].
     pub dense: bool,
     /// Build a [`HybridTable`] at this cutoff (the spec value, `0.0` =
@@ -301,9 +303,10 @@ impl TableWants {
     }
 
     /// Folds another cell's wants in. A group can hold at most one
-    /// hybrid table, so the first requested cutoff wins; cells at a
-    /// different cutoff simply fail the `matches` filter at build time
-    /// and prepare their own sparse rows — correct, just unshared.
+    /// hybrid table, so the first requested cutoff wins; a cell at a
+    /// different cutoff adopts it, fails the `fits` check in
+    /// `IncrementalBackend::prepare` and rebuilds its own sparse rows —
+    /// correct, just unshared.
     pub fn merge(&mut self, other: TableWants) {
         self.dense |= other.dense;
         if self.hybrid_cutoff.is_none() {
@@ -362,9 +365,9 @@ impl PreparedDeployment {
     }
 
     /// Like [`PreparedDeployment::prepare`] with the table decision
-    /// made by the caller — the sweep planner passes the merged wants
-    /// of every cell in a group, even when the representative cell
-    /// itself wants nothing.
+    /// made by the caller — the [`crate::TableCache`] passes the wants
+    /// it is keyed on, which for a sweep group are the merged wants of
+    /// every cell, even when the preparing cell itself wants nothing.
     pub(crate) fn prepare_inner(
         spec: &ScenarioSpec,
         wants: TableWants,

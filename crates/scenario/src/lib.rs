@@ -43,13 +43,16 @@
 //!
 //! Parameter sweeps batch over a spec grid with [`ScenarioSet`]; the
 //! `sinr-lab` binary (in `sinr-bench`) drives all of this from the
-//! command line. Reports, shard records and service requests all go
+//! command line. Sweeps and the scenario service (`sinr-serve`) share
+//! prepared deployments through one [`TableCache`] and run every cell
+//! through one panic boundary, [`execute_cell`]. Reports, shard records and service requests all go
 //! through one JSON codec, [`json`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 mod build;
+mod cache;
 mod error;
 mod report;
 mod shard;
@@ -61,8 +64,9 @@ pub mod json;
 
 pub use build::{
     connected_uniform, PreparedDeployment, RunnableScenario, ScenarioCtx, ScenarioMac,
-    ScenarioOutcome, ScenarioRun, WorkClient, CONNECTED_SEED_BUDGET,
+    ScenarioOutcome, ScenarioRun, TableWants, WorkClient, CONNECTED_SEED_BUDGET,
 };
+pub use cache::{execute_cell, lock_unpoisoned, CacheStats, TableCache};
 pub use error::ScenarioError;
 pub use json::Json;
 pub use report::{report_for, Report};

@@ -23,8 +23,9 @@
 //! (`mobility=`, `dyn=teleport:…`) and cells that are their
 //! deployment's sole consumer are left ungrouped. The first worker
 //! to claim a cell of a group prepares it once
-//! ([`crate::PreparedDeployment`]); every other cell of the group gets
-//! `Arc` clones of the shared state through
+//! ([`crate::PreparedDeployment`]) in the sweep's [`TableCache`], keyed
+//! by the group's merged table wants; every other cell of the group
+//! gets `Arc` clones of the shared state through
 //! [`ScenarioSpec::build_with_prepared`], and the group's last cell to
 //! finish releases the shared state, so a many-group sweep never holds
 //! every gain table alive at once. Results are **byte-identical**
@@ -36,9 +37,10 @@
 use std::collections::BTreeSet;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Mutex, PoisonError};
 
-use crate::build::{PreparedDeployment, ScenarioRun, TableWants};
+use crate::build::{ScenarioRun, TableWants};
+use crate::cache::{execute_cell, lock_unpoisoned, TableCache};
 use crate::spec::{ScenarioSpec, SeedSpec};
 use crate::ScenarioError;
 
@@ -376,18 +378,19 @@ impl ScenarioSet {
     /// a million-cell sweep pays one atomic per chunk, not per cell,
     /// while uneven per-cell cost still rebalances across threads.
     /// Shared-preparation groups count only the cells this invocation
-    /// actually executes: the group's last *executed* cell releases the
+    /// actually executes: each group's count is the [`TableCache`]
+    /// release hint, so the group's last *executed* cell releases the
     /// shared tables, and a group left with a single cell after
     /// shard/resume filtering prepares per cell (sharing would buy
     /// nothing). Reports are byte-identical to [`ScenarioSet::run`] on
     /// the full grid: per-cell seeds derive from the **global** cell
     /// index, which sharding never renumbers.
     ///
-    /// A panicking cell is caught at the cell boundary
-    /// ([`ScenarioError::Panicked`]); a group mutex poisoned by such a
-    /// panic is recovered and the group falls back to per-cell
-    /// preparation, so one bad cell surfaces one error instead of
-    /// aborting the process.
+    /// Every cell runs through [`execute_cell`], which catches a panic
+    /// at the cell boundary ([`ScenarioError::Panicked`]); a panic in a
+    /// shared preparation releases its in-flight key, so the group's
+    /// other cells prepare again and one bad cell surfaces one error
+    /// instead of aborting the process.
     ///
     /// # Errors
     ///
@@ -401,19 +404,44 @@ impl ScenarioSet {
         completed: &BTreeSet<usize>,
         sink: &(dyn Fn(usize, ScenarioRun) -> Result<(), ScenarioError> + Sync),
     ) -> Result<ShardSummary, ScenarioError> {
+        let cache = TableCache::new(u64::MAX);
+        self.run_with_cache(plan, threads, shard, completed, &cache, sink)
+    }
+
+    /// [`ScenarioSet::run_sharded`] with the cache its groups share.
+    fn run_with_cache(
+        &self,
+        plan: &SweepPlan,
+        threads: usize,
+        shard: Shard,
+        completed: &BTreeSet<usize>,
+        cache: &TableCache,
+        sink: &(dyn Fn(usize, ScenarioRun) -> Result<(), ScenarioError> + Sync),
+    ) -> Result<ShardSummary, ScenarioError> {
         let cells = &plan.cells;
         let cells_in_shard = (0..cells.len()).filter(|i| shard.owns(*i)).count();
         let work: Vec<usize> = (0..cells.len())
             .filter(|i| shard.owns(*i) && !completed.contains(i))
             .collect();
         let threads = crate::pool_threads(Some(threads), Some(work.len()));
-        let mut remaining = vec![0usize; plan.wants_table.len()];
+        // Per group: executed cells and one of them, whose spec names the
+        // group's cache key.
+        let mut uses = vec![(0usize, 0usize); plan.group_count()];
         for &i in &work {
             if let Some(g) = plan.groups[i] {
-                remaining[g] += 1;
+                uses[g] = (uses[g].0 + 1, i);
             }
         }
-        let groups: Vec<Group> = remaining.into_iter().map(Group::new).collect();
+        for (g, &(count, member)) in uses.iter().enumerate() {
+            if count >= 2 {
+                cache.release_after(&cells[member], plan.wants_table[g], count);
+            }
+        }
+        let shared = |i: usize| {
+            plan.groups[i]
+                .filter(|&g| uses[g].0 >= 2)
+                .map(|g| plan.wants_table[g])
+        };
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
         let chunk = (work.len() / (threads * 8).max(1)).clamp(1, 64);
@@ -434,8 +462,13 @@ impl ScenarioSet {
                         if abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        match execute_cell(plan, &groups, i) {
-                            Ok(run) => {
+                        let wants = shared(i);
+                        let outcome = execute_cell(&cells[i], wants.map(|w| (cache, w)));
+                        if let Some(w) = wants {
+                            cache.finished(&cells[i], w);
+                        }
+                        match outcome {
+                            Ok((run, _)) => {
                                 let now = resident.fetch_add(1, Ordering::Relaxed) + 1;
                                 peak.fetch_max(now, Ordering::Relaxed);
                                 let flushed = sink(i, run);
@@ -534,128 +567,6 @@ pub struct ShardSummary {
     /// and buffers nothing, which is what makes a million-cell sweep's
     /// resident memory O(threads) instead of O(cells).
     pub peak_resident_runs: usize,
-}
-
-/// One lazily-prepared slot per deployment group. The first claimant
-/// prepares while holding the lock (later claimants of the same group
-/// block on it), so each group pays its O(n²) exactly once. A failed
-/// preparation is recorded as `Released` and the affected cells fall
-/// back to cold builds, which reproduce the error per cell — the exact
-/// behavior (and error) per-cell preparation would yield. `remaining`
-/// counts the group's unfinished members **among the cells this
-/// invocation executes**; the last one to finish releases the shared
-/// state, so a many-group sweep never holds every group's O(n²) tables
-/// alive simultaneously.
-struct Group {
-    state: Mutex<GroupState>,
-    remaining: AtomicUsize,
-    /// Sharing only pays for ≥ 2 executed members; a group reduced to
-    /// one cell by shard/resume filtering prepares per cell.
-    shared: bool,
-}
-
-enum GroupState {
-    Pending,
-    Ready(Arc<PreparedDeployment>),
-    Released,
-}
-
-impl Group {
-    fn new(remaining: usize) -> Group {
-        Group {
-            state: Mutex::new(GroupState::Pending),
-            remaining: AtomicUsize::new(remaining),
-            shared: remaining >= 2,
-        }
-    }
-}
-
-/// Locks a mutex, recovering from poisoning instead of propagating the
-/// panic: the executor catches cell panics at the cell boundary, so a
-/// poisoned lock means some *other* cell panicked — this cell's work is
-/// unaffected and must not be collateral damage.
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Locks a group's state, recovering from poisoning. A poisoned group
-/// lock means a worker panicked *while preparing* (the only code that
-/// runs under it); whatever it left half-built is discarded by falling
-/// back to per-cell preparation for the rest of the group — the
-/// panicking cell itself surfaces [`ScenarioError::Panicked`] in its
-/// own slot, and every other cell still produces its exact report.
-fn lock_group(m: &Mutex<GroupState>) -> MutexGuard<'_, GroupState> {
-    m.lock().unwrap_or_else(|poison| {
-        let mut state = poison.into_inner();
-        if matches!(*state, GroupState::Pending) {
-            *state = GroupState::Released;
-        }
-        state
-    })
-}
-
-fn panic_message(payload: Box<dyn std::any::Any + Send>) -> String {
-    payload
-        .downcast_ref::<&'static str>()
-        .map(|s| (*s).to_string())
-        .or_else(|| payload.downcast_ref::<String>().cloned())
-        .unwrap_or_else(|| "non-string panic payload".into())
-}
-
-/// Executes one cell under the plan's grouping, catching panics at the
-/// cell boundary so they surface as that cell's error instead of
-/// tearing down the sweep.
-fn execute_cell(
-    plan: &SweepPlan,
-    groups: &[Group],
-    i: usize,
-) -> Result<ScenarioRun, ScenarioError> {
-    let cell = &plan.cells[i];
-    let body = || match plan.groups[i] {
-        Some(g) if groups[g].shared => {
-            let prep = {
-                let mut state = lock_group(&groups[g].state);
-                match &*state {
-                    GroupState::Pending => {
-                        #[cfg(test)]
-                        if cell.name.contains("__panic_in_prepare__") {
-                            panic!("injected test panic under the group lock");
-                        }
-                        match PreparedDeployment::prepare_inner(cell, plan.wants_table[g]) {
-                            Ok(p) => {
-                                let p = Arc::new(p);
-                                *state = GroupState::Ready(Arc::clone(&p));
-                                Some(p)
-                            }
-                            Err(_) => {
-                                *state = GroupState::Released;
-                                None
-                            }
-                        }
-                    }
-                    GroupState::Ready(p) => Some(Arc::clone(p)),
-                    GroupState::Released => None,
-                }
-            };
-            let outcome = match prep {
-                Some(p) => cell
-                    .build_with_prepared(&p)
-                    .and_then(crate::RunnableScenario::run),
-                None => cell.run(),
-            };
-            if groups[g].remaining.fetch_sub(1, Ordering::AcqRel) == 1 {
-                *lock_group(&groups[g].state) = GroupState::Released;
-            }
-            outcome
-        }
-        _ => cell.run(),
-    };
-    std::panic::catch_unwind(std::panic::AssertUnwindSafe(body)).unwrap_or_else(|payload| {
-        Err(ScenarioError::Panicked {
-            cell: cell.name.clone(),
-            message: panic_message(payload),
-        })
-    })
 }
 
 /// The shared-preparation grouping key of one cell, or `None` when the
@@ -969,63 +880,68 @@ mod tests {
     }
 
     #[test]
-    fn lock_group_recovers_poison_and_releases_pending_state() {
-        // A panic while preparing poisons the group lock with the state
-        // still Pending; the recovery path must demote it to Released so
-        // later cells fall back to per-cell preparation instead of
-        // propagating the panic.
-        let poisoned = Mutex::new(GroupState::Pending);
-        let _ = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _guard = poisoned.lock().unwrap();
-            panic!("poison it");
-        }));
-        assert!(poisoned.is_poisoned());
-        assert!(matches!(*lock_group(&poisoned), GroupState::Released));
-        // A lock poisoned while Ready keeps its prepared state: the
-        // panic happened in some cell's run, not under this lock.
-        let ready = Mutex::new(GroupState::Released);
-        *ready.lock().unwrap() = GroupState::Pending;
-        assert!(matches!(*lock_group(&ready), GroupState::Pending));
-    }
-
-    #[test]
     fn panicking_cell_surfaces_its_own_error_and_spares_the_group() {
-        // Four cells in one shared-prepare group; the injected panic
-        // fires in whichever cell prepares first (under the group lock).
-        // The sweep must return Panicked for exactly that cell — the
-        // other three fall back to per-cell preparation and succeed.
-        let mut spec = base();
-        spec.name = "__panic_in_prepare__".into();
-        let set = ScenarioSet::new(spec).axis(
-            "mac.t_mult",
-            vec!["1".into(), "2".into(), "3".into(), "4".into()],
-        );
+        // Two cells in one shared-prepare group; the injected panic
+        // fires in the first cell's preparation, while its cache key is
+        // in flight. That cell gets Panicked; the group's other cell
+        // still prepares through the cache and completes.
+        let set = ScenarioSet::new(base())
+            .axis("name", vec!["__panic_in_prepare__".into(), "spared".into()]);
         let plan = set.execution_plan().unwrap();
         assert_eq!(plan.group_count(), 1, "panic path needs a shared group");
         // Drive execute_cell directly (the executor aborts on the first
-        // error, which would hide the fallback): cell 0 prepares first,
-        // panics under the group lock and poisons it.
-        let groups = vec![Group::new(4)];
-        let err = execute_cell(&plan, &groups, 0).unwrap_err();
-        match err {
+        // error, which would hide the spared cell).
+        let cache = TableCache::new(u64::MAX);
+        let shared = Some((&cache, plan.wants_table[0]));
+        match execute_cell(&plan.cells[0], shared).unwrap_err() {
             ScenarioError::Panicked { cell, message } => {
                 assert!(cell.contains("__panic_in_prepare__"), "{cell}");
                 assert!(message.contains("injected test panic"), "{message}");
             }
             other => panic!("expected Panicked, got {other}"),
         }
-        assert!(groups[0].state.is_poisoned(), "panic under the lock");
-        // Every other cell of the group recovers the poisoned lock,
-        // sees Released and falls back to per-cell preparation.
-        for i in 1..4 {
-            assert!(execute_cell(&plan, &groups, i).is_ok(), "cell {i}");
-        }
+        let (_, hit) = execute_cell(&plan.cells[1], shared).expect("the spared cell completes");
+        assert!(!hit, "the panicked preparation left nothing to adopt");
+        let stats = cache.stats();
+        assert_eq!((stats.misses, stats.entries), (2, 1), "{stats:?}");
         // The whole-sweep behavior: an orderly error, not an abort of
-        // the process (the old `expect("no panics under lock")`).
+        // the process.
         let err = set
             .run_sharded(&plan, 1, Shard::full(), &BTreeSet::new(), &|_, _| Ok(()))
             .unwrap_err();
         assert!(matches!(err, ScenarioError::Panicked { .. }), "{err}");
+    }
+
+    #[test]
+    fn each_group_releases_its_preparation_when_its_last_cell_finishes() {
+        // Two groups of two cells (sinr.range splits the deployment key)
+        // on one thread, so cells run in order: each group's entry is
+        // gone by the time its last cell is flushed, before the next
+        // group prepares, and nothing is left once the sweep returns.
+        let mut spec = base();
+        spec.set("backend", "cached").unwrap();
+        let set = ScenarioSet::new(spec)
+            .axis("sinr.range", vec!["8".into(), "12".into()])
+            .axis("mac.t_mult", vec!["1".into(), "2".into()]);
+        let plan = set.plan().unwrap();
+        assert_eq!(plan.groups, vec![Some(0), Some(0), Some(1), Some(1)]);
+        let cache = TableCache::new(u64::MAX);
+        let held = Mutex::new(Vec::new());
+        let sink = |_, _| {
+            let stats = cache.stats();
+            lock_unpoisoned(&held).push((stats.entries, stats.resident_bytes > 0));
+            Ok(())
+        };
+        set.run_with_cache(&plan, 1, Shard::full(), &BTreeSet::new(), &cache, &sink)
+            .unwrap();
+        assert_eq!(
+            *lock_unpoisoned(&held),
+            vec![(1, true), (0, false), (1, true), (0, false)],
+            "at most one group's preparation is ever resident"
+        );
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.resident_bytes), (0, 0));
+        assert_eq!((stats.hits, stats.misses), (2, 2));
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! [`sinr_scenario::ScenarioSet`] requests as JSON lines over stdin or
 //! a Unix-domain socket, a fixed worker pool executes them, and
 //! per-cell reports stream back as NDJSON while a byte-budgeted LRU
-//! cache of prepared deployments ([`TableCache`]) turns repeat
-//! geometry into O(1) setup.
+//! cache of prepared deployments ([`sinr_scenario::TableCache`], the
+//! structure sweeps share preparations through) turns repeat geometry
+//! into O(1) setup. Every cell runs through
+//! [`sinr_scenario::execute_cell`], so a panicking request becomes an
+//! error record and the service serves on.
 //!
 //! Layering: `geom` → `phys` → … → `scenario` → **`serve`** → `bench`
 //! (the `sinr-lab serve` subcommand is the shipping entry point; this
@@ -22,11 +25,10 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod json;
 mod service;
 mod signal;
 
-pub use cache::{CacheStats, TableCache};
 pub use service::{ServeConfig, ServeSummary, Service};
 pub use signal::{draining, install_sigterm_drain};
+pub use sinr_scenario::CacheStats;

@@ -29,13 +29,15 @@
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufRead, Write};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Instant;
 
 use sinr_scenario::json::{self, Json};
-use sinr_scenario::{report_for, Axis, ReportRecord, ScenarioError, ScenarioSet, ScenarioSpec};
+use sinr_scenario::{
+    env_backend_override, execute_cell, lock_unpoisoned as lock, report_for, Axis, CacheStats,
+    ReportRecord, ScenarioError, ScenarioSet, ScenarioSpec, TableCache, TableWants,
+};
 
-use crate::cache::{CacheStats, TableCache};
 use crate::signal;
 
 /// Service tuning knobs.
@@ -142,9 +144,12 @@ impl Queue {
     }
 
     fn push(&self, job: Job) {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
         while st.jobs.len() >= self.depth && !st.closed {
-            st = self.not_full.wait(st).expect("queue lock");
+            st = self
+                .not_full
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
         if !st.closed {
             st.jobs.push_back(job);
@@ -153,7 +158,7 @@ impl Queue {
     }
 
     fn pop(&self) -> Option<Job> {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
         loop {
             if let Some(job) = st.jobs.pop_front() {
                 self.not_full.notify_one();
@@ -162,23 +167,21 @@ impl Queue {
             if st.closed {
                 return None;
             }
-            st = self.not_empty.wait(st).expect("queue lock");
+            st = self
+                .not_empty
+                .wait(st)
+                .unwrap_or_else(PoisonError::into_inner);
         }
     }
 
     fn close(&self) {
-        self.state.lock().expect("queue lock").closed = true;
+        lock(&self.state).closed = true;
         self.not_empty.notify_all();
         self.not_full.notify_all();
     }
 
-    fn contains(&self, id: u64) -> bool {
-        let st = self.state.lock().expect("queue lock");
-        st.jobs.iter().any(|j| j.id == id)
-    }
-
     fn remove(&self, id: u64) -> bool {
-        let mut st = self.state.lock().expect("queue lock");
+        let mut st = lock(&self.state);
         let before = st.jobs.len();
         st.jobs.retain(|j| j.id != id);
         let removed = st.jobs.len() < before;
@@ -189,7 +192,7 @@ impl Queue {
     }
 
     fn len(&self) -> usize {
-        self.state.lock().expect("queue lock").jobs.len()
+        lock(&self.state).jobs.len()
     }
 }
 
@@ -210,21 +213,21 @@ impl<W: Write> Emitter<W> {
     }
 
     fn line(&self, record: &str) {
-        if self.failed.lock().expect("emit lock").is_some() {
+        if lock(&self.failed).is_some() {
             return;
         }
-        let mut w = self.writer.lock().expect("writer lock");
+        let mut w = lock(&self.writer);
         let result = w
             .write_all(record.as_bytes())
             .and_then(|()| w.write_all(b"\n"))
             .and_then(|()| w.flush());
         if let Err(e) = result {
-            *self.failed.lock().expect("emit lock") = Some(e);
+            *lock(&self.failed) = Some(e);
         }
     }
 
     fn take_error(&self) -> Option<io::Error> {
-        self.failed.lock().expect("emit lock").take()
+        lock(&self.failed).take()
     }
 }
 
@@ -261,7 +264,11 @@ impl ReplayLog {
 struct Conn<W: Write> {
     emit: Emitter<W>,
     queue: Queue,
-    running: Mutex<HashMap<u64, Arc<AtomicBool>>>,
+    /// The cancel flag of every accepted job not yet finished or
+    /// cancelled, registered before the job is queued: a job is never
+    /// invisible to `cancel` and `replay`, not even between a worker's
+    /// pop and its start.
+    live: Mutex<HashMap<u64, Arc<AtomicBool>>>,
     log: Mutex<ReplayLog>,
     completed: AtomicU64,
     cancelled: AtomicU64,
@@ -301,7 +308,7 @@ impl Service {
         let conn = Conn {
             emit: Emitter::new(output),
             queue: Queue::new(self.config.queue_depth),
-            running: Mutex::new(HashMap::new()),
+            live: Mutex::new(HashMap::new()),
             log: Mutex::new(ReplayLog {
                 cap: self.config.replay_log,
                 map: HashMap::new(),
@@ -322,6 +329,8 @@ impl Service {
             for _ in 0..workers {
                 s.spawn(|| {
                     while let Some(job) = conn.queue.pop() {
+                        #[cfg(test)]
+                        tests::after_pop(&job);
                         self.process(&conn, job);
                     }
                 });
@@ -365,11 +374,22 @@ impl Service {
     ///
     /// # Errors
     ///
-    /// Socket setup/accept failures, or a connection's I/O error.
+    /// Socket setup/accept failures, a connection's I/O error, or
+    /// [`io::ErrorKind::AlreadyExists`] when `path` names a file that
+    /// is not a socket (it is left untouched).
     #[cfg(unix)]
     pub fn serve_socket(&self, path: &std::path::Path, once: bool) -> io::Result<()> {
+        use std::os::unix::fs::FileTypeExt;
         use std::os::unix::net::UnixListener;
-        let _ = std::fs::remove_file(path);
+        if let Ok(meta) = std::fs::symlink_metadata(path) {
+            if !meta.file_type().is_socket() {
+                return Err(io::Error::new(
+                    io::ErrorKind::AlreadyExists,
+                    format!("{} exists and is not a socket", path.display()),
+                ));
+            }
+            std::fs::remove_file(path)?;
+        }
         let listener = UnixListener::bind(path)?;
         loop {
             let (stream, _) = listener.accept()?;
@@ -469,11 +489,9 @@ impl Service {
             ])
             .to_string(),
         );
-        conn.queue.push(Job {
-            id,
-            kind,
-            cancel: Arc::new(AtomicBool::new(false)),
-        });
+        let cancel = Arc::new(AtomicBool::new(false));
+        lock(&conn.live).insert(id, Arc::clone(&cancel));
+        conn.queue.push(Job { id, kind, cancel });
     }
 
     fn handle_cancel(&self, conn: &Conn<impl Write>, target: &Json) {
@@ -486,13 +504,14 @@ impl Service {
         if conn.queue.remove(id) {
             // Still queued: dropped synchronously, so a `cancel` sent
             // right after the submit is deterministic.
+            lock(&conn.live).remove(&id);
             conn.cancelled.fetch_add(1, Ordering::Relaxed);
             conn.emit.line(&cancelled_record(id, "queued", 0));
             return;
         }
-        if let Some(flag) = conn.running.lock().expect("running lock").get(&id) {
-            // Running: the worker observes the flag between cells and
-            // emits the `cancelled` record itself.
+        if let Some(flag) = lock(&conn.live).get(&id) {
+            // Taken by a worker: it observes the flag before each cell
+            // and emits the `cancelled` record itself.
             flag.store(true, Ordering::Relaxed);
             return;
         }
@@ -516,7 +535,7 @@ impl Service {
         // completes, then resolve the stored reports.
         loop {
             let record = {
-                let log = conn.log.lock().expect("log lock");
+                let log = lock(&conn.log);
                 log.map.get(&id).map(|r| JobKind::Replay {
                     spec: r.spec.clone(),
                     axes: r.axes.clone(),
@@ -527,9 +546,7 @@ impl Service {
                 self.enqueue(conn, id, kind);
                 return;
             }
-            let pending = conn.queue.contains(id)
-                || conn.running.lock().expect("running lock").contains_key(&id);
-            if !pending {
+            if !lock(&conn.live).contains_key(&id) {
                 conn.errors.fetch_add(1, Ordering::Relaxed);
                 conn.emit.line(&error_record(
                     Some(id),
@@ -606,10 +623,6 @@ impl Service {
     // ---- worker side -------------------------------------------------
 
     fn process(&self, conn: &Conn<impl Write>, job: Job) {
-        conn.running
-            .lock()
-            .expect("running lock")
-            .insert(job.id, Arc::clone(&job.cancel));
         match &job.kind {
             JobKind::Run { spec, axes } => self.process_run(conn, &job, spec, axes),
             JobKind::Replay {
@@ -618,7 +631,11 @@ impl Service {
                 expected,
             } => self.process_replay(conn, &job, spec, axes, expected),
         }
-        conn.running.lock().expect("running lock").remove(&job.id);
+        let mut live = lock(&conn.live);
+        // A replay of this id may have registered its own flag already.
+        if matches!(live.get(&job.id), Some(f) if Arc::ptr_eq(f, &job.cancel)) {
+            live.remove(&job.id);
+        }
     }
 
     fn process_run(&self, conn: &Conn<impl Write>, job: &Job, spec: &str, axes: &[Axis]) {
@@ -640,8 +657,11 @@ impl Service {
                 conn.emit.line(&cancelled_record(job.id, "running", i));
                 return;
             }
-            match self.execute_cell(cell) {
-                Ok((report, hit)) => {
+            match execute_cell(cell, self.shared(cell)) {
+                Ok((run, hit)) => {
+                    // Rendered once: these bytes are streamed and kept
+                    // for the replay comparison, never re-rendered.
+                    let report = report_for(&run).to_json();
                     if hit {
                         hits += 1;
                     } else {
@@ -681,7 +701,7 @@ impl Service {
         let count = reports.len();
         conn.cells.fetch_add(count as u64, Ordering::Relaxed);
         conn.completed.fetch_add(1, Ordering::Relaxed);
-        conn.log.lock().expect("log lock").insert(
+        lock(&conn.log).insert(
             job.id,
             ReplayRecord {
                 spec: spec.to_string(),
@@ -720,7 +740,8 @@ impl Service {
                 if job.cancel.load(Ordering::Relaxed) {
                     return Ok((false, i));
                 }
-                let (report, _) = self.execute_cell(cell)?;
+                let (run, _) = execute_cell(cell, self.shared(cell))?;
+                let report = report_for(&run).to_json();
                 identical &= expected.get(i).is_some_and(|want| *want == report);
             }
             Ok((identical, cells.len()))
@@ -753,18 +774,13 @@ impl Service {
         }
     }
 
-    /// Runs one cell and renders its report, through the cache when
-    /// enabled. The returned boolean is the cache-hit flag.
-    fn execute_cell(&self, cell: &ScenarioSpec) -> Result<(String, bool), ScenarioError> {
-        let (run, hit) = if self.config.cache {
-            let (prep, hit) = self.cache.get_or_prepare(cell)?;
-            (cell.build_with_prepared(&prep)?.run()?, hit)
-        } else {
-            (cell.build()?.run()?, false)
-        };
-        // Rendered once: these bytes are streamed and kept for the
-        // replay comparison, never re-rendered.
-        Ok((report_for(&run).to_json(), hit))
+    /// The cache a cell prepares through and the table wants of its
+    /// effective backend; `None` with the cache disabled.
+    fn shared(&self, cell: &ScenarioSpec) -> Option<(&TableCache, TableWants)> {
+        self.config.cache.then(|| {
+            let wants = TableWants::of(env_backend_override(cell.backend).model);
+            (&self.cache, wants)
+        })
     }
 }
 
@@ -836,6 +852,21 @@ mod tests {
     use super::*;
     use std::io::Cursor;
 
+    /// Name hook between a worker's pop and the job's start: a run whose
+    /// spec names `__hold_after_pop__` waits there until it is cancelled
+    /// (for at most ten seconds).
+    pub(super) fn after_pop(job: &Job) {
+        if let JobKind::Run { spec, .. } = &job.kind {
+            let t0 = Instant::now();
+            while spec.contains("__hold_after_pop__")
+                && !job.cancel.load(Ordering::Relaxed)
+                && t0.elapsed().as_secs() < 10
+            {
+                std::thread::sleep(std::time::Duration::from_millis(1));
+            }
+        }
+    }
+
     const SPEC: &str = "name=serve-e2e\\ndeploy=lattice:4:4:2\\n\
                         sinr=alpha:3,beta:1.5,noise:1,eps:0.1,range:8\\n\
                         backend=cached\\nworkload=repeat:stride:2\\n\
@@ -861,6 +892,18 @@ mod tests {
             .filter(|r| r.get("id").and_then(Json::as_u64) == id || id.is_none())
             .filter_map(|r| r.get("event").and_then(Json::as_str))
             .collect()
+    }
+
+    fn error_text(records: &[Json], id: u64) -> &str {
+        records
+            .iter()
+            .find(|r| {
+                r.get("id").and_then(Json::as_u64) == Some(id)
+                    && r.get("event").and_then(Json::as_str) == Some("error")
+            })
+            .and_then(|r| r.get("error"))
+            .and_then(Json::as_str)
+            .expect("error record emitted")
     }
 
     #[test]
@@ -930,6 +973,64 @@ mod tests {
             .expect("replay record emitted");
         assert_eq!(replay.get("identical").and_then(Json::as_bool), Some(true));
         assert_eq!(summary.errors, 1, "the unknown id is an error record");
+    }
+
+    #[test]
+    fn replay_and_cancel_see_a_job_between_pop_and_start() {
+        // One worker. The replay holds the reader until request 1 is
+        // done; the worker then pops request 2 and holds it between pop
+        // and start, where the cancel must still find it.
+        let held = SPEC.replace("name=serve-e2e", "name=__hold_after_pop__");
+        let input = format!(
+            "{{\"id\":1,\"run\":\"{SPEC}\"}}\n{{\"id\":2,\"run\":\"{held}\"}}\n\
+             {{\"replay\":1}}\n{{\"cancel\":2}}\n"
+        );
+        let config = ServeConfig {
+            workers: 1,
+            ..ServeConfig::default()
+        };
+        let (summary, records) = serve(&input, config);
+        assert_eq!(summary.errors, 0, "records: {records:?}");
+        assert_eq!((summary.completed, summary.cancelled), (1, 1));
+        assert_eq!((summary.replays, summary.replay_mismatches), (1, 0));
+        assert_eq!(events(&records, Some(2)), ["accepted", "cancelled"]);
+    }
+
+    #[test]
+    fn panicking_requests_get_error_records_and_the_service_drains() {
+        // A hybrid table over a 10^9-wide lattice overflows its pair
+        // count and panics in preparation. Requests 1 and 2 share one
+        // cache key on two workers, so one may wait on the other's
+        // in-flight key; each gets an error record naming the panic, and
+        // request 3 still completes.
+        if std::env::var("SINR_BACKEND").is_ok() {
+            return;
+        }
+        let panics = SPEC
+            .replace("lattice:4:4:2", "lattice:2:2:1000000000")
+            .replace("backend=cached", "backend=hybrid:1");
+        let input = format!(
+            "{{\"id\":1,\"run\":\"{panics}\"}}\n{{\"id\":2,\"run\":\"{panics}\"}}\n\
+             {{\"id\":3,\"run\":\"{SPEC}\"}}\n"
+        );
+        let config = ServeConfig {
+            workers: 2,
+            ..ServeConfig::default()
+        };
+        let (summary, records) = serve(&input, config);
+        for id in [1, 2] {
+            let error = error_text(&records, id);
+            assert!(
+                error.contains("panicked: capacity overflow"),
+                "id {id}: {error}"
+            );
+        }
+        assert_eq!(events(&records, Some(3)), ["accepted", "report", "done"]);
+        assert_eq!((summary.errors, summary.completed), (2, 1));
+        assert_eq!(
+            records.last().unwrap().get("event").and_then(Json::as_str),
+            Some("drained")
+        );
     }
 
     #[test]
@@ -1007,15 +1108,7 @@ mod tests {
         assert_eq!(summary.errors, 2, "records: {records:?}");
         assert_eq!(summary.completed, 1);
         for (id, (_, name)) in (1..).zip(retired) {
-            let error = records
-                .iter()
-                .find(|r| {
-                    r.get("id").and_then(Json::as_u64) == Some(id)
-                        && r.get("event").and_then(Json::as_str) == Some("error")
-                })
-                .and_then(|r| r.get("error"))
-                .and_then(Json::as_str)
-                .expect("error record emitted");
+            let error = error_text(&records, id);
             assert!(error.contains(name), "{error}");
         }
         assert_eq!(events(&records, Some(3)), ["accepted", "report", "done"]);
@@ -1085,6 +1178,9 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("sinr-serve-test-{}", std::process::id()));
         std::fs::create_dir_all(&dir).expect("temp dir");
         let path = dir.join("serve.sock");
+        // A stale socket from an earlier run is replaced.
+        let _ = std::fs::remove_file(&path);
+        drop(std::os::unix::net::UnixListener::bind(&path).expect("stale socket"));
         let service = Service::new(ServeConfig::default());
         std::thread::scope(|s| {
             let server = s.spawn(|| service.serve_socket(&path, true));
@@ -1118,5 +1214,19 @@ mod tests {
         });
         let _ = std::fs::remove_file(&path);
         let _ = std::fs::remove_dir(&dir);
+    }
+
+    #[cfg(unix)]
+    #[test]
+    fn socket_refuses_to_replace_a_file_that_is_not_a_socket() {
+        let path =
+            std::env::temp_dir().join(format!("sinr-serve-not-a-socket-{}", std::process::id()));
+        std::fs::write(&path, "keep me").expect("temp file");
+        let err = Service::new(ServeConfig::default())
+            .serve_socket(&path, true)
+            .expect_err("a regular file is refused");
+        assert_eq!(err.kind(), io::ErrorKind::AlreadyExists, "{err}");
+        assert_eq!(std::fs::read_to_string(&path).expect("intact"), "keep me");
+        let _ = std::fs::remove_file(&path);
     }
 }
