@@ -12,8 +12,9 @@ use std::sync::Mutex;
 use std::time::Instant;
 
 use sinr_scenario::{
-    merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec, Report, ScenarioSet,
-    ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec, WorkloadSpec,
+    execute_cell, merge_shards, pool_threads, report_for, DeploymentSpec, Json, MeasureSpec,
+    Report, ScenarioSet, ScenarioSpec, SeedSpec, Shard, ShardOutput, SinrSpec, SourceSet, StopSpec,
+    WorkloadSpec,
 };
 
 use crate::harness::{self, field, legs, median, obj, positive, row, timed, Body};
@@ -233,7 +234,9 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
                 }
             }
             let spec = resolve_spec(name)?;
-            let run = spec.run().map_err(|e| format!("{name}: {e}"))?;
+            // The same panic boundary as sweeps and `serve`: a cell that
+            // panics is an error (exit 2), not an abort.
+            let (run, _) = execute_cell(&spec, None).map_err(|e| format!("{name}: {e}"))?;
             let report = report_for(&run);
             print_summary(&report);
             write_json(json_path.as_deref(), &report.to_json())
@@ -864,6 +867,22 @@ mod tests {
                 (&["stamp", "cpus"], Json::str("two")),
             ],
         );
+    }
+
+    #[test]
+    fn run_turns_a_panicking_cell_into_an_error() {
+        // A hybrid table over a 10⁹-wide lattice overflows its pair
+        // count while preparing ("capacity overflow").
+        let spec = "name=run-panic\ndeploy=lattice:2:2:1000000000\n\
+                    sinr=alpha:3,beta:1.5,noise:1,eps:0.1,range:8\nbackend=hybrid:1\n\
+                    mac=sinr\nworkload=repeat:stride:2\nstop=slots:30\nmeasure=none\n";
+        let path =
+            std::env::temp_dir().join(format!("sinr-lab-run-panic-{}.spec", std::process::id()));
+        std::fs::write(&path, spec).unwrap();
+        let args = ["run".to_string(), path.display().to_string()];
+        let err = cli_main(&args).expect_err("a panicking cell is an error");
+        std::fs::remove_file(&path).unwrap();
+        assert!(err.contains("panicked: capacity overflow"), "{err}");
     }
 
     #[test]

@@ -80,14 +80,18 @@ impl SinrGraphs {
         let weak = induce_graph(positions, params.range());
         let strong = induce_graph(positions, params.strong_radius());
         let approx = induce_graph(positions, params.approx_radius());
-        let measured = sinr_geom::deploy::min_pairwise_distance(positions);
+        // The minimum pairwise distance, bit for bit, without the O(n²)
+        // scan: `weak` joins every pair with `dist_sq ≤ R·R`, and `dist`
+        // is `dist_sq.sqrt()`, so when `weak` has an edge its shortest
+        // edge is the closest pair. With no edge every pair has
+        // `dist_sq > R·R`, hence `dist ≥ (R·R).sqrt() = R ≥ R₁₋ε` (a
+        // rounded square root of a rounded square is exact), and Λ is 1.
         // Fewer than two nodes: fall back to the near-field minimum of 1.
-        let min_dist = if measured.is_finite() {
-            measured.max(1.0)
-        } else {
-            1.0
+        let lambda = match edge_length_extremes(positions, &weak) {
+            Some((shortest, _)) => (params.strong_radius() / shortest.max(1.0)).max(1.0),
+            None if positions.len() >= 2 => 1.0,
+            None => params.strong_radius().max(1.0),
         };
-        let lambda = (params.strong_radius() / min_dist).max(1.0);
         SinrGraphs {
             weak,
             strong,
@@ -174,6 +178,67 @@ mod tests {
         assert_eq!(max, 4.0);
         let empty = induce_graph(&positions, 1.0);
         assert!(edge_length_extremes(&positions, &empty).is_none());
+    }
+
+    /// Λ from the O(n²) minimum-distance scan: the oracle for
+    /// [`SinrGraphs::induce`].
+    fn lambda_by_scan(params: &SinrParams, positions: &[Point]) -> f64 {
+        let measured = sinr_geom::deploy::min_pairwise_distance(positions);
+        let min_dist = if measured.is_finite() {
+            measured.max(1.0)
+        } else {
+            1.0
+        };
+        (params.strong_radius() / min_dist).max(1.0)
+    }
+
+    fn assert_lambda_matches(range: f64, epsilon: f64, positions: &[Point]) {
+        let params = SinrParams::builder()
+            .range(range)
+            .epsilon(epsilon)
+            .build()
+            .unwrap();
+        let lambda = SinrGraphs::induce(&params, positions).lambda;
+        let want = lambda_by_scan(&params, positions);
+        assert_eq!(lambda.to_bits(), want.to_bits(), "{lambda} vs {want}");
+    }
+
+    #[test]
+    fn lambda_matches_scan_at_the_range_boundary() {
+        // Pairs exactly R apart are weak edges; pairs just beyond are
+        // not, even when ε is so small that R₁₋ε rounds to R.
+        for range in [2.0f64, 3.0, 7.3, 16.0, 1e3 / 3.0] {
+            for spacing in [range, range.next_up(), range * 1.5] {
+                for epsilon in [1e-20, 0.1, 0.49] {
+                    let positions = sinr_geom::deploy::lattice(3, 4, spacing).unwrap();
+                    assert_lambda_matches(range, epsilon, &positions);
+                    assert_lambda_matches(range, epsilon, &positions[..2]);
+                }
+            }
+        }
+        assert_lambda_matches(16.0, 0.1, &[Point::ORIGIN]);
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(300))]
+
+        #[test]
+        fn lambda_matches_the_pairwise_scan(
+            unit in prop::collection::vec((0.0f64..1.0, 0.0f64..1.0), 0..60),
+            extent in 0.5f64..1500.0,
+            range in 2.0f64..40.0,
+            epsilon in 1e-9f64..0.499,
+        ) {
+            // Closer than the near-field minimum, duplicates and edgeless
+            // deployments all occur.
+            let positions: Vec<Point> = unit
+                .iter()
+                .map(|&(x, y)| Point::new(x * extent, y * extent))
+                .collect();
+            assert_lambda_matches(range, epsilon, &positions);
+        }
     }
 
     #[test]
