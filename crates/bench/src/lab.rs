@@ -301,30 +301,33 @@ pub fn cli_main(args: &[String]) -> Result<(), String> {
                 );
             }
             let dir = Path::new(&dir);
-            let plan = set.execution_plan().map_err(|e| e.to_string())?;
+            let cells = set.cells().map_err(|e| e.to_string())?;
             let t0 = Instant::now();
             let (output, completed) = if resume {
-                ShardOutput::resume(dir, &set, &plan.cells, shard).map_err(|e| e.to_string())?
+                ShardOutput::resume(dir, &set, &cells, shard).map_err(|e| e.to_string())?
             } else {
-                let fresh = ShardOutput::create(dir, &set, plan.cells.len(), shard)
+                let fresh = ShardOutput::create(dir, &set, cells.len(), shard)
                     .map_err(|e| e.to_string())?;
                 (fresh, BTreeSet::new())
             };
             let summary = set
-                .run_sharded(&plan, threads, shard, &completed, &|i, run| {
+                .run_sharded(&cells, threads, shard, &completed, &|i, run| {
                     output.record(i, &report_for(&run))
                 })
                 .map_err(|e| e.to_string())?;
             let secs = t0.elapsed().as_secs_f64();
             println!(
                 "sweep shard {shard}: {} executed, {} already complete, {}/{} cells owned, \
-                 {threads} threads, {secs:.2}s ({:.2} scenarios/sec, peak {} runs resident)",
+                 {threads} threads, {secs:.2}s ({:.2} scenarios/sec, peak {} runs resident, \
+                 cache {} hits / {} misses)",
                 summary.executed,
                 summary.skipped,
                 summary.cells_in_shard,
                 summary.cells_total,
                 summary.executed as f64 / secs.max(1e-9),
                 summary.peak_resident_runs,
+                summary.cache.hits,
+                summary.cache.misses,
             );
             Ok(())
         }
@@ -415,14 +418,14 @@ fn sweep_in_memory(
     threads: usize,
     json_path: Option<&str>,
 ) -> Result<(), String> {
-    let plan = set.execution_plan().map_err(|e| e.to_string())?;
-    let cells = plan.cells.len();
+    let specs = set.cells().map_err(|e| e.to_string())?;
+    let cells = specs.len();
     let rendered: Vec<Mutex<Option<String>>> = (0..cells).map(|_| Mutex::new(None)).collect();
     let stdout = Mutex::new(());
     let t0 = Instant::now();
     let summary = set
         .run_sharded(
-            &plan,
+            &specs,
             threads,
             Shard::full(),
             &BTreeSet::new(),
@@ -448,9 +451,11 @@ fn sweep_in_memory(
     let secs = t0.elapsed().as_secs_f64();
     println!(
         "sweep: {cells} cells on {threads} threads in {secs:.2}s ({:.2} scenarios/sec, \
-         peak {} runs resident)",
+         peak {} runs resident, cache {} hits / {} misses)",
         cells as f64 / secs.max(1e-9),
         summary.peak_resident_runs,
+        summary.cache.hits,
+        summary.cache.misses,
     );
     let joined = format!(
         "[{}]",
@@ -491,8 +496,8 @@ fn write_json(path: Option<&str>, json: &str) -> Result<(), String> {
 /// The prepare-heavy row at one deployment size: an 8-cell `mac.t_mult`
 /// sweep over one fixed cached-backend uniform deployment with a short
 /// horizon, so the O(n²) preparation dominates each cell — the regime
-/// the sweep planner exists for — timed with shared preparation (one
-/// table per group) and with per-cell preparation.
+/// shared preparation exists for — timed with shared preparation (one
+/// table for the sweep) and with per-cell preparation.
 fn prepare_heavy_row(
     smoke: bool,
     n: usize,
@@ -559,16 +564,15 @@ fn sharded_trial(
     threads: usize,
     trial: usize,
 ) -> Result<Json, String> {
-    let plan = set.execution_plan().map_err(|e| e.to_string())?;
+    let cells = set.cells().map_err(|e| e.to_string())?;
     let tmp = std::env::temp_dir().join(format!(
         "sinr-lab-bench-shard-{}-{trial}",
         std::process::id()
     ));
     let _ = std::fs::remove_dir_all(&tmp);
     let run_shard = |dir: &Path, shard: Shard| -> Result<(), String> {
-        let out =
-            ShardOutput::create(dir, set, plan.cells.len(), shard).map_err(|e| e.to_string())?;
-        set.run_sharded(&plan, threads, shard, &BTreeSet::new(), &|i, run| {
+        let out = ShardOutput::create(dir, set, cells.len(), shard).map_err(|e| e.to_string())?;
+        set.run_sharded(&cells, threads, shard, &BTreeSet::new(), &|i, run| {
             out.record(i, &report_for(&run))
         })
         .map_err(|e| e.to_string())?;
@@ -601,9 +605,9 @@ fn sharded_trial(
     };
     let (resumed, scan_secs) = timed(|| -> Result<usize, String> {
         let (out, completed) =
-            ShardOutput::resume(&shard_dir, set, &plan.cells, shard0).map_err(|e| e.to_string())?;
+            ShardOutput::resume(&shard_dir, set, &cells, shard0).map_err(|e| e.to_string())?;
         let summary = set
-            .run_sharded(&plan, threads, shard0, &completed, &|i, run| {
+            .run_sharded(&cells, threads, shard0, &completed, &|i, run| {
                 out.record(i, &report_for(&run))
             })
             .map_err(|e| e.to_string())?;
@@ -619,7 +623,7 @@ fn sharded_trial(
                 ("sharded_secs", Json::Num(sharded_secs)),
                 (
                     "cells_per_sec",
-                    Json::Num(plan.cells.len() as f64 / sharded_secs),
+                    Json::Num(cells.len() as f64 / sharded_secs),
                 ),
                 ("merged_identical", Json::Bool(merged_identical)),
             ]),

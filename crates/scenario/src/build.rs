@@ -83,6 +83,8 @@ impl DeploymentSpec {
         &self,
         sinr: &SinrParams,
     ) -> Result<(Vec<Point>, SinrGraphs, Option<u64>), ScenarioError> {
+        #[cfg(test)]
+        tests::on_realize(self);
         if self.connected {
             let DeploySpec::Uniform { n, side, seed } = self.geom else {
                 return Err(unsupported(
@@ -270,69 +272,43 @@ impl MacClient<u64> for WorkClient {
     }
 }
 
-/// Which shared tables a deployment preparation should build: the
-/// dense n×n matrix (for `backend=cached` consumers), a sparse hybrid
-/// table at a given cutoff (for `backend=hybrid:CUTOFF` consumers), or
-/// neither. The sweep planner merges the wants of every cell in a
-/// group; `PreparedDeployment::prepare` derives them from one spec.
-/// Together with [`ScenarioSpec::deployment_key`] they key the
-/// [`crate::TableCache`].
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct TableWants {
-    /// Build the dense [`GainTable`].
-    pub dense: bool,
-    /// Build a [`HybridTable`] at this cutoff (the spec value, `0.0` =
-    /// auto).
-    pub hybrid_cutoff: Option<f64>,
-}
-
-impl TableWants {
-    /// The wants of a single effective interference model.
-    pub fn of(model: InterferenceModel) -> Self {
-        match model {
-            InterferenceModel::Cached => TableWants {
-                dense: true,
-                hybrid_cutoff: None,
-            },
-            InterferenceModel::Hybrid { cutoff } => TableWants {
-                dense: false,
-                hybrid_cutoff: Some(cutoff),
-            },
-            _ => TableWants::default(),
-        }
-    }
-
-    /// Folds another cell's wants in. A group can hold at most one
-    /// hybrid table, so the first requested cutoff wins; a cell at a
-    /// different cutoff adopts it, fails the `fits` check in
-    /// `IncrementalBackend::prepare` and rebuilds its own sparse rows —
-    /// correct, just unshared.
-    pub fn merge(&mut self, other: TableWants) {
-        self.dense |= other.dense;
-        if self.hybrid_cutoff.is_none() {
-            self.hybrid_cutoff = other.hybrid_cutoff;
-        }
+/// The backend whose table a preparation of `spec` builds: the spec's
+/// backend after the `SINR_BACKEND` override, or `exact` for
+/// `mac=ideal`, which runs no reception engine and so reads no table.
+/// Its model, with [`ScenarioSpec::deployment_key`], keys the
+/// [`crate::TableCache`] entry `spec` shares.
+///
+/// # Panics
+///
+/// Panics if `SINR_BACKEND` is set but malformed (see
+/// [`crate::env_backend_override`]).
+pub(crate) fn table_backend(spec: &ScenarioSpec) -> BackendSpec {
+    match spec.mac {
+        MacSpec::Ideal(_) => BackendSpec::exact(),
+        _ => crate::env_backend_override(spec.backend),
     }
 }
 
 /// The shareable, immutable outcome of deployment preparation: realized
 /// positions, induced graphs, the realized deployment seed and — when
-/// a cached or hybrid reception kernel is in play — the matching
-/// `Arc`'d tables ([`GainTable`] dense, [`HybridTable`] sparse).
+/// the spec runs a cached or hybrid reception kernel — its `Arc`'d
+/// table ([`GainTable`] dense or [`HybridTable`] sparse).
 ///
 /// Preparing a deployment is the expensive half of building a scenario
 /// (graph induction plus, for `backend=cached`/`backend=hybrid`, the
 /// gain-table build); everything else in [`ScenarioSpec::build`] is
-/// O(n) or cheaper. A sweep over a fixed deployment therefore prepares
-/// **once** and hands every cell this value via
+/// O(n) or cheaper. [`PreparedDeployment::prepare`] is the only place
+/// the scenario layer realizes a deployment and builds its table: a
+/// cold [`ScenarioSpec::build`] prepares and consumes the result, and a
+/// sweep or the scenario service prepares **once** per
+/// [`crate::TableCache`] key and hands every cell this value via
 /// [`ScenarioSpec::build_with_prepared`] — each cell clones the
 /// positions/graphs (cheap relative to recomputing them) and shares the
-/// gain tables by `Arc`. Cells built this way are byte-identical to
-/// cold-built ones (differentially property-tested in
-/// `tests/sweep_equivalence.rs`): the generators are deterministic, the
-/// table entries equal what the cell would have computed itself, and a
-/// moving cell copy-on-writes its table fork instead of disturbing
-/// sharers.
+/// table by `Arc`. Shared and cold cells are byte-identical
+/// (differentially property-tested in `tests/sweep_equivalence.rs`):
+/// the generators are deterministic, one function builds every table,
+/// and a moving cell copy-on-writes its table fork instead of
+/// disturbing sharers.
 #[derive(Debug, Clone)]
 pub struct PreparedDeployment {
     /// The spec keys this preparation is valid for.
@@ -341,63 +317,39 @@ pub struct PreparedDeployment {
     positions: Vec<Point>,
     graphs: SinrGraphs,
     deploy_seed: Option<u64>,
-    /// Built only for consumers that run a table-backed kernel.
+    /// Empty unless the spec runs a table-backed kernel.
     tables: SharedTables,
 }
 
 impl PreparedDeployment {
-    /// Realizes `spec`'s deployment once, building the shared gain
-    /// table(s) the spec's effective backend will consume.
+    /// Realizes `spec`'s deployment and builds the table of
+    /// [`table_backend`] resolved against the realized size — the same
+    /// resolution [`ScenarioSpec::build`] applies
+    /// ([`BackendSpec::tuned`]): a dense table over the
+    /// `SINR_MAX_TABLE_BYTES` cap becomes the sparse auto-cutoff table
+    /// the cell will run, and `exact` (or `mac=ideal`) builds none.
     ///
     /// # Errors
     ///
     /// The same errors [`ScenarioSpec::build`] would produce for the
-    /// deployment half: invalid physics, infeasible geometry, a failed
-    /// connectivity search, or a dense gain table over the
-    /// `SINR_MAX_TABLE_BYTES` cap
-    /// ([`sinr_phys::PhysError::GainTableTooLarge`], surfaced as
-    /// [`ScenarioError::Phys`] — though in practice the cap triggers
-    /// the same hybrid fallback `BackendSpec::tuned` applies, so the
-    /// sparse table is built instead).
+    /// deployment half: invalid physics, infeasible geometry or a failed
+    /// connectivity search.
     pub fn prepare(spec: &ScenarioSpec) -> Result<Self, ScenarioError> {
-        let backend = crate::env_backend_override(spec.backend);
-        Self::prepare_inner(spec, TableWants::of(backend.model))
-    }
-
-    /// Like [`PreparedDeployment::prepare`] with the table decision
-    /// made by the caller — the [`crate::TableCache`] passes the wants
-    /// it is keyed on, which for a sweep group are the merged wants of
-    /// every cell, even when the preparing cell itself wants nothing.
-    pub(crate) fn prepare_inner(
-        spec: &ScenarioSpec,
-        wants: TableWants,
-    ) -> Result<Self, ScenarioError> {
         let sinr = spec.sinr.to_params()?;
         let (positions, graphs, deploy_seed) = spec.deploy.realize(&sinr)?;
-        let n = positions.len();
-        // Mirror `BackendSpec::tuned`: a dense table over the memory
-        // cap is exactly what every cached cell will re-tune away from
-        // once it realizes n, switching to `hybrid` with an auto
-        // cutoff — so prepare the sparse table those cells will
-        // actually consume instead of refusing.
-        let mut wants = wants;
-        if wants.dense && sinr_phys::dense_table_bytes(n) > sinr_phys::max_table_bytes() {
-            wants.dense = false;
-            wants.hybrid_cutoff = wants.hybrid_cutoff.or(Some(0.0));
-        }
-        let threads = crate::resolve_backend(spec.backend, n).threads;
+        let backend = table_backend(spec).tuned(positions.len());
         // Thread count never changes the entries of either table (each
-        // pair / row is computed independently), so the shared tables
-        // equal any cell's private build bit for bit.
-        let mut tables = SharedTables::new();
-        if wants.dense {
-            tables = tables.with_dense(Arc::new(GainTable::try_build(&sinr, &positions, threads)?));
-        }
-        if let Some(cutoff) = wants.hybrid_cutoff {
-            tables = tables.with_hybrid(Arc::new(HybridTable::build(
-                &sinr, &positions, cutoff, threads,
-            )));
-        }
+        // pair / row is computed independently), so the table equals
+        // any kernel's private build bit for bit.
+        let tables = match backend.model {
+            InterferenceModel::Cached => SharedTables::new().with_dense(Arc::new(
+                GainTable::try_build(&sinr, &positions, backend.threads)?,
+            )),
+            InterferenceModel::Hybrid { cutoff } => SharedTables::new().with_hybrid(Arc::new(
+                HybridTable::build(&sinr, &positions, cutoff, backend.threads),
+            )),
+            _ => SharedTables::new(),
+        };
         Ok(PreparedDeployment {
             sinr_spec: spec.sinr,
             deploy: spec.deploy,
@@ -559,16 +511,17 @@ impl ScenarioSpec {
     /// failed connectivity search, or an unsupported combination (e.g.
     /// `stop=epochs` on a MAC without an epoch structure).
     pub fn build(&self) -> Result<RunnableScenario, ScenarioError> {
-        self.build_inner(None)
+        self.build_inner(PreparedDeployment::prepare(self)?)
     }
 
     /// Like [`ScenarioSpec::build`] against an already-prepared
     /// deployment: the O(n²) preparation (geometry realization, graph
-    /// induction and — for the cached kernel — the gain-matrix build)
-    /// is taken from `prepared` instead of recomputed, which is what
-    /// lets a sweep executor amortize one preparation across every cell
-    /// of a group. The built scenario is byte-identical to a cold
-    /// [`ScenarioSpec::build`] (property-tested).
+    /// induction and — for the table kernels — the gain-table build) is
+    /// taken from `prepared` instead of recomputed, which is what lets a
+    /// sweep or the scenario service amortize one preparation across
+    /// every cell that shares its [`crate::TableCache`] key. The built
+    /// scenario is byte-identical to a cold [`ScenarioSpec::build`]
+    /// (property-tested).
     ///
     /// # Errors
     ///
@@ -587,22 +540,21 @@ impl ScenarioSpec {
                 prepared.deploy, prepared.sinr_spec, self.name, self.deploy, self.sinr
             )));
         }
-        self.build_inner(Some(prepared))
+        self.build_inner(prepared.clone())
     }
 
-    fn build_inner(
-        &self,
-        prepared: Option<&PreparedDeployment>,
-    ) -> Result<RunnableScenario, ScenarioError> {
+    /// The one build body: takes the preparation by value, so a cold
+    /// build moves the positions and graphs into the context instead of
+    /// cloning them, and a table nobody else holds stays unshared.
+    fn build_inner(&self, prepared: PreparedDeployment) -> Result<RunnableScenario, ScenarioError> {
         let sinr = self.sinr.to_params()?;
-
-        // Deployment (+ optional connectivity search) — or the shared,
-        // already-realized copy. The generators are deterministic, so
-        // both paths yield bit-identical positions and graphs.
-        let (positions, graphs, deploy_seed) = match prepared {
-            Some(p) => (p.positions.clone(), p.graphs.clone(), p.deploy_seed),
-            None => self.deploy.realize(&sinr)?,
-        };
+        let PreparedDeployment {
+            positions,
+            graphs,
+            deploy_seed,
+            tables,
+            ..
+        } = prepared;
         let n = positions.len();
         // Serial/parallel crossover: now that the deployment size is
         // known, resolve the env override and the requested thread count
@@ -798,7 +750,7 @@ impl ScenarioSpec {
             mac_params.as_ref(),
             seed,
             backend,
-            prepared.map(|p| &p.tables),
+            &tables,
         )?;
 
         // Geometry digests are only worth recording when something can
@@ -845,7 +797,7 @@ impl ScenarioSpec {
         mac_params: Option<&MacParams>,
         seed: u64,
         backend: BackendSpec,
-        tables: Option<&SharedTables>,
+        tables: &SharedTables,
     ) -> Result<Exec, ScenarioError> {
         let n = positions.len();
         let source_set = |w: &WorkloadSpec| match w {
@@ -872,7 +824,7 @@ impl ScenarioSpec {
                     |i| i as u64,
                     seed,
                     backend,
-                    tables,
+                    Some(tables),
                 )?;
                 Ok(Exec::Tdma(tdma))
             }
@@ -891,7 +843,7 @@ impl ScenarioSpec {
                     7u64,
                     seed,
                     backend,
-                    tables,
+                    Some(tables),
                 )?;
                 Ok(Exec::Dgkn(dgkn))
             }
@@ -910,7 +862,7 @@ impl ScenarioSpec {
                     7u64,
                     seed,
                     backend,
-                    tables,
+                    Some(tables),
                 )?;
                 Ok(Exec::DecaySmb(decay))
             }
@@ -1012,8 +964,8 @@ impl ScenarioSpec {
 
 /// Constructs one of the plug-and-play MAC layers behind the erased
 /// [`ScenarioMac`] interface, for any payload type. `tables` is the
-/// sweep planner's shared preparation state (consumed only by the
-/// cached/hybrid reception kernels of the physical-engine MACs).
+/// prepared deployment's table (consumed only by the cached/hybrid
+/// reception kernels of the physical-engine MACs).
 #[allow(clippy::too_many_arguments)]
 fn build_layer<P: Clone + 'static>(
     mac: &MacSpec,
@@ -1023,8 +975,9 @@ fn build_layer<P: Clone + 'static>(
     mac_params: Option<&MacParams>,
     seed: u64,
     backend: BackendSpec,
-    tables: Option<&SharedTables>,
+    tables: &SharedTables,
 ) -> Result<Box<dyn ScenarioMac<Payload = P>>, ScenarioError> {
+    let tables = Some(tables);
     match mac {
         MacSpec::Sinr { .. } => {
             let params = mac_params.expect("mac=sinr resolves params").clone();
@@ -1245,8 +1198,25 @@ fn baseline_outcome(report: SmbReport, horizon: u64) -> ScenarioOutcome {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+
+    /// Every deployment [`DeploymentSpec::realize`] was asked for, in
+    /// call order, across all tests of this process.
+    static REALIZED: std::sync::Mutex<Vec<DeploymentSpec>> = std::sync::Mutex::new(Vec::new());
+
+    /// Hook at the top of [`DeploymentSpec::realize`].
+    pub(super) fn on_realize(deploy: &DeploymentSpec) {
+        crate::lock_unpoisoned(&REALIZED).push(*deploy);
+    }
+
+    /// How many times `deploy` was realized so far.
+    pub(crate) fn realized(deploy: &DeploymentSpec) -> usize {
+        crate::lock_unpoisoned(&REALIZED)
+            .iter()
+            .filter(|d| *d == deploy)
+            .count()
+    }
     use crate::spec::{DeploymentSpec, MeasureSpec, SinrSpec, SourceSet};
 
     fn lattice16() -> DeploymentSpec {

@@ -5,7 +5,7 @@
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
-use crate::build::{PreparedDeployment, ScenarioRun, TableWants};
+use crate::build::{table_backend, PreparedDeployment, ScenarioRun};
 use crate::spec::ScenarioSpec;
 use crate::ScenarioError;
 
@@ -64,29 +64,36 @@ struct Inner {
 }
 
 /// A byte-budgeted LRU cache of [`PreparedDeployment`]s: a hit hands
-/// the cell `Arc` clones of the positions, graphs and gain tables and
+/// the cell `Arc` clones of the positions, graphs and gain table and
 /// skips the O(n²)/O(n·near) preparation entirely.
 ///
 /// Keys are [`ScenarioSpec::deployment_key`] (deployment spec × SINR
-/// parameters) × the [`TableWants`] the caller passes — a sweep group's
-/// merged wants, or a service request's effective backend — so an
-/// exact-model request (positions + graphs only) and a cached-model
-/// request (dense gain table) of the same deployment occupy separate
-/// entries instead of serving each other stripped-down state. Cells
-/// that move nodes may share an entry: the cached kernels fork their
-/// table copy-on-write on the first repair, so sharers stay untouched
-/// (tested below); whether sharing pays is the caller's policy.
+/// parameters) × the interference model of the spec's table backend
+/// (its `SINR_BACKEND`-resolved backend, `exact` for `mac=ideal`). One
+/// key therefore names exactly one [`PreparedDeployment::prepare`]
+/// result: an exact-model request (positions + graphs only) and a
+/// cached-model request (dense gain table) of the same deployment
+/// occupy separate entries instead of serving each other stripped-down
+/// state. Cells that move nodes may share an entry: the cached kernels
+/// fork their table copy-on-write on the first repair, so sharers stay
+/// untouched (tested below); whether sharing pays is the caller's
+/// policy.
 pub struct TableCache {
     budget: u64,
     inner: Mutex<Inner>,
     built: Condvar,
 }
 
-fn cache_key(spec: &ScenarioSpec, wants: TableWants) -> String {
+/// The [`TableCache`] key `spec` prepares under.
+pub(crate) fn cache_key(spec: &ScenarioSpec) -> String {
     // '\u{1}' appears in neither half (deployment_key uses it as its
-    // own separator, the wants' Debug form is plain ASCII), so the key
+    // own separator, the model's Debug form is plain ASCII), so the key
     // is unambiguous.
-    format!("{}\u{1}{wants:?}", spec.deployment_key())
+    format!(
+        "{}\u{1}{:?}",
+        spec.deployment_key(),
+        table_backend(spec).model
+    )
 }
 
 /// Marks a key in flight for as long as it lives; dropping it — after
@@ -114,9 +121,8 @@ impl TableCache {
         }
     }
 
-    /// Returns the deployment of `spec` prepared with `wants`,
-    /// preparing (and caching) it on a miss. The boolean is `true` on a
-    /// hit.
+    /// Returns `spec`'s [`PreparedDeployment`], preparing (and
+    /// caching) it on a miss. The boolean is `true` on a hit.
     ///
     /// The preparation runs **outside** the cache lock: an O(n²) build
     /// must not stall every other worker's lookups. Concurrent misses
@@ -126,13 +132,12 @@ impl TableCache {
     ///
     /// # Errors
     ///
-    /// Whatever preparing `spec`'s deployment with `wants` reports.
+    /// Whatever [`PreparedDeployment::prepare`] reports for `spec`.
     pub(crate) fn get_or_prepare(
         &self,
         spec: &ScenarioSpec,
-        wants: TableWants,
     ) -> Result<(Arc<PreparedDeployment>, bool), ScenarioError> {
-        let key = cache_key(spec, wants);
+        let key = cache_key(spec);
         {
             let mut inner = lock_unpoisoned(&self.inner);
             while inner.building.contains(&key) {
@@ -164,7 +169,7 @@ impl TableCache {
         };
         #[cfg(test)]
         tests::on_prepare(&spec.name, &key);
-        let prep = Arc::new(PreparedDeployment::prepare_inner(spec, wants)?);
+        let prep = Arc::new(PreparedDeployment::prepare(spec)?);
         let bytes = prep.resident_bytes() as u64;
         // A preparation larger than the whole budget is served uncached
         // rather than flushing everything for a single tenant; waiters
@@ -195,27 +200,27 @@ impl TableCache {
         Ok((prep, false))
     }
 
-    /// Release hint: the entry for `spec`'s deployment × `wants` leaves
-    /// the cache once [`TableCache::finished`] has been called for it
-    /// `uses` times. The sweep passes each group's executed-cell count,
-    /// so a many-group sweep never holds every group's tables at once.
-    /// Keys without a hint stay until the LRU budget evicts them.
-    pub(crate) fn release_after(&self, spec: &ScenarioSpec, wants: TableWants, uses: usize) {
-        let key = cache_key(spec, wants);
-        lock_unpoisoned(&self.inner).uses_left.insert(key, uses);
+    /// Release hint: the entry under `key` (a [`cache_key`]) leaves the
+    /// cache once [`TableCache::finished`] has been called for it `uses`
+    /// times. The sweep passes each key's executed-cell count, so a
+    /// many-deployment sweep never holds every table at once. Keys
+    /// without a hint stay until the LRU budget evicts them.
+    pub(crate) fn release_after(&self, key: &str, uses: usize) {
+        lock_unpoisoned(&self.inner)
+            .uses_left
+            .insert(key.to_string(), uses);
     }
 
     /// One use of a hinted key is over; the last one releases its entry.
-    pub(crate) fn finished(&self, spec: &ScenarioSpec, wants: TableWants) {
-        let key = cache_key(spec, wants);
+    pub(crate) fn finished(&self, key: &str) {
         let mut inner = lock_unpoisoned(&self.inner);
-        let Some(left) = inner.uses_left.get_mut(&key) else {
+        let Some(left) = inner.uses_left.get_mut(key) else {
             return;
         };
         *left -= 1;
         if *left == 0 {
-            inner.uses_left.remove(&key);
-            let released = inner.entries.remove(&key).map_or(0, |e| e.bytes);
+            inner.uses_left.remove(key);
+            let released = inner.entries.remove(key).map_or(0, |e| e.bytes);
             inner.resident -= released;
         }
     }
@@ -232,26 +237,28 @@ impl TableCache {
     }
 }
 
-/// Builds and runs one cell: through `shared` (a cache and the table
-/// wants to prepare with) when given, cold otherwise. When the shared
-/// preparation returns an error the cell runs cold, so every result or
-/// error equals what per-cell preparation yields. A panic is caught at
-/// this boundary and returned as [`ScenarioError::Panicked`], so one
-/// bad cell never takes down a sweep or the service. The boolean is
-/// `true` on a cache hit.
+/// Builds and runs one cell: through `cache` when given, cold
+/// otherwise. Both paths prepare once, with
+/// [`PreparedDeployment::prepare`] on the same spec, so a cache's
+/// preparation error is returned as it is — a cold retry would only
+/// repeat the failing work. A panic is caught at this boundary and
+/// returned as [`ScenarioError::Panicked`], so one bad cell never takes
+/// down a sweep or the service. The boolean is `true` on a cache hit.
 ///
 /// # Errors
 ///
-/// Whatever building or running the cell reports, or
+/// Whatever preparing, building or running the cell reports, or
 /// [`ScenarioError::Panicked`].
 pub fn execute_cell(
     cell: &ScenarioSpec,
-    shared: Option<(&TableCache, TableWants)>,
+    cache: Option<&TableCache>,
 ) -> Result<(ScenarioRun, bool), ScenarioError> {
     let body = || {
-        let prepared = shared.and_then(|(cache, wants)| cache.get_or_prepare(cell, wants).ok());
-        let (runnable, hit) = match prepared {
-            Some((prep, hit)) => (cell.build_with_prepared(&prep)?, hit),
+        let (runnable, hit) = match cache {
+            Some(cache) => {
+                let (prep, hit) = cache.get_or_prepare(cell)?;
+                (cell.build_with_prepared(&prep)?, hit)
+            }
             None => (cell.build()?, false),
         };
         #[cfg(test)]
@@ -322,11 +329,6 @@ mod tests {
         .expect("test spec parses")
     }
 
-    /// The wants of `s`'s effective backend, as the service passes them.
-    fn wants(s: &ScenarioSpec) -> TableWants {
-        TableWants::of(crate::env_backend_override(s.backend).model)
-    }
-
     fn entry_bytes(s: &ScenarioSpec) -> u64 {
         PreparedDeployment::prepare(s).unwrap().resident_bytes() as u64
     }
@@ -341,21 +343,18 @@ mod tests {
         // Room for exactly two entries.
         let cache = TableCache::new(2 * each);
 
-        let (pa, hit) = cache.get_or_prepare(&a, wants(&a)).unwrap();
+        let (pa, hit) = cache.get_or_prepare(&a).unwrap();
         assert!(!hit);
-        assert!(!cache.get_or_prepare(&b, wants(&b)).unwrap().1);
+        assert!(!cache.get_or_prepare(&b).unwrap().1);
         // Touch A so B becomes the least recently used…
-        let (pa2, hit) = cache.get_or_prepare(&a, wants(&a)).unwrap();
+        let (pa2, hit) = cache.get_or_prepare(&a).unwrap();
         assert!(hit);
         assert!(Arc::ptr_eq(&pa, &pa2), "a hit returns the resident Arc");
         // …then C's insert must evict B, not A.
-        assert!(!cache.get_or_prepare(&c, wants(&c)).unwrap().1);
+        assert!(!cache.get_or_prepare(&c).unwrap().1);
         assert_eq!(cache.stats().entries, 2);
-        assert!(cache.get_or_prepare(&a, wants(&a)).unwrap().1, "A survived");
-        assert!(
-            !cache.get_or_prepare(&b, wants(&b)).unwrap().1,
-            "B was evicted"
-        );
+        assert!(cache.get_or_prepare(&a).unwrap().1, "A survived");
+        assert!(!cache.get_or_prepare(&b).unwrap().1, "B was evicted");
 
         let stats = cache.stats();
         assert_eq!(stats.hits, 2);
@@ -370,8 +369,8 @@ mod tests {
         hybrid.set("backend", "hybrid:8").unwrap();
         let cache = TableCache::new(u64::MAX);
 
-        let (pd, _) = cache.get_or_prepare(&dense, wants(&dense)).unwrap();
-        let (ph, _) = cache.get_or_prepare(&hybrid, wants(&hybrid)).unwrap();
+        let (pd, _) = cache.get_or_prepare(&dense).unwrap();
+        let (ph, _) = cache.get_or_prepare(&hybrid).unwrap();
         // The charged bytes are exactly what the phys tables report
         // plus the positions each preparation carries.
         let pos_bytes = std::mem::size_of_val(pd.positions());
@@ -400,8 +399,8 @@ mod tests {
         let mut plain = spec(7);
         plain.set("backend", "exact").unwrap();
         let cache = TableCache::new(u64::MAX);
-        assert!(!cache.get_or_prepare(&dense, wants(&dense)).unwrap().1);
-        let (pp, hit) = cache.get_or_prepare(&plain, wants(&plain)).unwrap();
+        assert!(!cache.get_or_prepare(&dense).unwrap().1);
+        let (pp, hit) = cache.get_or_prepare(&plain).unwrap();
         assert!(!hit, "an exact request must not adopt the dense entry");
         assert!(pp.gain_table().is_none(), "plain entries carry no table");
         assert_eq!(cache.stats().entries, 2);
@@ -424,7 +423,7 @@ mod tests {
         let cache = TableCache::new(u64::MAX);
         let mut entries: Vec<Arc<PreparedDeployment>> = Vec::new();
         for s in [&dense, &hybrid, &mobile] {
-            let (prep, _) = cache.get_or_prepare(s, wants(s)).unwrap();
+            let (prep, _) = cache.get_or_prepare(s).unwrap();
             s.build_with_prepared(&prep).unwrap().run().unwrap();
             if !entries.iter().any(|e| Arc::ptr_eq(e, &prep)) {
                 entries.push(prep);
@@ -441,7 +440,7 @@ mod tests {
     fn oversized_entries_are_served_uncached() {
         let a = spec(8);
         let cache = TableCache::new(16); // nothing fits
-        let (prep, hit) = cache.get_or_prepare(&a, wants(&a)).unwrap();
+        let (prep, hit) = cache.get_or_prepare(&a).unwrap();
         assert!(!hit);
         assert!(prep.matches(&a));
         let stats = cache.stats();
@@ -463,12 +462,12 @@ mod tests {
         // cache in the picture.
         let cold = crate::report_for(&fixed.build().unwrap().run().unwrap()).to_json();
 
-        let (prep, _) = cache.get_or_prepare(&fixed, wants(&fixed)).unwrap();
+        let (prep, _) = cache.get_or_prepare(&fixed).unwrap();
         let before = prep.positions().to_vec();
 
         // The mobile request shares the same key (mobility is not part
         // of the deployment identity) and must hit.
-        let (same, hit) = cache.get_or_prepare(&mobile, wants(&mobile)).unwrap();
+        let (same, hit) = cache.get_or_prepare(&mobile).unwrap();
         assert!(hit, "mobility must not bypass the cache");
         assert!(Arc::ptr_eq(&prep, &same));
         let run = mobile.build_with_prepared(&same).unwrap().run().unwrap();
@@ -482,7 +481,7 @@ mod tests {
         // slot-0 geometry, and a static run through it is byte-identical
         // to the cold build.
         assert_eq!(prep.positions(), &before[..]);
-        let (again, hit) = cache.get_or_prepare(&fixed, wants(&fixed)).unwrap();
+        let (again, hit) = cache.get_or_prepare(&fixed).unwrap();
         assert!(hit);
         let warm =
             crate::report_for(&fixed.build_with_prepared(&again).unwrap().run().unwrap()).to_json();
@@ -493,11 +492,11 @@ mod tests {
     fn concurrent_adoption_from_many_workers() {
         let a = spec(10);
         let cache = TableCache::new(u64::MAX);
-        let (warm, _) = cache.get_or_prepare(&a, wants(&a)).unwrap();
+        let (warm, _) = cache.get_or_prepare(&a).unwrap();
         std::thread::scope(|s| {
             for _ in 0..8 {
                 s.spawn(|| {
-                    let (prep, hit) = cache.get_or_prepare(&a, wants(&a)).unwrap();
+                    let (prep, hit) = cache.get_or_prepare(&a).unwrap();
                     assert!(hit);
                     assert!(Arc::ptr_eq(&warm, &prep));
                 });
@@ -515,7 +514,7 @@ mod tests {
         std::thread::scope(|s| {
             for _ in 0..4 {
                 s.spawn(|| {
-                    let (prep, _) = cache.get_or_prepare(&a, wants(&a)).unwrap();
+                    let (prep, _) = cache.get_or_prepare(&a).unwrap();
                     assert!(prep.matches(&a));
                 });
             }
@@ -541,16 +540,14 @@ mod tests {
         let waiter = spec(14);
         let mut doomed = spec(14);
         doomed.name = "__panic_once_waited__".into();
-        let shared = wants(&waiter);
         let cache = TableCache::new(u64::MAX);
         std::thread::scope(|s| {
-            let doomed_cell = s.spawn(|| execute_cell(&doomed, Some((&cache, shared))));
+            let doomed_cell = s.spawn(|| execute_cell(&doomed, Some(&cache)));
             // Look up only once the doomed preparation holds the key.
             while in_flight(&cache) == 0 {
                 std::thread::yield_now();
             }
-            let (_, hit) =
-                execute_cell(&waiter, Some((&cache, shared))).expect("the waiter completes");
+            let (_, hit) = execute_cell(&waiter, Some(&cache)).expect("the waiter completes");
             assert!(!hit, "the panicked preparation inserted nothing");
             match doomed_cell.join().expect("the panic is caught in the cell") {
                 Err(ScenarioError::Panicked { cell, message }) => {
@@ -573,18 +570,57 @@ mod tests {
         let next = spec(15);
         let mut doomed = spec(15);
         doomed.name = "__panic_in_run__".into();
-        let shared = wants(&next);
         let cache = TableCache::new(u64::MAX);
-        let err = execute_cell(&doomed, Some((&cache, shared))).unwrap_err();
+        let err = execute_cell(&doomed, Some(&cache)).unwrap_err();
         assert!(
             matches!(&err, ScenarioError::Panicked { message, .. } if message.contains("in run")),
             "{err}"
         );
         assert_eq!(in_flight(&cache), 0);
-        let (_, hit) = execute_cell(&next, Some((&cache, shared))).expect("the next cell runs");
+        let (_, hit) = execute_cell(&next, Some(&cache)).expect("the next cell runs");
         assert!(
             hit,
             "the entry prepared before the run panic serves the next cell"
         );
+    }
+
+    #[test]
+    fn a_failing_preparation_runs_once() {
+        // 40 nodes on a 4000-wide square never connect at range 8, so
+        // the search exhausts its seed budget. The cache's error is the
+        // cell's error: the deployment is not searched a second time.
+        let mut lonely = spec(16);
+        lonely
+            .set("deploy", "connected:uniform:40:4000:77")
+            .unwrap();
+        let cache = TableCache::new(u64::MAX);
+        let err = execute_cell(&lonely, Some(&cache)).unwrap_err();
+        assert!(
+            matches!(err, ScenarioError::NoConnectedDeployment { .. }),
+            "{err}"
+        );
+        assert_eq!(crate::build::tests::realized(&lonely.deploy), 1);
+        assert_eq!(in_flight(&cache), 0);
+    }
+
+    #[test]
+    fn ideal_specs_prepare_no_table_and_share_the_exact_entry() {
+        // mac=ideal runs no reception engine, so whatever its backend
+        // field says, its preparation carries no table.
+        let mut ideal = spec(17);
+        ideal.set("mac", "ideal:eager").unwrap();
+        let prep = PreparedDeployment::prepare(&ideal).unwrap();
+        assert_eq!(prep.tables().bytes(), 0);
+        assert!(prep.gain_table().is_none() && prep.hybrid_table().is_none());
+        if std::env::var("SINR_BACKEND").is_ok() {
+            return;
+        }
+        let mut exact = spec(17);
+        exact.set("backend", "exact").unwrap();
+        let cache = TableCache::new(u64::MAX);
+        assert!(!cache.get_or_prepare(&exact).unwrap().1);
+        let (_, hit) = execute_cell(&ideal, Some(&cache)).unwrap();
+        assert!(hit, "an ideal cell adopts the exact entry");
+        assert_eq!(cache.stats().entries, 1);
     }
 }

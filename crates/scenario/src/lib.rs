@@ -64,7 +64,7 @@ pub mod json;
 
 pub use build::{
     connected_uniform, PreparedDeployment, RunnableScenario, ScenarioCtx, ScenarioMac,
-    ScenarioOutcome, ScenarioRun, TableWants, WorkClient, CONNECTED_SEED_BUDGET,
+    ScenarioOutcome, ScenarioRun, WorkClient, CONNECTED_SEED_BUDGET,
 };
 pub use cache::{execute_cell, lock_unpoisoned, CacheStats, TableCache};
 pub use error::ScenarioError;
@@ -79,7 +79,7 @@ pub use spec::{
 };
 pub use sweep::{
     escape_component, splitmix64, unescape_cell_name, unescape_component, Axis, ScenarioSet, Shard,
-    ShardSummary, SweepPlan,
+    ShardSummary,
 };
 
 /// The items most scenario programs need, in one import.
@@ -136,10 +136,10 @@ pub fn env_backend_override(spec: sinr_phys::BackendSpec) -> sinr_phys::BackendS
 /// crossover and the dense-table memory fallback against the realized
 /// deployment size.
 ///
-/// Every consumer that needs "the effective backend for n nodes" —
-/// [`ScenarioSpec::build`], [`PreparedDeployment::prepare`], the sweep
-/// executor and the scenario service's workers — goes through this one
-/// helper so they can never disagree.
+/// [`ScenarioSpec::build`] resolves the backend it runs through this
+/// helper, and [`PreparedDeployment::prepare`] builds its table for the
+/// same [`sinr_phys::BackendSpec::tuned`] resolution, so the table a
+/// cell is handed is always the one its kernel consumes.
 ///
 /// # Panics
 ///

@@ -982,9 +982,9 @@ impl ScenarioSpec {
     /// graphs and gains, so one [`crate::PreparedDeployment`] serves
     /// both. The key covers exactly the deployment spec (geometry,
     /// generator seed, connectivity search) and the SINR parameters
-    /// (gains are `P/d^α` with `P` derived from the SINR spec); the
-    /// sweep planner and the scenario service's table cache both key on
-    /// it.
+    /// (gains are `P/d^α` with `P` derived from the SINR spec); with
+    /// the table's interference model it keys the [`crate::TableCache`]
+    /// that sweeps and the scenario service share.
     pub fn deployment_key(&self) -> String {
         // '\u{1}' cannot appear in either Display form, so the key is
         // unambiguous.

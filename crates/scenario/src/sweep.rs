@@ -16,31 +16,31 @@
 //! deployment, yet deployment preparation (geometry realization, graph
 //! induction and — for `backend=cached` / `backend=hybrid` — the
 //! dense or sparse gain-table build) is the dominant per-cell cost at
-//! large n. The executor therefore
-//! *plans* before it runs ([`ScenarioSet::plan`]): cells are grouped by
-//! their **deployment key** — deployment spec (geometry + seed +
-//! connectivity search) × SINR parameters — while cells that move nodes
-//! (`mobility=`, `dyn=teleport:…`) and cells that are their
-//! deployment's sole consumer are left ungrouped. The first worker
-//! to claim a cell of a group prepares it once
-//! ([`crate::PreparedDeployment`]) in the sweep's [`TableCache`], keyed
-//! by the group's merged table wants; every other cell of the group
-//! gets `Arc` clones of the shared state through
-//! [`ScenarioSpec::build_with_prepared`], and the group's last cell to
-//! finish releases the shared state, so a many-group sweep never holds
-//! every gain table alive at once. Results are **byte-identical**
-//! to per-cell preparation ([`ScenarioSet::without_shared_prepare`];
-//! differentially property-tested in `tests/sweep_equivalence.rs`):
-//! the shared values equal what each cell would have computed, and a
-//! cell that moves nodes anyway forks its gain table copy-on-write.
+//! large n. The executor therefore shares preparations through one
+//! [`TableCache`], whose key — deployment spec (geometry + seed +
+//! connectivity search) × SINR parameters × the table's interference
+//! model — names exactly one [`crate::PreparedDeployment::prepare`]
+//! result. Before it runs, the executor counts the cells it will
+//! execute per key, leaving out cells that move nodes (`mobility=`,
+//! `dyn=teleport:…`). A key used at least twice is shared: the first
+//! worker to reach it prepares once, every other cell gets `Arc` clones
+//! of the shared state through [`ScenarioSpec::build_with_prepared`],
+//! and the count is the cache's release hint, so the key's last cell
+//! to finish releases it and a many-deployment sweep never holds every
+//! gain table alive at once. Every other cell prepares privately.
+//! Results are **byte-identical** to per-cell preparation
+//! ([`ScenarioSet::without_shared_prepare`]; differentially
+//! property-tested in `tests/sweep_equivalence.rs`): both paths run the
+//! same preparation of the same spec, and a cell that moves nodes
+//! anyway forks its gain table copy-on-write.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 
-use crate::build::{ScenarioRun, TableWants};
-use crate::cache::{execute_cell, lock_unpoisoned, TableCache};
+use crate::build::ScenarioRun;
+use crate::cache::{cache_key, execute_cell, lock_unpoisoned, CacheStats, TableCache};
 use crate::spec::{ScenarioSpec, SeedSpec};
 use crate::ScenarioError;
 
@@ -148,11 +148,11 @@ pub struct ScenarioSet {
     /// exactly the unbounded growth a sweep must avoid. Enable only for
     /// small sweeps whose post-processing needs the traces.
     pub keep_traces: bool,
-    /// Prepare each deployment group once and share it across the
-    /// group's cells (on by default; see the module docs). Turning it
-    /// off forces the legacy per-cell preparation — the reference the
-    /// differential tests and the `bench_scenario` prepare-heavy rows
-    /// compare against. Results are byte-identical either way.
+    /// Prepare each cache key once and share it across the cells that
+    /// use it (on by default; see the module docs). Turning it off
+    /// forces per-cell preparation — the reference the differential
+    /// tests and the `bench_scenario` prepare-heavy rows compare
+    /// against. Results are byte-identical either way.
     pub shared_prepare: bool,
 }
 
@@ -190,8 +190,7 @@ impl ScenarioSet {
     }
 
     /// Disables shared preparation: every cell realizes its deployment,
-    /// induces its graphs and builds its gain cache from scratch, as the
-    /// executor did before the sweep planner existed.
+    /// induces its graphs and builds its gain table from scratch.
     pub fn without_shared_prepare(mut self) -> Self {
         self.shared_prepare = false;
         self
@@ -246,83 +245,6 @@ impl ScenarioSet {
         Ok(cells)
     }
 
-    /// Expands the grid and groups cells for shared preparation (see
-    /// the module docs for the grouping rules). Groups with a single
-    /// member are dissolved back to per-cell preparation: preparing
-    /// once for one consumer is the same work plus a positions/graphs
-    /// clone, so a deployment-swept sweep (every cell its own
-    /// deployment) plans exactly like the legacy executor.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioSet::cells`].
-    pub fn plan(&self) -> Result<SweepPlan, ScenarioError> {
-        let cells = self.cells()?;
-        let mut key_index: std::collections::HashMap<String, usize> =
-            std::collections::HashMap::new();
-        let mut groups: Vec<Option<usize>> = Vec::with_capacity(cells.len());
-        let mut wants_table: Vec<TableWants> = Vec::new();
-        let mut members: Vec<usize> = Vec::new();
-        for cell in &cells {
-            let Some(key) = deployment_key(cell) else {
-                groups.push(None);
-                continue;
-            };
-            let next = key_index.len();
-            let g = *key_index.entry(key).or_insert(next);
-            if g == wants_table.len() {
-                wants_table.push(TableWants::default());
-                members.push(0);
-            }
-            wants_table[g].merge(TableWants::of(
-                crate::env_backend_override(cell.backend).model,
-            ));
-            members[g] += 1;
-            groups.push(Some(g));
-        }
-        // Dissolve singleton groups and renumber the survivors densely.
-        let mut renumber: Vec<Option<usize>> = Vec::with_capacity(members.len());
-        let mut surviving_tables: Vec<TableWants> = Vec::new();
-        for (g, &count) in members.iter().enumerate() {
-            if count > 1 {
-                renumber.push(Some(surviving_tables.len()));
-                surviving_tables.push(wants_table[g]);
-            } else {
-                renumber.push(None);
-            }
-        }
-        for slot in &mut groups {
-            *slot = slot.and_then(|g| renumber[g]);
-        }
-        Ok(SweepPlan {
-            cells,
-            groups,
-            wants_table: surviving_tables,
-        })
-    }
-
-    /// The plan the executor runs: the shared-preparation plan, or —
-    /// with [`shared_prepare`](ScenarioSet::shared_prepare) off — a
-    /// flat plan with every cell prepared privately (the reference leg
-    /// of the equivalence tests must not pay for a plan it ignores).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`ScenarioSet::cells`].
-    pub fn execution_plan(&self) -> Result<SweepPlan, ScenarioError> {
-        if self.shared_prepare {
-            self.plan()
-        } else {
-            let cells = self.cells()?;
-            let groups = vec![None; cells.len()];
-            Ok(SweepPlan {
-                cells,
-                groups,
-                wants_table: Vec::new(),
-            })
-        }
-    }
-
     /// Builds and runs every cell across `threads` OS threads
     /// (`std::thread::scope`; a shared chunk-stealing work queue keeps
     /// the threads busy regardless of per-cell cost). Results come back
@@ -330,10 +252,8 @@ impl ScenarioSet {
     /// further cells (already-running cells finish) and is returned.
     ///
     /// With [`shared_prepare`](ScenarioSet::shared_prepare) on (the
-    /// default), the first worker to claim a cell of a deployment group
-    /// prepares the group once and later cells reuse the shared state —
-    /// see the module docs; reports are byte-identical to per-cell
-    /// preparation.
+    /// default), cells that share a cache key prepare it once — see the
+    /// module docs; reports are byte-identical to per-cell preparation.
     ///
     /// This is the collect-everything convenience over
     /// [`ScenarioSet::run_sharded`]; a sweep too large to hold in
@@ -343,11 +263,11 @@ impl ScenarioSet {
     ///
     /// The first (in cell order) [`ScenarioError`] any cell produced.
     pub fn run(&self, threads: usize) -> Result<Vec<ScenarioRun>, ScenarioError> {
-        let plan = self.execution_plan()?;
+        let cells = self.cells()?;
         let results: Vec<Mutex<Option<ScenarioRun>>> =
-            plan.cells.iter().map(|_| Mutex::new(None)).collect();
+            cells.iter().map(|_| Mutex::new(None)).collect();
         self.run_sharded(
-            &plan,
+            &cells,
             threads,
             Shard::full(),
             &BTreeSet::new(),
@@ -366,29 +286,32 @@ impl ScenarioSet {
             .collect())
     }
 
-    /// The streaming sweep executor: runs the cells of `shard` that are
-    /// not already `completed`, handing each finished [`ScenarioRun`]
-    /// to `sink` **by value** — the executor retains nothing, so
-    /// resident memory stays O(threads) regardless of sweep size
-    /// (pinned by [`ShardSummary::peak_resident_runs`]).
+    /// The streaming sweep executor: runs the `cells` (this set's
+    /// [`ScenarioSet::cells`]) of `shard` that are not already
+    /// `completed`, handing each finished [`ScenarioRun`] to `sink`
+    /// **by value** — the executor retains nothing, so resident memory
+    /// stays O(threads) regardless of sweep size (pinned by
+    /// [`ShardSummary::peak_resident_runs`]).
     ///
     /// Workers claim cells from a shared atomic cursor in chunks
     /// (`≈ work/8·threads`, capped at 64) — the `std::thread::scope`
     /// reimplementation of rayon's work-stealing `par_iter` idiom — so
     /// a million-cell sweep pays one atomic per chunk, not per cell,
     /// while uneven per-cell cost still rebalances across threads.
-    /// Shared-preparation groups count only the cells this invocation
-    /// actually executes: each group's count is the [`TableCache`]
-    /// release hint, so the group's last *executed* cell releases the
-    /// shared tables, and a group left with a single cell after
-    /// shard/resume filtering prepares per cell (sharing would buy
-    /// nothing). Reports are byte-identical to [`ScenarioSet::run`] on
-    /// the full grid: per-cell seeds derive from the **global** cell
-    /// index, which sharding never renumbers.
+    /// With [`shared_prepare`](ScenarioSet::shared_prepare) on, the
+    /// executor counts the non-moving cells this invocation actually
+    /// executes per cache key: a key used at least twice is shared, its
+    /// count is the [`TableCache`] release hint, so its last *executed*
+    /// cell releases the shared tables, and a key left with a single
+    /// cell after shard/resume filtering prepares per cell (sharing
+    /// would buy nothing). [`ShardSummary::cache`] reports the hits and
+    /// misses. Reports are byte-identical to [`ScenarioSet::run`] on the
+    /// full grid: per-cell seeds derive from the **global** cell index,
+    /// which sharding never renumbers.
     ///
     /// Every cell runs through [`execute_cell`], which catches a panic
     /// at the cell boundary ([`ScenarioError::Panicked`]); a panic in a
-    /// shared preparation releases its in-flight key, so the group's
+    /// shared preparation releases its in-flight key, so the key's
     /// other cells prepare again and one bad cell surfaces one error
     /// instead of aborting the process.
     ///
@@ -398,49 +321,59 @@ impl ScenarioSet {
     /// produced; in-flight cells still finish (and flush) first.
     pub fn run_sharded(
         &self,
-        plan: &SweepPlan,
+        cells: &[ScenarioSpec],
         threads: usize,
         shard: Shard,
         completed: &BTreeSet<usize>,
         sink: &(dyn Fn(usize, ScenarioRun) -> Result<(), ScenarioError> + Sync),
     ) -> Result<ShardSummary, ScenarioError> {
         let cache = TableCache::new(u64::MAX);
-        self.run_with_cache(plan, threads, shard, completed, &cache, sink)
+        self.run_with_cache(cells, threads, shard, completed, &cache, sink)
     }
 
-    /// [`ScenarioSet::run_sharded`] with the cache its groups share.
+    /// [`ScenarioSet::run_sharded`] with the cache its cells share.
     fn run_with_cache(
         &self,
-        plan: &SweepPlan,
+        cells: &[ScenarioSpec],
         threads: usize,
         shard: Shard,
         completed: &BTreeSet<usize>,
         cache: &TableCache,
         sink: &(dyn Fn(usize, ScenarioRun) -> Result<(), ScenarioError> + Sync),
     ) -> Result<ShardSummary, ScenarioError> {
-        let cells = &plan.cells;
         let cells_in_shard = (0..cells.len()).filter(|i| shard.owns(*i)).count();
         let work: Vec<usize> = (0..cells.len())
             .filter(|i| shard.owns(*i) && !completed.contains(i))
             .collect();
         let threads = crate::pool_threads(Some(threads), Some(work.len()));
-        // Per group: executed cells and one of them, whose spec names the
-        // group's cache key.
-        let mut uses = vec![(0usize, 0usize); plan.group_count()];
-        for &i in &work {
-            if let Some(g) = plan.groups[i] {
-                uses[g] = (uses[g].0 + 1, i);
+        // Distinct cache keys with their executed, non-moving users, and
+        // per executed cell the index of its key; a key is shared only
+        // when at least two executed cells use it.
+        let mut index: HashMap<String, usize> = HashMap::new();
+        let mut uses: Vec<(String, usize)> = Vec::new();
+        let key_of: Vec<Option<usize>> = work
+            .iter()
+            .map(|&i| {
+                if !self.shared_prepare || cells[i].moves_nodes() {
+                    return None;
+                }
+                let k = *index.entry(cache_key(&cells[i])).or_insert_with_key(|key| {
+                    uses.push((key.clone(), 0));
+                    uses.len() - 1
+                });
+                uses[k].1 += 1;
+                Some(k)
+            })
+            .collect();
+        for (key, count) in &uses {
+            if *count >= 2 {
+                cache.release_after(key, *count);
             }
         }
-        for (g, &(count, member)) in uses.iter().enumerate() {
-            if count >= 2 {
-                cache.release_after(&cells[member], plan.wants_table[g], count);
-            }
-        }
-        let shared = |i: usize| {
-            plan.groups[i]
-                .filter(|&g| uses[g].0 >= 2)
-                .map(|g| plan.wants_table[g])
+        let shared_key = |k: Option<usize>| {
+            k.map(|k| &uses[k])
+                .filter(|(_, count)| *count >= 2)
+                .map(|(key, _)| key.as_str())
         };
         let cursor = AtomicUsize::new(0);
         let abort = AtomicBool::new(false);
@@ -458,14 +391,15 @@ impl ScenarioSet {
                     if start >= work.len() {
                         break;
                     }
-                    for &i in &work[start..(start + chunk).min(work.len())] {
+                    let end = (start + chunk).min(work.len());
+                    for (&i, &k) in work[start..end].iter().zip(&key_of[start..end]) {
                         if abort.load(Ordering::Relaxed) {
                             break;
                         }
-                        let wants = shared(i);
-                        let outcome = execute_cell(&cells[i], wants.map(|w| (cache, w)));
-                        if let Some(w) = wants {
-                            cache.finished(&cells[i], w);
+                        let key = shared_key(k);
+                        let outcome = execute_cell(&cells[i], key.map(|_| cache));
+                        if let Some(key) = key {
+                            cache.finished(key);
                         }
                         match outcome {
                             Ok((run, _)) => {
@@ -498,6 +432,7 @@ impl ScenarioSet {
             skipped: cells_in_shard - work.len(),
             executed: work.len(),
             peak_resident_runs: peak.load(Ordering::Relaxed),
+            cache: cache.stats(),
         })
     }
 }
@@ -567,52 +502,11 @@ pub struct ShardSummary {
     /// and buffers nothing, which is what makes a million-cell sweep's
     /// resident memory O(threads) instead of O(cells).
     pub peak_resident_runs: usize,
-}
-
-/// The shared-preparation grouping key of one cell, or `None` when the
-/// cell must prepare privately. Cells share exactly when their realized
-/// deployment and derived gains are guaranteed identical: same
-/// deployment spec (geometry, generator seed, connectivity search) and
-/// same SINR parameters (gains are `P/d^α` with `P` derived from the
-/// SINR spec). Cells that move nodes — continuous `mobility=` or a
-/// scripted `dyn=teleport:…` — are left ungrouped: their gain tables
-/// diverge from slot 0's, so sharing would only buy a copy-on-write
-/// fork. (Sharing would still be *correct* — the fork protects
-/// sharers — just not profitable.)
-fn deployment_key(cell: &ScenarioSpec) -> Option<String> {
-    if cell.moves_nodes() {
-        return None;
-    }
-    Some(cell.deployment_key())
-}
-
-/// The output of [`ScenarioSet::plan`]: expanded cells plus their
-/// shared-preparation grouping.
-#[derive(Debug, Clone)]
-pub struct SweepPlan {
-    /// Expanded cells, in sweep (row-major) order.
-    pub cells: Vec<ScenarioSpec>,
-    /// For each cell, its deployment group (`None` = prepared per
-    /// cell: the cell moves nodes, or it is the sole consumer of its
-    /// deployment and sharing would buy nothing).
-    pub groups: Vec<Option<usize>>,
-    /// Per group: the merged table wants of the members' effective
-    /// backends — whether preparation must include the shared dense
-    /// gain table, a sparse hybrid table (and at which cutoff), or
-    /// neither.
-    pub(crate) wants_table: Vec<TableWants>,
-}
-
-impl SweepPlan {
-    /// Number of shared-preparation groups.
-    pub fn group_count(&self) -> usize {
-        self.wants_table.len()
-    }
-
-    /// Number of cells that participate in shared preparation.
-    pub fn shared_cell_count(&self) -> usize {
-        self.groups.iter().flatten().count()
-    }
+    /// The shared-preparation cache's counters: one miss per shared key
+    /// prepared, one hit per cell that adopted it. Cells that prepare
+    /// privately (moving cells, keys used once, or every cell without
+    /// [`shared_prepare`](ScenarioSet::shared_prepare)) count neither.
+    pub cache: CacheStats,
 }
 
 #[cfg(test)]
@@ -715,66 +609,59 @@ mod tests {
         assert_eq!(set.cells().unwrap()[0].name, "sweep-base/mac.t_mult=2");
     }
 
+    /// Runs the whole sweep and returns its cache's (misses, hits).
+    fn cache_counts(set: &ScenarioSet) -> (u64, u64) {
+        let cells = set.cells().unwrap();
+        let summary = set
+            .run_sharded(&cells, 2, Shard::full(), &BTreeSet::new(), &|_, _| Ok(()))
+            .unwrap();
+        (summary.cache.misses, summary.cache.hits)
+    }
+
     #[test]
-    fn plan_groups_fixed_deployment_cells_together() {
-        // Four mac.t_mult cells over one deployment: one shared group.
+    fn fixed_deployment_cells_share_one_preparation() {
+        // Four mac.t_mult cells over one deployment: one key, prepared
+        // once and adopted three times.
         let set = ScenarioSet::new(base()).axis(
             "mac.t_mult",
             vec!["1".into(), "2".into(), "3".into(), "4".into()],
         );
-        let plan = set.plan().unwrap();
-        assert_eq!(plan.cells.len(), 4);
-        assert_eq!(plan.group_count(), 1);
-        assert_eq!(plan.shared_cell_count(), 4);
-        assert!(plan.groups.iter().all(|g| *g == Some(0)));
+        assert_eq!(cache_counts(&set), (1, 3));
+        assert_eq!(cache_counts(&set.without_shared_prepare()), (0, 0));
     }
 
     #[test]
-    fn plan_separates_distinct_deployments_and_sinr_params() {
+    fn distinct_deployments_and_sinr_params_prepare_apart() {
+        // The seed axis changes only the run seed (lattice geometry has
+        // no generator seed), so cells share by sinr.range: 2 keys of 2
+        // cells.
         let set = ScenarioSet::new(base())
             .axis("sinr.range", vec!["8".into(), "12".into()])
             .axis("seed", vec!["1".into(), "2".into()]);
-        let plan = set.plan().unwrap();
-        // The seed axis changes only the run seed (lattice geometry has
-        // no generator seed), so cells group by sinr.range: 2 groups of
-        // 2 cells.
-        assert_eq!(plan.group_count(), 2);
-        assert_eq!(plan.shared_cell_count(), 4);
-        assert_eq!(plan.groups, vec![Some(0), Some(0), Some(1), Some(1)]);
+        assert_eq!(cache_counts(&set), (2, 2));
 
-        // A swept deployment makes every cell the sole consumer of its
-        // deployment: the singleton groups are dissolved and the cells
-        // prepare per cell, exactly like the legacy executor.
+        // A swept deployment makes every cell the sole user of its key:
+        // nothing is shared and every cell prepares privately.
         let set = ScenarioSet::new(base()).axis(
             "deploy",
             vec!["lattice:3:3:2".into(), "lattice:4:4:2".into()],
         );
-        let plan = set.plan().unwrap();
-        assert_eq!(plan.group_count(), 0);
-        assert_eq!(plan.groups, vec![None, None]);
+        assert_eq!(cache_counts(&set), (0, 0));
     }
 
     #[test]
-    fn plan_leaves_moving_cells_ungrouped() {
+    fn moving_cells_prepare_privately() {
+        // mobility=none cells share one key; drift cells are private.
         let set = ScenarioSet::new(base())
             .axis("mobility", vec!["none".into(), "drift:0.2:5".into()])
             .axis("mac.t_mult", vec!["1".into(), "2".into()]);
-        let plan = set.plan().unwrap();
-        // mobility=none cells share one group; drift cells are private.
-        assert_eq!(plan.groups[0], Some(0));
-        assert_eq!(plan.groups[1], Some(0));
-        assert_eq!(plan.groups[2], None);
-        assert_eq!(plan.groups[3], None);
-        assert_eq!(plan.shared_cell_count(), 2);
+        assert_eq!(cache_counts(&set), (1, 1));
 
         // A teleport event also forces private preparation.
         let mut spec = base();
         spec.set("dyn", "teleport:1:40:40@50").unwrap();
-        let plan = ScenarioSet::new(spec)
-            .axis("mac.t_mult", vec!["1".into()])
-            .plan()
-            .unwrap();
-        assert_eq!(plan.groups, vec![None]);
+        let set = ScenarioSet::new(spec).axis("mac.t_mult", vec!["1".into(), "2".into()]);
+        assert_eq!(cache_counts(&set), (0, 0));
     }
 
     #[test]
@@ -833,14 +720,14 @@ mod tests {
             .iter()
             .map(|r| crate::report_for(r).to_json())
             .collect();
-        let plan = set.execution_plan().unwrap();
+        let cells = set.cells().unwrap();
         let merged: Vec<Mutex<Option<String>>> =
-            (0..plan.cells.len()).map(|_| Mutex::new(None)).collect();
+            (0..cells.len()).map(|_| Mutex::new(None)).collect();
         let mut summaries = Vec::new();
         for index in 0..3 {
             let shard = Shard { index, count: 3 };
             let summary = set
-                .run_sharded(&plan, 2, shard, &BTreeSet::new(), &|i, run| {
+                .run_sharded(&cells, 2, shard, &BTreeSet::new(), &|i, run| {
                     let prev =
                         lock_unpoisoned(&merged[i]).replace(crate::report_for(&run).to_json());
                     assert!(prev.is_none(), "cell {i} executed twice");
@@ -865,11 +752,11 @@ mod tests {
     #[test]
     fn run_sharded_skips_completed_cells() {
         let set = ScenarioSet::new(base()).axis("seed", vec!["1".into(), "2".into(), "3".into()]);
-        let plan = set.execution_plan().unwrap();
+        let cells = set.cells().unwrap();
         let completed = BTreeSet::from([0, 2]);
         let executed = Mutex::new(Vec::new());
         let summary = set
-            .run_sharded(&plan, 2, Shard::full(), &completed, &|i, _| {
+            .run_sharded(&cells, 2, Shard::full(), &completed, &|i, _| {
                 lock_unpoisoned(&executed).push(i);
                 Ok(())
             })
@@ -881,50 +768,52 @@ mod tests {
 
     #[test]
     fn panicking_cell_surfaces_its_own_error_and_spares_the_group() {
-        // Two cells in one shared-prepare group; the injected panic
-        // fires in the first cell's preparation, while its cache key is
-        // in flight. That cell gets Panicked; the group's other cell
-        // still prepares through the cache and completes.
+        // Two cells under one shared cache key; the injected panic
+        // fires in the first cell's preparation, while its key is in
+        // flight. That cell gets Panicked; the key's other cell still
+        // prepares through the cache and completes.
         let set = ScenarioSet::new(base())
             .axis("name", vec!["__panic_in_prepare__".into(), "spared".into()]);
-        let plan = set.execution_plan().unwrap();
-        assert_eq!(plan.group_count(), 1, "panic path needs a shared group");
+        let cells = set.cells().unwrap();
+        assert_eq!(
+            cache_key(&cells[0]),
+            cache_key(&cells[1]),
+            "panic path needs a shared key"
+        );
         // Drive execute_cell directly (the executor aborts on the first
         // error, which would hide the spared cell).
         let cache = TableCache::new(u64::MAX);
-        let shared = Some((&cache, plan.wants_table[0]));
-        match execute_cell(&plan.cells[0], shared).unwrap_err() {
+        match execute_cell(&cells[0], Some(&cache)).unwrap_err() {
             ScenarioError::Panicked { cell, message } => {
                 assert!(cell.contains("__panic_in_prepare__"), "{cell}");
                 assert!(message.contains("injected test panic"), "{message}");
             }
             other => panic!("expected Panicked, got {other}"),
         }
-        let (_, hit) = execute_cell(&plan.cells[1], shared).expect("the spared cell completes");
+        let (_, hit) = execute_cell(&cells[1], Some(&cache)).expect("the spared cell completes");
         assert!(!hit, "the panicked preparation left nothing to adopt");
         let stats = cache.stats();
         assert_eq!((stats.misses, stats.entries), (2, 1), "{stats:?}");
         // The whole-sweep behavior: an orderly error, not an abort of
         // the process.
         let err = set
-            .run_sharded(&plan, 1, Shard::full(), &BTreeSet::new(), &|_, _| Ok(()))
+            .run_sharded(&cells, 1, Shard::full(), &BTreeSet::new(), &|_, _| Ok(()))
             .unwrap_err();
         assert!(matches!(err, ScenarioError::Panicked { .. }), "{err}");
     }
 
     #[test]
     fn each_group_releases_its_preparation_when_its_last_cell_finishes() {
-        // Two groups of two cells (sinr.range splits the deployment key)
-        // on one thread, so cells run in order: each group's entry is
+        // Two keys of two cells (sinr.range splits the deployment key)
+        // on one thread, so cells run in order: each key's entry is
         // gone by the time its last cell is flushed, before the next
-        // group prepares, and nothing is left once the sweep returns.
+        // key prepares, and nothing is left once the sweep returns.
         let mut spec = base();
         spec.set("backend", "cached").unwrap();
         let set = ScenarioSet::new(spec)
             .axis("sinr.range", vec!["8".into(), "12".into()])
             .axis("mac.t_mult", vec!["1".into(), "2".into()]);
-        let plan = set.plan().unwrap();
-        assert_eq!(plan.groups, vec![Some(0), Some(0), Some(1), Some(1)]);
+        let cells = set.cells().unwrap();
         let cache = TableCache::new(u64::MAX);
         let held = Mutex::new(Vec::new());
         let sink = |_, _| {
@@ -932,12 +821,12 @@ mod tests {
             lock_unpoisoned(&held).push((stats.entries, stats.resident_bytes > 0));
             Ok(())
         };
-        set.run_with_cache(&plan, 1, Shard::full(), &BTreeSet::new(), &cache, &sink)
+        set.run_with_cache(&cells, 1, Shard::full(), &BTreeSet::new(), &cache, &sink)
             .unwrap();
         assert_eq!(
             *lock_unpoisoned(&held),
             vec![(1, true), (0, false), (1, true), (0, false)],
-            "at most one group's preparation is ever resident"
+            "at most one key's preparation is ever resident"
         );
         let stats = cache.stats();
         assert_eq!((stats.entries, stats.resident_bytes), (0, 0));

@@ -54,15 +54,15 @@ fn assert_sharded_matches_single(set: &ScenarioSet, shards: usize, tag: &str) {
         .collect();
     let dir = tmp_dir(tag);
     let _ = std::fs::remove_dir_all(&dir);
-    let plan = set.execution_plan().unwrap();
+    let cells = set.cells().unwrap();
     let executions = AtomicUsize::new(0);
     for index in 0..shards {
         let shard = Shard {
             index,
             count: shards,
         };
-        let out = ShardOutput::create(&dir, set, plan.cells.len(), shard).unwrap();
-        set.run_sharded(&plan, 2, shard, &BTreeSet::new(), &|i, run| {
+        let out = ShardOutput::create(&dir, set, cells.len(), shard).unwrap();
+        set.run_sharded(&cells, 2, shard, &BTreeSet::new(), &|i, run| {
             executions.fetch_add(1, Ordering::Relaxed);
             assert!(
                 shard.owns(i),
@@ -110,14 +110,14 @@ fn shard_counts_and_prepare_modes_agree() {
 fn resume_skips_recorded_cells_and_completes_the_shard() {
     let set =
         ScenarioSet::new(tiny_base(80)).axis("seed", (1..=8).map(|s| s.to_string()).collect());
-    let plan = set.execution_plan().unwrap();
+    let cells = set.cells().unwrap();
     let shard = Shard { index: 0, count: 2 };
     let dir = tmp_dir("resume");
     let _ = std::fs::remove_dir_all(&dir);
     // First pass: record only cells 0 and 2, as if killed mid-sweep.
-    let out = ShardOutput::create(&dir, &set, plan.cells.len(), shard).unwrap();
+    let out = ShardOutput::create(&dir, &set, cells.len(), shard).unwrap();
     let stop_after = BTreeSet::from([0usize, 2]);
-    set.run_sharded(&plan, 1, shard, &BTreeSet::new(), &|i, run| {
+    set.run_sharded(&cells, 1, shard, &BTreeSet::new(), &|i, run| {
         if stop_after.contains(&i) {
             out.record(i, &report_for(&run))?;
         }
@@ -126,11 +126,11 @@ fn resume_skips_recorded_cells_and_completes_the_shard() {
     .unwrap();
     drop(out);
     // Resume: exactly the unrecorded owned cells (4 and 6) run.
-    let (out, completed) = ShardOutput::resume(&dir, &set, &plan.cells, shard).unwrap();
+    let (out, completed) = ShardOutput::resume(&dir, &set, &cells, shard).unwrap();
     assert_eq!(completed, stop_after);
     let executed = Mutex::new(Vec::new());
     let summary = set
-        .run_sharded(&plan, 2, shard, &completed, &|i, run| {
+        .run_sharded(&cells, 2, shard, &completed, &|i, run| {
             executed.lock().unwrap().push(i);
             out.record(i, &report_for(&run))
         })
@@ -141,7 +141,7 @@ fn resume_skips_recorded_cells_and_completes_the_shard() {
     ran.sort_unstable();
     assert_eq!(ran, vec![4, 6]);
     // The finished shard's file holds each owned cell exactly once.
-    let (_, completed) = ShardOutput::resume(&dir, &set, &plan.cells, shard).unwrap();
+    let (_, completed) = ShardOutput::resume(&dir, &set, &cells, shard).unwrap();
     assert_eq!(completed, BTreeSet::from([0, 2, 4, 6]));
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -149,19 +149,19 @@ fn resume_skips_recorded_cells_and_completes_the_shard() {
 #[test]
 fn resume_rejects_a_foreign_sweep_and_merge_rejects_gaps() {
     let set = ScenarioSet::new(tiny_base(60)).axis("seed", vec!["1".into(), "2".into()]);
-    let plan = set.execution_plan().unwrap();
+    let cells = set.cells().unwrap();
     let dir = tmp_dir("foreign");
     let _ = std::fs::remove_dir_all(&dir);
     let shard = Shard::full();
-    let out = ShardOutput::create(&dir, &set, plan.cells.len(), shard).unwrap();
-    set.run_sharded(&plan, 1, shard, &BTreeSet::new(), &|i, run| {
+    let out = ShardOutput::create(&dir, &set, cells.len(), shard).unwrap();
+    set.run_sharded(&cells, 1, shard, &BTreeSet::new(), &|i, run| {
         out.record(i, &report_for(&run))
     })
     .unwrap();
     drop(out);
     // A different axis is a different sweep key: resume must refuse.
     let other = ScenarioSet::new(tiny_base(60)).axis("seed", vec!["1".into(), "3".into()]);
-    let err = ShardOutput::resume(&dir, &other, &other.execution_plan().unwrap().cells, shard)
+    let err = ShardOutput::resume(&dir, &other, &other.cells().unwrap(), shard)
         .unwrap_err()
         .to_string();
     assert!(err.contains("identity mismatch"), "{err}");
@@ -185,11 +185,11 @@ fn streaming_keeps_resident_runs_bounded_by_threads() {
     let set = ScenarioSet::new(tiny_base(40))
         .axis("seed", (1..=256).map(|s| s.to_string()).collect())
         .with_traces();
-    let plan = set.execution_plan().unwrap();
+    let cells = set.cells().unwrap();
     let sink_calls = AtomicUsize::new(0);
     let summary = set
         .run_sharded(
-            &plan,
+            &cells,
             threads,
             Shard::full(),
             &BTreeSet::new(),

@@ -1,20 +1,22 @@
 //! The shared-preparation equivalence contract, differentially tested.
 //!
 //! A sweep executed with shared preparation (one deployment
-//! realization, graph induction and gain-table build per group,
+//! realization, graph induction and gain-table build per cache key,
 //! `Arc`-shared across cells) must produce **byte-identical JSON
 //! reports** to the same sweep executed with per-cell preparation —
 //! across exact, cached and hybrid
 //! backends, physical MAC choices, dynamics schedules and mobility.
-//! This is the acceptance gate of the sweep planner: if sharing ever
+//! This is the acceptance gate of shared preparation: if sharing ever
 //! changed a single byte of a report, it would be an unsoundness in the
 //! `GainTable`/`SlotState` split (a shared table diverging from what a
 //! cell would have built, or copy-on-write failing to isolate a moving
 //! cell), not a tolerable approximation.
 
+use std::collections::BTreeSet;
+
 use proptest::prelude::*;
 use sinr_scenario::{
-    report_for, DeploymentSpec, MacSpec, ScenarioSet, ScenarioSpec, SourceSet, StopSpec,
+    report_for, DeploymentSpec, MacSpec, ScenarioSet, ScenarioSpec, Shard, SourceSet, StopSpec,
     WorkloadSpec,
 };
 
@@ -38,6 +40,16 @@ fn assert_shared_equals_percell(set: &ScenarioSet, label: &str) {
             s.ctx.spec.name
         );
     }
+}
+
+/// Runs the set with shared preparation and returns its cache's
+/// (misses, hits): one miss per shared key, one hit per adopting cell.
+fn cache_counts(set: &ScenarioSet) -> (u64, u64) {
+    let cells = set.cells().unwrap();
+    let summary = set
+        .run_sharded(&cells, 2, Shard::full(), &BTreeSet::new(), &|_, _| Ok(()))
+        .unwrap();
+    (summary.cache.misses, summary.cache.hits)
 }
 
 fn deploy_strategy() -> impl Strategy<Value = String> {
@@ -174,9 +186,9 @@ fn prepare_heavy_t_mult_sweep_is_equivalent() {
 #[test]
 fn hybrid_t_mult_sweep_is_equivalent() {
     // The hybrid analogue of the prepare-heavy shape: every cell
-    // consumes the planner's shared sparse table (same uniform
-    // deployment, hybrid backend), and each must be byte-identical to
-    // its per-cell twin that built its own rows.
+    // consumes one shared sparse table (same uniform deployment, hybrid
+    // backend), and each must be byte-identical to its per-cell twin
+    // that built its own rows.
     let mut spec = ScenarioSpec::new(
         "hybrid-shape",
         DeploymentSpec::plain(sinr_geom::DeploySpec::Uniform {
@@ -195,16 +207,15 @@ fn hybrid_t_mult_sweep_is_equivalent() {
         .map(|s| s.to_string())
         .collect();
     let set = ScenarioSet::new(spec).axis("mac.t_mult", t_mults);
-    let plan = set.plan().unwrap();
-    assert_eq!(plan.group_count(), 1, "one deployment, one group");
+    assert_eq!(cache_counts(&set), (1, 3), "one deployment, one table");
     assert_shared_equals_percell(&set, "hybrid prepare-heavy shape");
 }
 
 #[test]
 fn mixed_backend_axis_shares_one_table() {
-    // backend itself as an axis: exact and cached cells share one
-    // deployment group (and the table is built because one member wants
-    // it); reports must still match per-cell preparation.
+    // backend itself as an axis: each model prepares its own cache
+    // entry (the exact one holds no table), shared by that model's two
+    // mac.t_mult cells; reports must still match per-cell preparation.
     let mut spec = ScenarioSpec::new(
         "mixed-backend",
         DeploymentSpec::plain(sinr_geom::DeploySpec::Lattice {
@@ -216,15 +227,18 @@ fn mixed_backend_axis_shares_one_table() {
         StopSpec::Slots(150),
     );
     spec.set("sinr", "range:8").unwrap();
-    let set = ScenarioSet::new(spec).axis("backend", vec!["exact".into(), "cached".into()]);
-    let plan = set.plan().unwrap();
-    assert_eq!(plan.group_count(), 1, "one deployment, one group");
+    let set = ScenarioSet::new(spec)
+        .axis("backend", vec!["exact".into(), "cached".into()])
+        .axis("mac.t_mult", vec!["1".into(), "2".into()]);
+    // SINR_BACKEND collapses every cell onto one model.
+    let per_model = std::env::var("SINR_BACKEND").is_err();
+    if per_model {
+        assert_eq!(cache_counts(&set), (2, 2), "one preparation per model");
+    }
     assert_shared_equals_percell(&set, "mixed backend axis");
 
-    // With hybrid in the mix the group also carries the sparse table
-    // (dense + hybrid behind one preparation); a second hybrid cell at
-    // a different cutoff fails the match filter and quietly builds its
-    // own rows — reports must be unaffected either way.
+    // With hybrid in the mix, each hybrid cutoff is a model of its own:
+    // auto and 6 prepare separate sparse tables.
     let mut spec = ScenarioSpec::new(
         "mixed-backend-hybrid",
         DeploymentSpec::plain(sinr_geom::DeploySpec::Lattice {
@@ -236,16 +250,19 @@ fn mixed_backend_axis_shares_one_table() {
         StopSpec::Slots(150),
     );
     spec.set("sinr", "range:8").unwrap();
-    let set = ScenarioSet::new(spec).axis(
-        "backend",
-        vec![
-            "exact".into(),
-            "cached".into(),
-            "hybrid".into(),
-            "hybrid:6".into(),
-        ],
-    );
-    let plan = set.plan().unwrap();
-    assert_eq!(plan.group_count(), 1, "one deployment, one group");
+    let set = ScenarioSet::new(spec)
+        .axis(
+            "backend",
+            vec![
+                "exact".into(),
+                "cached".into(),
+                "hybrid".into(),
+                "hybrid:6".into(),
+            ],
+        )
+        .axis("mac.t_mult", vec!["1".into(), "2".into()]);
+    if per_model {
+        assert_eq!(cache_counts(&set), (4, 4), "one preparation per model");
+    }
     assert_shared_equals_percell(&set, "mixed backend axis with hybrid");
 }

@@ -34,8 +34,8 @@ use std::time::Instant;
 
 use sinr_scenario::json::{self, Json};
 use sinr_scenario::{
-    env_backend_override, execute_cell, lock_unpoisoned as lock, report_for, Axis, CacheStats,
-    ReportRecord, ScenarioError, ScenarioSet, ScenarioSpec, TableCache, TableWants,
+    execute_cell, lock_unpoisoned as lock, report_for, Axis, CacheStats, ReportRecord,
+    ScenarioError, ScenarioSet, ScenarioSpec, TableCache,
 };
 
 use crate::signal;
@@ -657,7 +657,7 @@ impl Service {
                 conn.emit.line(&cancelled_record(job.id, "running", i));
                 return;
             }
-            match execute_cell(cell, self.shared(cell)) {
+            match execute_cell(cell, self.config.cache.then_some(&self.cache)) {
                 Ok((run, hit)) => {
                     // Rendered once: these bytes are streamed and kept
                     // for the replay comparison, never re-rendered.
@@ -740,7 +740,7 @@ impl Service {
                 if job.cancel.load(Ordering::Relaxed) {
                     return Ok((false, i));
                 }
-                let (run, _) = execute_cell(cell, self.shared(cell))?;
+                let (run, _) = execute_cell(cell, self.config.cache.then_some(&self.cache))?;
                 let report = report_for(&run).to_json();
                 identical &= expected.get(i).is_some_and(|want| *want == report);
             }
@@ -772,15 +772,6 @@ impl Service {
                 conn.emit.line(&error_record(Some(job.id), &e.to_string()));
             }
         }
-    }
-
-    /// The cache a cell prepares through and the table wants of its
-    /// effective backend; `None` with the cache disabled.
-    fn shared(&self, cell: &ScenarioSpec) -> Option<(&TableCache, TableWants)> {
-        self.config.cache.then(|| {
-            let wants = TableWants::of(env_backend_override(cell.backend).model);
-            (&self.cache, wants)
-        })
     }
 }
 
