@@ -12,8 +12,9 @@
 use absmac::MsgId;
 use sinr_geom::Point;
 use sinr_mac::Frame;
-use sinr_phys::{Action, BackendSpec, Engine, NodeId, PhysError, Protocol, SinrParams, SlotCtx};
+use sinr_phys::{Action, BackendSpec, Engine, PhysError, Protocol, SinrParams, SlotCtx};
 
+use crate::report::run_until_informed;
 use crate::SmbReport;
 
 /// Configuration of [`DecaySmb`].
@@ -84,7 +85,7 @@ impl<P: Clone> DecaySmb<P> {
         payload: P,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_backend(
+        Self::with_prepared(
             sinr,
             positions,
             config,
@@ -92,35 +93,15 @@ impl<P: Clone> DecaySmb<P> {
             payload,
             seed,
             BackendSpec::exact(),
+            None,
         )
     }
 
     /// Like [`DecaySmb::new`] with an explicit reception backend
-    /// (interference model + thread count): `BackendSpec::cached()` is
-    /// the fast choice for long runs (the underlying `Engine` prepares
-    /// the backend against the deployment at construction, so the
-    /// cached kernel's gain matrix is built here, before slot 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from engine construction.
-    #[allow(clippy::too_many_arguments)]
-    pub fn with_backend(
-        sinr: SinrParams,
-        positions: &[Point],
-        config: DecaySmbConfig,
-        source: usize,
-        payload: P,
-        seed: u64,
-        spec: BackendSpec,
-    ) -> Result<Self, PhysError> {
-        Self::with_prepared(sinr, positions, config, source, payload, seed, spec, None)
-    }
-
-    /// Like [`DecaySmb::with_backend`] with an optional pre-built shared
-    /// preparation artifacts (dense or hybrid table) (see `Engine::with_prepared`): a
-    /// matching table skips the O(n²) preparation. Executions are
-    /// bit-identical either way.
+    /// (interference model + thread count) and, optionally, the table a
+    /// shared preparation built for this deployment (see
+    /// `Engine::with_prepared`): a matching table skips the O(n²)
+    /// preparation. Executions are bit-identical either way.
     ///
     /// # Errors
     ///
@@ -157,26 +138,7 @@ impl<P: Clone> DecaySmb<P> {
 
     /// Runs until every node is informed or `max_slots` elapse.
     pub fn run(&mut self, max_slots: u64) -> SmbReport {
-        let n = self.engine.len();
-        let mut completion = None;
-        for _ in 0..max_slots {
-            let out = self.engine.step();
-            if !out.receptions.is_empty() {
-                let all =
-                    (0..n).all(|i| self.engine.protocol(NodeId::from(i)).informed_at.is_some());
-                if all {
-                    completion = Some(out.slot + 1);
-                    break;
-                }
-            }
-        }
-        SmbReport {
-            informed_at: (0..n)
-                .map(|i| self.engine.protocol(NodeId::from(i)).informed_at)
-                .collect(),
-            completion,
-            stats: self.engine.stats(),
-        }
+        run_until_informed(&mut self.engine, max_slots, |node| node.informed_at)
     }
 }
 

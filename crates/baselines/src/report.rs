@@ -1,6 +1,7 @@
-//! Common result type for global broadcast runs.
+//! Common result type for global broadcast runs, and the run loop the
+//! flooding baselines share.
 
-use sinr_phys::EngineStats;
+use sinr_phys::{Engine, EngineStats, Protocol};
 
 /// Outcome of a global single-message broadcast execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -24,6 +25,39 @@ impl SmbReport {
     pub fn complete(&self) -> bool {
         self.completion.is_some()
     }
+
+    /// The report of `engine`'s run so far: each node's information time
+    /// as `informed_at` reads it from the node's automaton, the given
+    /// `completion` and the engine's counters.
+    pub(crate) fn of<P: Protocol>(
+        engine: &Engine<P>,
+        informed_at: impl Fn(&P) -> Option<u64>,
+        completion: Option<u64>,
+    ) -> Self {
+        SmbReport {
+            informed_at: engine.protocols().map(informed_at).collect(),
+            completion,
+            stats: engine.stats(),
+        }
+    }
+}
+
+/// Steps `engine` until every node is informed (as `informed_at` reads
+/// it) or `max_slots` elapse. Only a reception informs a node, so the
+/// check runs after slots with receptions; completion is the slot count
+/// at which the last node was informed.
+pub(crate) fn run_until_informed<P: Protocol>(
+    engine: &mut Engine<P>,
+    max_slots: u64,
+    informed_at: impl Fn(&P) -> Option<u64>,
+) -> SmbReport {
+    let completion = (0..max_slots).find_map(|_| {
+        let out = engine.step();
+        let all_informed = !out.receptions.is_empty()
+            && engine.protocols().all(|node| informed_at(node).is_some());
+        all_informed.then_some(out.slot + 1)
+    });
+    SmbReport::of(engine, informed_at, completion)
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 use absmac::MsgId;
 use sinr_geom::Point;
 use sinr_mac::Frame;
-use sinr_phys::{Action, BackendSpec, Engine, NodeId, PhysError, Protocol, SinrParams, SlotCtx};
+use sinr_phys::{Action, BackendSpec, Engine, PhysError, Protocol, SinrParams, SlotCtx};
 
 use crate::SmbReport;
 
@@ -86,44 +86,21 @@ impl<P: Clone> RoundRobinSmb<P> {
         payload_of: impl FnMut(usize) -> P,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_backend(
+        Self::with_prepared(
             sinr,
             positions,
             config,
             payload_of,
             seed,
             BackendSpec::exact(),
+            None,
         )
     }
 
     /// Like [`RoundRobinSmb::new`] with an explicit reception backend
-    /// (interference model + thread count): `BackendSpec::cached()` is
-    /// the fast choice for long runs (the underlying `Engine` prepares
-    /// the backend against the deployment at construction, so the
-    /// cached kernel's gain matrix is built here, before slot 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from engine construction.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `config.broadcasters` is empty or contains an
-    /// out-of-range or duplicate index.
-    pub fn with_backend(
-        sinr: SinrParams,
-        positions: &[Point],
-        config: &RoundRobinConfig,
-        payload_of: impl FnMut(usize) -> P,
-        seed: u64,
-        spec: BackendSpec,
-    ) -> Result<Self, PhysError> {
-        Self::with_prepared(sinr, positions, config, payload_of, seed, spec, None)
-    }
-
-    /// Like [`RoundRobinSmb::with_backend`] with optional pre-built
-    /// shared preparation artifacts (see `Engine::with_prepared`): a
-    /// matching dense or hybrid table skips the per-deployment
+    /// (interference model + thread count) and, optionally, the table a
+    /// shared preparation built for this deployment (see
+    /// `Engine::with_prepared`): a matching table skips the O(n²)
     /// preparation. Executions are bit-identical either way.
     ///
     /// # Errors
@@ -132,7 +109,7 @@ impl<P: Clone> RoundRobinSmb<P> {
     ///
     /// # Panics
     ///
-    /// Same as [`RoundRobinSmb::with_backend`].
+    /// Same as [`RoundRobinSmb::new`].
     #[allow(clippy::too_many_arguments)]
     pub fn with_prepared(
         sinr: SinrParams,
@@ -165,23 +142,16 @@ impl<P: Clone> RoundRobinSmb<P> {
         Ok(RoundRobinSmb { engine })
     }
 
-    /// Runs `slots` slots and reports per-node first-reception times.
+    /// Runs `slots` slots and reports per-node first-reception times;
+    /// completion is one past the latest of them, `None` if some node
+    /// received nothing.
     pub fn run(&mut self, slots: u64) -> SmbReport {
         self.engine.run(slots);
-        let n = self.engine.len();
-        let informed_at: Vec<Option<u64>> = (0..n)
-            .map(|i| self.engine.protocol(NodeId::from(i)).informed_at)
-            .collect();
-        let completion = informed_at
-            .iter()
-            .map(|t| t.map(|x| x + 1))
-            .collect::<Option<Vec<u64>>>()
-            .map(|v| v.into_iter().max().unwrap_or(0));
-        SmbReport {
-            informed_at,
-            completion,
-            stats: self.engine.stats(),
-        }
+        let completion = self
+            .engine
+            .protocols()
+            .try_fold(0, |last, node| node.informed_at.map(|t| last.max(t + 1)));
+        SmbReport::of(&self.engine, |node| node.informed_at, completion)
     }
 }
 

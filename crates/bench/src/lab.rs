@@ -876,7 +876,11 @@ mod tests {
     #[test]
     fn run_turns_a_panicking_cell_into_an_error() {
         // A hybrid table over a 10⁹-wide lattice overflows its pair
-        // count while preparing ("capacity overflow").
+        // count while preparing ("capacity overflow"). SINR_BACKEND
+        // overrides the spec's backend, so nothing panics under it.
+        if std::env::var("SINR_BACKEND").is_ok() {
+            return;
+        }
         let spec = "name=run-panic\ndeploy=lattice:2:2:1000000000\n\
                     sinr=alpha:3,beta:1.5,noise:1,eps:0.1,range:8\nbackend=hybrid:1\n\
                     mac=sinr\nworkload=repeat:stride:2\nstop=slots:30\nmeasure=none\n";

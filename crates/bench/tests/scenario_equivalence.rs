@@ -32,7 +32,7 @@ fn legacy_fig1_trace() -> (Vec<absmac::TraceEvent>, u64) {
     let params = MacParams::builder().build(&sinr);
     let horizon = EPOCHS * 2 * params.layout().epoch_len();
     let backend = env_backend_override(BackendSpec::exact());
-    let mac = SinrAbsMac::with_backend(sinr, &gadget.points, params, SEED, backend)
+    let mac = SinrAbsMac::with_prepared(sinr, &gadget.points, params, SEED, backend, None)
         .expect("valid deployment");
     let in_v = |i: usize| gadget.line_v.contains(&i);
     let clients = Repeater::network(gadget.points.len(), |i| in_v(i).then_some(i as u64));
@@ -77,15 +77,17 @@ fn fig1_tdma_leg_reproduces_the_legacy_schedule() {
     let config = sinr_baselines::RoundRobinConfig {
         broadcasters: gadget.line_v.clone(),
     };
-    let mut tdma: sinr_baselines::RoundRobinSmb<u64> = sinr_baselines::RoundRobinSmb::with_backend(
-        sinr,
-        &gadget.points,
-        &config,
-        |i| i as u64,
-        SEED,
-        env_backend_override(BackendSpec::exact()),
-    )
-    .expect("tdma");
+    let mut tdma: sinr_baselines::RoundRobinSmb<u64> =
+        sinr_baselines::RoundRobinSmb::with_prepared(
+            sinr,
+            &gadget.points,
+            &config,
+            |i| i as u64,
+            SEED,
+            env_backend_override(BackendSpec::exact()),
+            None,
+        )
+        .expect("tdma");
     let legacy = tdma.run(2 * DELTA as u64);
 
     let run = exp_fig1::tdma_spec(DELTA, SEED).run().expect("spec leg");

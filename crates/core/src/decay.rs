@@ -104,32 +104,14 @@ impl<P: Clone> DecayMac<P> {
         params: DecayParams,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_backend(sinr, positions, params, seed, BackendSpec::exact())
+        Self::with_prepared(sinr, positions, params, seed, BackendSpec::exact(), None)
     }
 
     /// Like [`DecayMac::new`] with an explicit reception backend
-    /// (interference model + thread count): `BackendSpec::cached()` is
-    /// the fast choice for long runs (the underlying `Engine` prepares
-    /// the backend against the deployment at construction, so the
-    /// cached kernel's gain matrix is built here, before slot 0).
-    ///
-    /// # Errors
-    ///
-    /// Propagates [`PhysError`] from engine construction.
-    pub fn with_backend(
-        sinr: SinrParams,
-        positions: &[Point],
-        params: DecayParams,
-        seed: u64,
-        spec: BackendSpec,
-    ) -> Result<Self, PhysError> {
-        Self::with_prepared(sinr, positions, params, seed, spec, None)
-    }
-
-    /// Like [`DecayMac::with_backend`] with optional pre-built shared
-    /// preparation artifacts (see [`Engine::with_prepared`]): a matching
-    /// dense or hybrid table skips the per-deployment preparation.
-    /// Executions are bit-identical either way.
+    /// (interference model + thread count) and, optionally, the table a
+    /// shared preparation built for this deployment (see
+    /// [`Engine::with_prepared`]). Executions are bit-identical with or
+    /// without a shared table.
     ///
     /// # Errors
     ///

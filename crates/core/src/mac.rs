@@ -137,33 +137,17 @@ impl<P: Clone> SinrAbsMac<P> {
         params: MacParams,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_backend(sinr, positions, params, seed, BackendSpec::exact())
+        Self::with_prepared(sinr, positions, params, seed, BackendSpec::exact(), None)
     }
 
     /// Like [`SinrAbsMac::new`] with an explicit reception backend
-    /// (interference model + thread count): `BackendSpec::cached()` is
-    /// the fast choice for long runs (the underlying `Engine` prepares
-    /// the backend against the deployment at construction, so the
-    /// cached kernel's gain matrix is built here, before slot 0).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`SinrAbsMac::new`].
-    pub fn with_backend(
-        sinr: SinrParams,
-        positions: &[Point],
-        params: MacParams,
-        seed: u64,
-        spec: BackendSpec,
-    ) -> Result<Self, PhysError> {
-        Self::with_prepared(sinr, positions, params, seed, spec, None)
-    }
-
-    /// Like [`SinrAbsMac::with_backend`] with optional pre-built shared
-    /// preparation artifacts (see [`Engine::with_prepared`]): a matching
-    /// dense or hybrid table skips the per-deployment preparation, a
-    /// mismatched or absent one falls back to building it here.
-    /// Executions are bit-identical either way.
+    /// (interference model + thread count) and, optionally, the table a
+    /// shared preparation built for this deployment (see
+    /// [`Engine::with_prepared`]). `BackendSpec::cached()` is the fast
+    /// choice for long runs: the engine prepares the backend at
+    /// construction, so the gain matrix is built (or a matching shared
+    /// one adopted) here, before slot 0. Executions are bit-identical
+    /// with or without a shared table.
     ///
     /// # Errors
     ///
@@ -191,11 +175,6 @@ impl<P: Clone> SinrAbsMac<P> {
     /// The resolved MAC parameters.
     pub fn params(&self) -> &MacParams {
         &self.params
-    }
-
-    /// The reception backend specification this MAC runs with.
-    pub fn backend_spec(&self) -> BackendSpec {
-        self.engine.backend_spec()
     }
 
     /// Physical-layer counters (slots, transmissions, receptions).

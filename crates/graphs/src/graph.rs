@@ -28,8 +28,8 @@ pub struct Graph {
     adj: Vec<Vec<u32>>,
     edge_count: usize,
     /// Memoized [`Graph::diameter`] — the one quadratic query. Shared
-    /// through clones (an `Arc`), so every copy of a graph handed out by
-    /// a cache or sweep planner computes it at most once between them.
+    /// through clones (an `Arc`), so the copies of a graph that one
+    /// shared preparation hands out compute it at most once between them.
     diameter: Arc<OnceLock<Option<u32>>>,
 }
 

@@ -115,7 +115,6 @@ pub struct Engine<P: Protocol> {
     positions: Vec<Point>,
     protocols: Vec<P>,
     rngs: Vec<StdRng>,
-    spec: BackendSpec,
     backend: Box<dyn InterferenceBackend>,
     /// Per-slot reception decisions, reused across slots.
     decisions: Vec<Option<usize>>,
@@ -140,37 +139,28 @@ impl<P: Protocol> Engine<P> {
         protocols: Vec<P>,
         seed: u64,
     ) -> Result<Self, PhysError> {
-        Self::with_backend(params, positions, protocols, seed, BackendSpec::exact())
+        Self::with_prepared(
+            params,
+            positions,
+            protocols,
+            seed,
+            BackendSpec::exact(),
+            None,
+        )
     }
 
-    /// Like [`Engine::new`] with an explicit reception backend
-    /// specification (interference model + thread count).
-    ///
-    /// # Errors
-    ///
-    /// Same as [`Engine::new`].
-    pub fn with_backend(
-        params: SinrParams,
-        positions: Vec<Point>,
-        protocols: Vec<P>,
-        seed: u64,
-        spec: BackendSpec,
-    ) -> Result<Self, PhysError> {
-        Self::with_prepared(params, positions, protocols, seed, spec, None)
-    }
-
-    /// Like [`Engine::with_backend`] with already-built shared
-    /// preparation artifacts ([`SharedTables`]): when a carried table
-    /// matches `params`/`positions` (and, for the hybrid kernel, this
-    /// spec's cutoff), backend preparation only resets per-run slot
-    /// state instead of rebuilding the gain table — the construction
-    /// path sweep executors use to amortize one preparation across many
-    /// runs over a fixed deployment. A non-matching table is replaced
-    /// by `prepare` (the backend builds its own, so this constructor
-    /// is never less correct than [`Engine::with_backend`]); `exact`
-    /// ignores the carrier entirely. The execution is bit-identical
-    /// either way — the table entries equal what the backend would
-    /// have computed itself.
+    /// Like [`Engine::new`] with an explicit reception backend `spec`
+    /// (interference model + thread count) and, optionally, the table a
+    /// shared preparation already built for this deployment
+    /// ([`SharedTables`]). When the carried table is the one `spec`'s
+    /// model runs and matches `params`/`positions` (and, for the hybrid
+    /// kernel, this spec's cutoff), backend preparation only resets
+    /// per-run slot state instead of rebuilding the table — the
+    /// construction path that amortizes one preparation across many
+    /// runs over a fixed deployment. Any other table is ignored and the
+    /// backend builds its own; `None` always builds privately. The
+    /// execution is bit-identical either way — the table entries equal
+    /// what the backend would have computed itself.
     ///
     /// # Errors
     ///
@@ -206,7 +196,6 @@ impl<P: Protocol> Engine<P> {
             positions,
             protocols,
             rngs,
-            spec,
             backend: spec.build_with_tables(tables),
             decisions: vec![None; n],
             mobility: None,
@@ -250,17 +239,6 @@ impl<P: Protocol> Engine<P> {
     #[inline]
     pub fn slot(&self) -> u64 {
         self.slot
-    }
-
-    /// The backend specification reception decisions run with.
-    #[inline]
-    pub fn backend_spec(&self) -> BackendSpec {
-        self.spec
-    }
-
-    /// Short identifier of the active backend (`"exact"`, `"cached"`, …).
-    pub fn backend_name(&self) -> &'static str {
-        self.backend.name()
     }
 
     /// Installs (or removes) a mobility model. Movement is applied at
@@ -458,7 +436,7 @@ impl<P: Protocol> fmt::Debug for Engine<P> {
             .field("n", &self.positions.len())
             .field("slot", &self.slot)
             .field("params", &self.params)
-            .field("backend", &self.spec)
+            .field("backend", &self.backend.name())
             .field("stats", &self.stats)
             .finish()
     }
@@ -636,7 +614,7 @@ mod tests {
         let run = |spec: BackendSpec| {
             let pos = sinr_geom::deploy::uniform(30, 40.0, 5).unwrap();
             let protos: Vec<CoinFlip> = (0..30).map(|_| CoinFlip).collect();
-            let mut e = Engine::with_backend(params(), pos, protos, 3, spec).unwrap();
+            let mut e = Engine::with_prepared(params(), pos, protos, 3, spec, None).unwrap();
             (0..60).map(|_| e.step()).collect::<Vec<_>>()
         };
         assert_eq!(run(BackendSpec::exact()), run(BackendSpec::cached()));
@@ -657,14 +635,13 @@ mod tests {
             (0..60).map(|_| e.step()).collect::<Vec<_>>()
         };
         let cold = run(BackendSpec::cached(), None);
-        let table = Arc::new(GainTable::build(&p, &pos, 1));
-        let tables = SharedTables::from(Arc::clone(&table));
+        let tables = SharedTables::Dense(Arc::new(GainTable::build(&p, &pos, 1)));
         assert_eq!(
             cold,
             run(BackendSpec::cached(), Some(&tables)),
             "shared table"
         );
-        let mismatched = SharedTables::from(Arc::new(GainTable::build(
+        let mismatched = SharedTables::Dense(Arc::new(GainTable::build(
             &p,
             &sinr_geom::deploy::uniform(30, 40.0, 6).unwrap(),
             1,
@@ -679,8 +656,7 @@ mod tests {
         // cutoff is not trusted.
         let hybrid_cold = run(BackendSpec::hybrid(8.0), None);
         for (cutoff, why) in [(8.0, "shared hybrid table"), (4.0, "other cutoff ignored")] {
-            let sparse =
-                SharedTables::new().with_hybrid(Arc::new(HybridTable::build(&p, &pos, cutoff, 1)));
+            let sparse = SharedTables::Hybrid(Arc::new(HybridTable::build(&p, &pos, cutoff, 1)));
             assert_eq!(
                 hybrid_cold,
                 run(BackendSpec::hybrid(8.0), Some(&sparse)),
@@ -699,7 +675,7 @@ mod tests {
         let run = |spec: BackendSpec| {
             let pos = sinr_geom::deploy::uniform(30, 40.0, 5).unwrap();
             let protos: Vec<CoinFlip> = (0..30).map(|_| CoinFlip).collect();
-            let mut e = Engine::with_backend(params(), pos, protos, 3, spec).unwrap();
+            let mut e = Engine::with_prepared(params(), pos, protos, 3, spec, None).unwrap();
             let model = MobilityModel::new(
                 MobilitySpec::Waypoint {
                     speed: 0.4,
@@ -736,7 +712,8 @@ mod tests {
             Scripted::listener(),
             Scripted::listener(),
         ];
-        let mut e = Engine::with_backend(params(), pos, protos, 1, BackendSpec::cached()).unwrap();
+        let mut e =
+            Engine::with_prepared(params(), pos, protos, 1, BackendSpec::cached(), None).unwrap();
         // Too close to node 0: rejected, position unchanged.
         let err = e.teleport(1, Point::new(0.5, 0.0)).unwrap_err();
         assert!(matches!(

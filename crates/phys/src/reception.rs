@@ -297,36 +297,27 @@ impl BackendSpec {
         }
     }
 
-    /// Builds the worker for this spec around already-built shared
-    /// tables, consuming whichever member of a [`SharedTables`] carrier
-    /// this spec's model can use: the dense table for the cached kernel,
-    /// the sparse table for the hybrid kernel, nothing for `exact` (it
-    /// has nothing to precompute).
+    /// Builds the worker for this spec around an already-built shared
+    /// table: the cached kernel adopts a [`SharedTables::Dense`] table,
+    /// the hybrid kernel a [`SharedTables::Hybrid`] one, and every other
+    /// pairing (an empty carrier, the other model's table, `exact`)
+    /// builds privately.
     ///
-    /// A table is only adopted when it matches the deployment the
-    /// backend is later prepared against — a missing or mismatching
-    /// table degrades to a private build by `prepare`, never to an
-    /// error, so this is always correct and at worst as expensive as
-    /// [`BackendSpec::build`]. This is the construction path the
-    /// scenario sweep planner uses to amortize one preparation across
-    /// every cell of a sweep group.
+    /// An adopted table is only used when it matches the deployment the
+    /// backend is later prepared against (and, for the hybrid kernel,
+    /// this spec's cutoff) — a mismatching table degrades to a private
+    /// build by `prepare`, never to an error, so this is always correct
+    /// and at worst as expensive as [`BackendSpec::build`]. This is the
+    /// construction path shared preparation uses to amortize one table
+    /// across every run over a fixed deployment.
     pub fn build_with_tables(self, tables: Option<&SharedTables>) -> Box<dyn InterferenceBackend> {
-        match self.model {
-            InterferenceModel::Cached => match tables.and_then(SharedTables::dense) {
-                Some(table) => Box::new(CachedBackend::with_shared_table(
-                    Arc::clone(table),
-                    self.threads,
-                )),
-                None => self.build(),
-            },
-            InterferenceModel::Hybrid { cutoff } => match tables.and_then(SharedTables::hybrid) {
-                Some(table) => Box::new(HybridBackend::with_shared_table(
-                    cutoff,
-                    Arc::clone(table),
-                    self.threads,
-                )),
-                None => self.build(),
-            },
+        match (self.model, tables) {
+            (InterferenceModel::Cached, Some(SharedTables::Dense(table))) => Box::new(
+                CachedBackend::with_shared_table(Arc::clone(table), self.threads),
+            ),
+            (InterferenceModel::Hybrid { cutoff }, Some(SharedTables::Hybrid(table))) => Box::new(
+                HybridBackend::with_shared_table(cutoff, Arc::clone(table), self.threads),
+            ),
             _ => self.build(),
         }
     }
@@ -457,14 +448,21 @@ pub trait InterferenceBackend: Send {
     );
 
     /// Fallible variant of
-    /// [`decide_slot`](InterferenceBackend::decide_slot) for long-lived
-    /// callers (a scenario service worker) that must reject one bad
-    /// request instead of letting it poison the process: backends whose
-    /// slot path can fail — the table-backed kernels, whose lazy
-    /// re-preparation can hit the [`max_table_bytes`] cap — return the
-    /// structured [`PhysError`] here and reserve panicking for the
-    /// infallible-signature `decide_slot` edge. The default forwards to
-    /// `decide_slot`: the exact model has no failure mode.
+    /// [`decide_slot`](InterferenceBackend::decide_slot) for callers that
+    /// drive a backend directly: backends whose slot path can fail — the
+    /// table-backed kernels, whose lazy re-preparation can hit the
+    /// [`max_table_bytes`] cap — return the structured [`PhysError`]
+    /// here and reserve panicking for the infallible-signature
+    /// `decide_slot` edge. The default forwards to `decide_slot`: the
+    /// exact model has no failure mode.
+    ///
+    /// The [`Engine`](crate::Engine), and with it the scenario service,
+    /// never calls it: the engine prepares its backend at construction,
+    /// where an over-cap dense table surfaces as
+    /// [`PhysError::GainTableTooLarge`] (a resolved scenario backend
+    /// never asks for one: [`BackendSpec::tuned`] swaps it for
+    /// `hybrid`), and its slots run `decide_slot` — in the service,
+    /// inside the per-cell panic boundary.
     ///
     /// # Errors
     ///
@@ -601,59 +599,33 @@ fn chunked_scope<T: Send>(chunks: Vec<T>, task: impl Fn(T) + Sync) {
     });
 }
 
-/// The shareable preparation artifacts of one deployment, carried from
-/// an amortizing caller (the sweep planner, a bench harness) into
-/// backend construction: the dense n×n [`GainTable`] for cached cells
-/// and/or the sparse [`HybridTable`] for hybrid cells. Either member
-/// may be absent; [`BackendSpec::build_with_tables`] consumes whichever
-/// its model can use and ignores the rest, so one carrier serves a
-/// mixed-backend sweep group.
+/// The one table a shared preparation built for a deployment, carried
+/// into backend construction: the dense n×n [`GainTable`] of the cached
+/// kernel, the sparse [`HybridTable`] of the hybrid kernel, or nothing
+/// (`exact` has nothing to precompute).
+/// [`BackendSpec::build_with_tables`] adopts it when the spec's model
+/// runs that table and builds privately otherwise.
 #[derive(Debug, Clone, Default)]
-pub struct SharedTables {
-    dense: Option<Arc<GainTable>>,
-    hybrid: Option<Arc<HybridTable>>,
+pub enum SharedTables {
+    /// No table: every build degrades to a private prepare.
+    #[default]
+    Empty,
+    /// A dense gain table for the cached kernel.
+    Dense(Arc<GainTable>),
+    /// A sparse table for the hybrid kernel.
+    Hybrid(Arc<HybridTable>),
 }
 
 impl SharedTables {
-    /// An empty carrier (every build degrades to a private prepare).
-    pub fn new() -> Self {
-        SharedTables::default()
-    }
-
-    /// Adds a dense gain table for cached-model consumers.
-    pub fn with_dense(mut self, table: Arc<GainTable>) -> Self {
-        self.dense = Some(table);
-        self
-    }
-
-    /// Adds a sparse hybrid table for hybrid-model consumers.
-    pub fn with_hybrid(mut self, table: Arc<HybridTable>) -> Self {
-        self.hybrid = Some(table);
-        self
-    }
-
-    /// The dense member, if present.
-    pub fn dense(&self) -> Option<&Arc<GainTable>> {
-        self.dense.as_ref()
-    }
-
-    /// The sparse hybrid member, if present.
-    pub fn hybrid(&self) -> Option<&Arc<HybridTable>> {
-        self.hybrid.as_ref()
-    }
-
-    /// Combined resident bytes of the held tables
-    /// ([`GainTable::bytes`] + [`HybridTable::bytes`]) — what a
-    /// byte-budgeted cache charges for keeping this carrier alive.
+    /// Resident bytes of the held table ([`GainTable::bytes`] or
+    /// [`HybridTable::bytes`], 0 when empty) — what a byte-budgeted
+    /// cache charges for keeping this carrier alive.
     pub fn bytes(&self) -> usize {
-        self.dense.as_deref().map_or(0, GainTable::bytes)
-            + self.hybrid.as_deref().map_or(0, HybridTable::bytes)
-    }
-}
-
-impl From<Arc<GainTable>> for SharedTables {
-    fn from(table: Arc<GainTable>) -> Self {
-        SharedTables::new().with_dense(table)
+        match self {
+            SharedTables::Empty => 0,
+            SharedTables::Dense(table) => table.bytes(),
+            SharedTables::Hybrid(table) => table.bytes(),
+        }
     }
 }
 

@@ -109,9 +109,9 @@ impl GainTable {
     /// chunking the row fill across up to `threads` OS threads (rows are
     /// independent; [`effective_threads`] applies, so small deployments
     /// build serially). The thread count never changes the entries —
-    /// each pair is computed independently — so a table built by a sweep
-    /// planner equals the one any cell would have built for itself, bit
-    /// for bit.
+    /// each pair is computed independently — so a table built by shared
+    /// preparation equals the one any cell would have built for itself,
+    /// bit for bit.
     pub fn build(params: &SinrParams, positions: &[Point], threads: usize) -> Self {
         Self::try_build_with_cap(params, positions, threads, u64::MAX)
             .expect("uncapped build cannot fail")

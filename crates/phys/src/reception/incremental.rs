@@ -289,11 +289,6 @@ impl<S: RowSource> IncrementalBackend<S> {
         self
     }
 
-    /// The configured thread count (before the crossover is applied).
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
     /// The prepared table, if any.
     pub fn table(&self) -> Option<&S> {
         self.table.as_deref()
@@ -529,8 +524,9 @@ impl<S: RowSource> InterferenceBackend for IncrementalBackend<S> {
     ) {
         // The infallible-signature edge: inside `decide_slot` there is
         // no error channel, so the one fallible step (an over-cap lazy
-        // re-preparation) panics with the structured message. Callers
-        // who want the error use `try_decide_slot`, as services do.
+        // re-preparation) panics with the structured message. The engine
+        // prepares at construction, where that error is returned; direct
+        // callers who want it per slot use `try_decide_slot`.
         if let Err(e) = self.try_decide_slot(params, positions, senders, out) {
             panic!("{} backend: {e}", S::NAME);
         }

@@ -205,11 +205,17 @@ fn table_byte_reporting_matches_layout() {
     );
     assert!(hybrid.bytes() < dense.bytes() * 4, "sane upper bound");
 
-    let both = SharedTables::new()
-        .with_dense(Arc::clone(&dense))
-        .with_hybrid(Arc::clone(&hybrid));
-    assert_eq!(both.bytes(), dense.bytes() + hybrid.bytes());
-    assert_eq!(SharedTables::new().bytes(), 0);
+    // A carrier charges exactly the one table it holds.
+    assert_eq!(
+        SharedTables::Dense(Arc::clone(&dense)).bytes(),
+        dense.bytes()
+    );
+    assert_eq!(
+        SharedTables::Hybrid(Arc::clone(&hybrid)).bytes(),
+        hybrid.bytes()
+    );
+    assert_eq!(SharedTables::Empty.bytes(), 0);
+    assert_eq!(SharedTables::default().bytes(), 0);
 }
 
 #[test]
@@ -899,39 +905,53 @@ fn build_with_tables_routes_by_model() {
     let pos = sinr_geom::deploy::uniform(10, 16.0, 4).unwrap();
     let dense = Arc::new(GainTable::build(&p, &pos, 1));
     let sparse = Arc::new(HybridTable::build(&p, &pos, 8.0, 1));
-    let tables = SharedTables::new()
-        .with_dense(Arc::clone(&dense))
-        .with_hybrid(Arc::clone(&sparse));
-    assert_eq!(
-        BackendSpec::cached()
-            .build_with_tables(Some(&tables))
-            .name(),
-        "cached"
-    );
-    assert_eq!(
-        BackendSpec::hybrid(8.0)
-            .build_with_tables(Some(&tables))
-            .name(),
-        "hybrid"
-    );
-    assert_eq!(
-        BackendSpec::exact().build_with_tables(Some(&tables)).name(),
-        "exact"
-    );
-    assert_eq!(
-        BackendSpec::hybrid(8.0).build_with_tables(None).name(),
-        "hybrid"
-    );
-    assert_eq!(
-        BackendSpec::cached().build_with_tables(None).name(),
-        "cached"
-    );
+    let dense_tables = SharedTables::Dense(Arc::clone(&dense));
+    let sparse_tables = SharedTables::Hybrid(Arc::clone(&sparse));
+    // Handles on each table beyond the test's own two (the local and the
+    // carrier's): a backend that adopted a table holds one more.
+    let handles = || {
+        (
+            Arc::strong_count(&dense) - 2,
+            Arc::strong_count(&sparse) - 2,
+        )
+    };
+    let senders: Vec<usize> = (0..10).step_by(2).collect();
+    let decide = |backend: &mut dyn InterferenceBackend| {
+        let mut out = vec![None; pos.len()];
+        backend.decide_slot(&p, &pos, &senders, &mut out);
+        out
+    };
+    // Each model adopts only its own table; exact, the other model's
+    // table, an empty carrier and no carrier all build privately.
+    let empty = SharedTables::Empty;
+    let rows = [
+        (BackendSpec::cached(), Some(&dense_tables), (1, 0)),
+        (BackendSpec::hybrid(8.0), Some(&sparse_tables), (0, 1)),
+        (BackendSpec::exact(), Some(&dense_tables), (0, 0)),
+        (BackendSpec::exact(), Some(&sparse_tables), (0, 0)),
+        (BackendSpec::hybrid(8.0), Some(&dense_tables), (0, 0)),
+        (BackendSpec::cached(), Some(&sparse_tables), (0, 0)),
+        (BackendSpec::cached(), Some(&empty), (0, 0)),
+        (BackendSpec::hybrid(8.0), None, (0, 0)),
+        (BackendSpec::cached(), None, (0, 0)),
+    ];
+    for (row, (spec, tables, held)) in rows.into_iter().enumerate() {
+        let mut backend = spec.build_with_tables(tables);
+        assert_eq!(backend.name(), spec.build().name(), "row {row}");
+        assert_eq!(handles(), held, "row {row}");
+        // Preparing keeps an adopted table and builds a private one
+        // otherwise, and either way decides what a cold build decides.
+        backend.prepare(&p, &pos).unwrap();
+        assert_eq!(handles(), held, "row {row}, prepared");
+        let cold = decide(spec.build().as_mut());
+        assert_eq!(decide(backend.as_mut()), cold, "row {row}");
+    }
     // An adopted dense table decides exactly, threaded or not.
     let mut backend = BackendSpec::cached()
         .with_threads(2)
-        .build_with_tables(Some(&tables));
+        .build_with_tables(Some(&dense_tables));
     backend.prepare(&p, &pos).unwrap();
-    let senders: Vec<usize> = (0..10).step_by(2).collect();
+    assert_eq!(handles(), (1, 0), "adopted, not rebuilt");
     assert_matches_exact(&p, backend.as_mut(), &pos, &senders, "adopted dense table");
     // A table adopted for another deployment, or a hybrid table built
     // for another cutoff, is replaced by prepare instead of serving

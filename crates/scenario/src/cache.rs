@@ -281,6 +281,7 @@ pub fn execute_cell(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use sinr_phys::SharedTables;
 
     /// Keys some lookup found in flight and waited on.
     static WAITED: Mutex<Vec<String>> = Mutex::new(Vec::new());
@@ -374,18 +375,25 @@ mod tests {
         // The charged bytes are exactly what the phys tables report
         // plus the positions each preparation carries.
         let pos_bytes = std::mem::size_of_val(pd.positions());
-        assert_eq!(
-            pd.resident_bytes(),
-            pd.gain_table().expect("dense wanted").bytes() + pos_bytes
-        );
-        assert_eq!(
-            ph.resident_bytes(),
-            ph.hybrid_table().expect("hybrid wanted").bytes() + pos_bytes
-        );
+        assert_eq!(pd.resident_bytes(), pd.tables().bytes() + pos_bytes);
+        assert_eq!(ph.resident_bytes(), ph.tables().bytes() + pos_bytes);
         assert_eq!(
             cache.stats().resident_bytes,
             (pd.resident_bytes() + ph.resident_bytes()) as u64
         );
+        // SINR_BACKEND overrides the specs' backends, and with them the
+        // tables their preparations build.
+        if std::env::var("SINR_BACKEND").is_ok() {
+            return;
+        }
+        let SharedTables::Dense(table) = pd.tables() else {
+            panic!("dense wanted");
+        };
+        assert_eq!(pd.resident_bytes(), table.bytes() + pos_bytes);
+        let SharedTables::Hybrid(table) = ph.tables() else {
+            panic!("hybrid wanted");
+        };
+        assert_eq!(ph.resident_bytes(), table.bytes() + pos_bytes);
     }
 
     #[test]
@@ -402,7 +410,10 @@ mod tests {
         assert!(!cache.get_or_prepare(&dense).unwrap().1);
         let (pp, hit) = cache.get_or_prepare(&plain).unwrap();
         assert!(!hit, "an exact request must not adopt the dense entry");
-        assert!(pp.gain_table().is_none(), "plain entries carry no table");
+        assert!(
+            matches!(pp.tables(), SharedTables::Empty),
+            "plain entries carry no table"
+        );
         assert_eq!(cache.stats().entries, 2);
     }
 
@@ -610,8 +621,8 @@ mod tests {
         let mut ideal = spec(17);
         ideal.set("mac", "ideal:eager").unwrap();
         let prep = PreparedDeployment::prepare(&ideal).unwrap();
+        assert!(matches!(prep.tables(), SharedTables::Empty));
         assert_eq!(prep.tables().bytes(), 0);
-        assert!(prep.gain_table().is_none() && prep.hybrid_table().is_none());
         if std::env::var("SINR_BACKEND").is_ok() {
             return;
         }
